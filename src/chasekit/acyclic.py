@@ -30,6 +30,7 @@ from .model import (
     atoms_domain,
     atoms_variables,
 )
+from .query import eval_cq, homomorphisms
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +403,6 @@ class SquidLemmaReport:
     note: str = ""
 
 
-def _cover_homomorphisms(
-    q_plus: Sequence[Atom], instance: Instance
-) -> Iterator[Dict[Variable, Term]]:
-    from .query import homomorphisms
-
-    yield from homomorphisms(q_plus, instance)
-
-
 def squids_from_witnesses(
     query: CQ,
     chase_instance: Instance,
@@ -436,7 +429,7 @@ def squids_from_witnesses(
                 )
                 fresh_atoms.append(Atom(p, args))
             q_plus = tuple(query.body) + tuple(fresh_atoms)
-            for g in _cover_homomorphisms(q_plus, chase_instance):
+            for g in homomorphisms(q_plus, chase_instance):
                 by_image: Dict[Term, Variable] = {}
                 fold: VarMap = {}
                 for v in sorted(atoms_variables(q_plus), key=lambda x: x.name):
@@ -463,8 +456,6 @@ def verify_squid_lemma(
     """Check, on one terminating instance, that the chase entails the
     query exactly when some squid decomposition splits into ground head
     and null-part tentacles under a homomorphism."""
-    from .query import eval_cq
-
     if query.head_vars:
         raise UsageError("the squid harness works on Boolean queries")
     result = run_chase(

@@ -124,9 +124,6 @@ class ChaseResult:
     def step_log(self) -> str:
         return "\n".join(s.render() for s in self.steps)
 
-    def nodes_for(self, atom: Atom) -> List[ForestNode]:
-        return [n for n in self.forest if n.atom == atom]
-
 
 # ---------------------------------------------------------------------------
 # Homomorphism search over rule bodies
@@ -150,7 +147,7 @@ def _match_atom(pattern: Atom, fact: Atom, hom: Hom) -> Optional[Hom]:
                 return None
         elif p != f:
             return None
-    return out if extended or out is hom else out
+    return out
 
 
 def body_homomorphisms(
@@ -161,26 +158,33 @@ def body_homomorphisms(
 ) -> Iterator[Hom]:
     """All homomorphisms mapping body into the instance, in a fixed order.
 
-    Body atoms are matched in declaration order against candidate atoms
-    in instance insertion order.  With `pinned`, the body atom at the
-    given index must map to the given fact (used for incremental trigger
-    discovery).
+    Body atoms are matched in declaration order, each against the
+    candidates the position index gives (`Instance.candidates`).  Those
+    keep insertion order, so the order is that of a nested loop over
+    `by_predicate`.  With `pinned`, the body atom at the given index must
+    map to the given fact (used for incremental trigger discovery); it
+    is matched first and seeds the rest.
     """
+    hom = dict(seed) if seed else {}
+    rest = list(body)
+    if pinned is not None:
+        i, fact = pinned
+        hom = _match_atom(body[i], fact, hom)
+        if hom is None:
+            return
+        del rest[i]
 
-    def extend(i: int, hom: Hom) -> Iterator[Hom]:
-        if i == len(body):
+    def extend(k: int, hom: Hom) -> Iterator[Hom]:
+        if k == len(rest):
             yield hom
             return
-        if pinned is not None and pinned[0] == i:
-            candidates: Sequence[Atom] = (pinned[1],)
-        else:
-            candidates = instance.by_predicate(body[i].predicate)
-        for fact in candidates:
-            nxt = _match_atom(body[i], fact, hom)
+        pattern = rest[k]
+        for fact in instance.candidates(pattern, hom):
+            nxt = _match_atom(pattern, fact, hom)
             if nxt is not None:
-                yield from extend(i + 1, nxt)
+                yield from extend(k + 1, nxt)
 
-    yield from extend(0, dict(seed) if seed else {})
+    yield from extend(0, hom)
 
 
 def head_satisfied(rule: TGD, hom: Hom, instance: Instance) -> bool:

@@ -240,7 +240,9 @@ def _expand_round(
     def register(atom: Atom) -> None:
         """Key the atom's current cloud; an already-present key blocks it."""
         cloud = cloud_of(instance, database, atom)
-        assert len(cloud) <= bound, "cloud size bound violated"
+        if len(cloud) > bound:
+            raise RuntimeError("cloud of %r has %d atoms, above the bound %d"
+                               % (atom, len(cloud), bound))
         key = canonicalize(atom, set(cloud.atoms), database)
         if key in store:
             blocked.add(atom)

@@ -58,10 +58,6 @@ def canonical_null(i: int) -> LabeledNull:
     return LabeledNull(CANONICAL_NULL_BASE + i)
 
 
-def is_ground_term(t: Term) -> bool:
-    return isinstance(t, Constant)
-
-
 def compare_terms(a: Term, b: Term) -> int:
     """Total order on constants and nulls: -1, 0 or 1.
 
@@ -161,18 +157,22 @@ def atoms_variables(atoms: Iterable[Atom]) -> Set[Variable]:
 # ---------------------------------------------------------------------------
 
 class Instance:
-    """A set of variable-free atoms with a domain index.
+    """A set of variable-free atoms with an argument-position index.
 
     Atoms are kept in insertion order so that trigger enumeration and
-    rendering are deterministic.  Instances are single-writer: the chase
-    that builds one is the only mutator, afterwards they are shared
-    read-only.
+    rendering are deterministic.  Each atom is also listed under every
+    (predicate, position, term) it carries; those lists keep insertion
+    order too, so each one is a subsequence of `by_predicate`.
+    Instances are single-writer: the chase that builds one is the only
+    mutator, afterwards they are shared read-only.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: Dict[Atom, None] = {}
         self._by_predicate: Dict[Predicate, List[Atom]] = {}
-        self._domain_index: Dict[Term, Set[Atom]] = {}
+        # predicate -> one {term: atoms} column per argument position
+        self._by_position: Dict[Predicate, Tuple[Dict[Term, List[Atom]], ...]] = {}
+        self._domain: Set[Term] = set()
         for a in atoms:
             self.add(a)
 
@@ -184,8 +184,12 @@ class Instance:
             return False
         self._atoms[atom] = None
         self._by_predicate.setdefault(atom.predicate, []).append(atom)
-        for t in atom.args:
-            self._domain_index.setdefault(t, set()).add(atom)
+        columns = self._by_position.get(atom.predicate)
+        if columns is None:
+            columns = self._by_position[atom.predicate] = tuple({} for _ in atom.args)
+        for column, t in zip(columns, atom.args):
+            column.setdefault(t, []).append(atom)
+        self._domain.update(atom.args)
         return True
 
     def __contains__(self, atom: Atom) -> bool:
@@ -209,21 +213,35 @@ class Instance:
     def predicates(self) -> List[Predicate]:
         return list(self._by_predicate)
 
+    def candidates(self, pattern: Atom, hom: Dict[Variable, Term]) -> List[Atom]:
+        """A subsequence of by_predicate holding every atom pattern can map
+        onto under an extension of hom: the shortest position list over
+        pattern's constants and hom-bound variables, if any."""
+        columns = self._by_position.get(pattern.predicate)
+        if columns is None:
+            return []
+        best = None
+        for column, p in zip(columns, pattern.args):
+            if isinstance(p, Variable):
+                p = hom.get(p)
+                if p is None:
+                    continue
+            atoms = column.get(p)
+            if atoms is None:
+                return []
+            if best is None or len(atoms) < len(best):
+                best = atoms
+        return self._by_predicate[pattern.predicate] if best is None else best
+
     def domain(self) -> Set[Term]:
-        return set(self._domain_index)
-
-    def atoms_with_term(self, t: Term) -> Set[Atom]:
-        return self._domain_index.get(t, set())
-
-    def domain_index(self) -> Dict[Term, Set[Atom]]:
-        return {t: set(v) for t, v in self._domain_index.items()}
+        return set(self._domain)
 
     def is_ground(self) -> bool:
         return all(a.is_ground() for a in self._atoms)
 
     def max_null_index(self) -> int:
         best = 0
-        for t in self._domain_index:
+        for t in self._domain:
             if isinstance(t, LabeledNull) and t.index < CANONICAL_NULL_BASE:
                 best = max(best, t.index)
         return best

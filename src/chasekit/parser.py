@@ -10,7 +10,8 @@ The grammar, one statement per `.`:
 Identifiers starting with a lowercase letter or digit are constants or
 predicates, identifiers starting uppercase are variables, `_:n<k>` is a
 labeled null (only legal in instances loaded for inspection, never in
-chase-input facts).  `%` starts a line comment.  Whitespace is free.
+chase-input facts; k must stay below CANONICAL_NULL_BASE, whose range
+belongs to the canonical cloud nulls).  `%` starts a line comment.  Whitespace is free.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .model import (
+    CANONICAL_NULL_BASE,
     CQ,
     EGD,
     TGD,
@@ -30,6 +32,7 @@ from .model import (
     Predicate,
     Program,
     Term,
+    UsageError,
     Variable,
 )
 
@@ -155,8 +158,11 @@ class _Parser:
         if t.kind == "null":
             if not self.allow_nulls:
                 self.fail("labeled nulls are not allowed here")
+            index = int(t.text[3:])
+            if index >= CANONICAL_NULL_BASE:
+                self.fail("null index %d is reserved for canonical nulls" % index)
             self.next()
-            return LabeledNull(int(t.text[3:]))
+            return LabeledNull(index)
         self.fail("expected a term")
 
     def atom(self) -> Atom:
@@ -395,7 +401,8 @@ def answer_json(
     budget_exhausted: bool,
 ) -> str:
     """The documented answer schema, stable key order."""
-    assert status in ("sat", "unsat", "unknown", "failed")
+    if status not in ("sat", "unsat", "unknown", "failed"):
+        raise UsageError("unknown answer status %r" % (status,))
     payload = {
         "query": query_name,
         "status": status,

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from . import clouds
-from .chase import ChaseOptions, ChaseResult, Mode, Status, run_chase
+from .chase import ChaseOptions, ChaseResult, Mode, Status, body_homomorphisms, run_chase
 from .model import (
     CQ,
     EGD,
@@ -32,26 +32,6 @@ from .model import (
 )
 
 
-def _match(pattern: Atom, fact: Atom, hom: Dict[Variable, Term]) -> Optional[Dict]:
-    if pattern.predicate != fact.predicate:
-        return None
-    out = hom
-    copied = False
-    for p, f in zip(pattern.args, fact.args):
-        if isinstance(p, Variable):
-            bound = out.get(p)
-            if bound is None:
-                if not copied:
-                    out = dict(out)
-                    copied = True
-                out[p] = f
-            elif bound != f:
-                return None
-        elif p != f:
-            return None
-    return out
-
-
 def homomorphisms(
     body: Sequence[Atom],
     instance: Instance,
@@ -60,23 +40,12 @@ def homomorphisms(
     """All homomorphisms from the body into the instance.
 
     Constants map to themselves; instance nulls are plain values and may
-    be shared by several variables.
+    be shared by several variables.  The body atoms are put in a static
+    fewest-candidates-first order (by the number of atoms of their
+    predicate) and handed to `chase.body_homomorphisms`, the one matcher.
     """
-    order = sorted(
-        range(len(body)), key=lambda i: len(instance.by_predicate(body[i].predicate))
-    )
-
-    def extend(k: int, hom: Dict[Variable, Term]) -> Iterator[Dict[Variable, Term]]:
-        if k == len(order):
-            yield hom
-            return
-        pattern = body[order[k]]
-        for fact in instance.by_predicate(pattern.predicate):
-            nxt = _match(pattern, fact, hom)
-            if nxt is not None:
-                yield from extend(k + 1, nxt)
-
-    yield from extend(0, dict(seed) if seed else {})
+    order = sorted(body, key=lambda a: len(instance.by_predicate(a.predicate)))
+    yield from body_homomorphisms(order, instance, seed)
 
 
 def eval_cq(instance: Instance, query: CQ) -> Set[Tuple[Term, ...]]:

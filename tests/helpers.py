@@ -9,10 +9,15 @@ gadget.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import chasekit
 from chasekit.analysis import Position, classify
 from chasekit.chase import ChaseOptions, Mode, Status, run_chase
 from chasekit.model import (
@@ -28,6 +33,16 @@ from chasekit.model import (
 )
 
 CONSTS = [Constant(c) for c in "abcde"]
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run code under `python -O`, which strips assert statements; the
+    child prints sys.flags.optimize first so callers can see it took."""
+    src = str(Path(chasekit.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-O", "-c", "import sys; print(sys.flags.optimize)\n" + code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import terminating_cases, wg_cases
+from helpers import run_optimized, terminating_cases, wg_cases
 
 from chasekit.chase import (
     ChaseOptions,
@@ -337,3 +337,17 @@ def test_blocked_saturate_matches_oracle_on_ground_atoms():
         assert got == want, (rules, sorted(got, key=repr), sorted(want, key=repr))
         agree += 1
     assert agree == 40
+
+
+def test_cloud_size_bound_is_checked_under_O():
+    proc = run_optimized(
+        "from chasekit import clouds\n"
+        "from chasekit.parser import parse_program\n"
+        "p = parse_program(%r)\n"
+        "clouds.cloud_size_bound = lambda *args: 0\n"
+        "try:\n"
+        "    clouds.blocked_saturate(p.facts, p.tgds)\n"
+        "except RuntimeError as e:\n"
+        "    print('raised' if 'above the bound 0' in str(e) else e)\n"
+        % EXAMPLE_CHASE)
+    assert proc.stdout.split() == ["1", "raised"], proc.stderr

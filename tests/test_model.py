@@ -87,19 +87,29 @@ def test_instance_rejects_variables():
         inst.add(Atom(r, (a, Variable("X"))))
 
 
-def test_domain_index_round_trips():
+def test_position_index_round_trips():
     rng = random.Random(3)
+    preds = [Predicate("p%d" % i, 2) for i in range(3)] + [Predicate("u", 1)]
     atoms = []
-    for _ in range(30):
-        p = Predicate("p%d" % rng.randint(0, 2), 2)
-        atoms.append(Atom(p, (rng.choice([a, b, n1, n2]),
-                              rng.choice([a, b, n1, n2]))))
+    for _ in range(40):
+        p = rng.choice(preds)
+        atoms.append(Atom(p, tuple(rng.choice([a, b, n1, n2]) for _ in range(p.arity))))
     inst = Instance(atoms)
     rebuilt = {}
     for atom in inst:
-        for t in atom.args:
-            rebuilt.setdefault(t, set()).add(atom)
-    assert rebuilt == inst.domain_index()
+        for i, t in enumerate(atom.args):
+            rebuilt.setdefault((atom.predicate, i, t), []).append(atom)
+    free = [Variable("V%d" % i) for i in range(2)]
+    for p in preds:
+        pattern = Atom(p, tuple(free[:p.arity]))
+        assert inst.candidates(pattern, {}) == inst.by_predicate(p)
+        for i in range(p.arity):
+            for t in (a, b, n1, n2, zzz):
+                want = rebuilt.get((p, i, t), [])
+                args = list(free[:p.arity])
+                args[i] = t
+                assert inst.candidates(Atom(p, tuple(args)), {}) == want
+                assert inst.candidates(pattern, {free[i]: t}) == want
 
 
 def test_rewrite_replaces_everywhere():

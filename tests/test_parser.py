@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from helpers import run_optimized
+
 from chasekit.model import Constant, Variable
 from chasekit.parser import (
     ParseError,
@@ -67,6 +69,13 @@ def test_nulls_allowed_in_inspection_instances():
     inst = parse_instance("r(a,_:n3), s(_:n3,b).")
     assert len(inst) == 2
     assert inst.max_null_index() == 3
+
+
+def test_reserved_null_index_rejected_with_position():
+    with pytest.raises(ParseError) as err:
+        parse_instance("r(a,_:n7).\nr(b,_:n1000000001).")
+    assert (err.value.line, err.value.column) == (2, 5)
+    assert parse_instance("r(a,_:n999999999).").max_null_index() == 999_999_999
 
 
 def test_comments_and_whitespace():
@@ -189,6 +198,17 @@ def test_fuzz_round_trip_500():
         again = parse_program(rendered)
         assert programs_equal(p, again), text
         assert render_program(again) == rendered, text
+
+
+def test_answer_json_rejects_an_unknown_status_under_O():
+    proc = run_optimized(
+        "from chasekit.model import UsageError\n"
+        "from chasekit.parser import answer_json\n"
+        "try:\n"
+        "    answer_json('q', 'maybe', [], False)\n"
+        "except UsageError:\n"
+        "    print('raised')\n")
+    assert proc.stdout.split() == ["1", "raised"], proc.stderr
 
 
 def test_answer_json_schema():
