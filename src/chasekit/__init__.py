@@ -20,7 +20,6 @@ from .model import (
     UsageError,
     Variable,
     compare_terms,
-    fresh_null,
 )
 from .parser import parse_atom, parse_instance, parse_program, render_program
 from .analysis import RuleClass, affected_positions, classify, normalize_heads

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .analysis import classify
+from .analysis import classify, normalize_heads
 from .model import (
     EGD,
     TGD,
@@ -47,16 +47,22 @@ class Status(Enum):
 
 
 Hom = Dict[Variable, Term]
+HomKey = Tuple[Tuple[Variable, Term], ...]
+
+
+def hom_key(hom: Hom) -> HomKey:
+    """A homomorphism as a hashable tuple, sorted by variable name."""
+    return tuple(sorted(hom.items(), key=lambda kv: kv[0].name))
 
 
 @dataclass(frozen=True)
 class Trigger:
     rule: Union[TGD, EGD]
-    hom: Tuple[Tuple[Variable, Term], ...]  # sorted by variable name
+    hom: HomKey
 
     @classmethod
     def of(cls, rule, hom: Hom) -> "Trigger":
-        return cls(rule, tuple(sorted(hom.items(), key=lambda kv: kv[0].name)))
+        return cls(rule, hom_key(hom))
 
     def mapping(self) -> Hom:
         return dict(self.hom)
@@ -187,6 +193,29 @@ def body_homomorphisms(
     yield from extend(0, hom)
 
 
+def rule_triggers(
+    tgds: Sequence[TGD],
+    instance: Instance,
+    new_atom: Optional[Atom] = None,
+) -> Iterator[Tuple[int, Hom]]:
+    """(rule index, homomorphism) for every trigger of the rules.
+
+    With `new_atom`, only the triggers whose body image uses it: each
+    body atom of its predicate is pinned to it in turn, so a trigger
+    that uses it twice comes up twice and callers deduplicate.
+    """
+    for idx, rule in enumerate(tgds):
+        if new_atom is None:
+            for hom in body_homomorphisms(rule.body, instance):
+                yield idx, hom
+            continue
+        for i, atom in enumerate(rule.body):
+            if atom.predicate == new_atom.predicate:
+                for hom in body_homomorphisms(rule.body, instance,
+                                              pinned=(i, new_atom)):
+                    yield idx, hom
+
+
 def head_satisfied(rule: TGD, hom: Hom, instance: Instance) -> bool:
     """Is there an extension of hom (on the frontier) mapping the head into B?"""
     frontier = rule.frontier()
@@ -222,6 +251,15 @@ def find_triggers(
 # Single chase steps
 # ---------------------------------------------------------------------------
 
+def head_image(rule: TGD, hom: Hom, alloc: NullAllocator) -> Atom:
+    """The head atom under hom, with fresh nulls for the existential
+    variables, drawn in variable-name order."""
+    extended = dict(hom)
+    for v in sorted(rule.existentials, key=lambda x: x.name):
+        extended[v] = alloc.fresh()
+    return rule.head[0].substitute(extended)
+
+
 def apply_tgd(
     rule: TGD,
     trigger: Trigger,
@@ -239,10 +277,7 @@ def apply_tgd(
     for atom in rule.body:
         if atom.substitute(hom) not in instance:
             raise UsageError("stale trigger: %r no longer matches" % (trigger,))
-    extended = dict(hom)
-    for v in sorted(rule.existentials, key=lambda x: x.name):
-        extended[v] = alloc.fresh()
-    new_atom = rule.head[0].substitute(extended)
+    new_atom = head_image(rule, hom, alloc)
     added = instance.add(new_atom)
     return instance, new_atom, added
 
@@ -294,22 +329,23 @@ class ChaseOptions:
 
 
 class _Engine:
+    """The fair FIFO chase.  Subclasses change which EGD merges end the
+    run (`_ends_run`); everything else is shared."""
+
     def __init__(self, database: Instance, tgds: Sequence[TGD], egds: Sequence[EGD],
                  opts: ChaseOptions):
         if opts.max_steps <= 0 or opts.max_depth <= 0:
             raise UsageError("chase budgets must be positive")
-        for rule in tgds:
-            if not rule.single_head():
-                raise UsageError("run_chase needs single-head TGDs; normalize first")
         if not database.is_ground():
             # Frozen query bodies legitimately contain nulls; variables never.
             for a in database:
                 if a.has_variables():
                     raise UsageError("chase input contains variables")
         self.opts = opts
-        self.tgds = list(tgds)
+        self.tgds = normalize_heads(tgds)
         self.egds = list(egds) if opts.egd_interleave else []
         self.classification = classify(self.tgds)
+        self.guard_of: Dict[int, Optional[int]] = {}
         self.instance = database.copy()
         self.alloc = NullAllocator.after(database)
         self.steps: List[Step] = []
@@ -317,9 +353,8 @@ class _Engine:
         self.first_node_for: Dict[Atom, int] = {}
         self.forest_complete = True
         self.queue: deque = deque()
-        self.queued: Set[Tuple[int, Tuple[Tuple[Variable, Term], ...]]] = set()
-        self.applied: Set[Tuple[int, Tuple[Tuple[Variable, Term], ...]]] = set()
-        self.rule_ids = {id(r): i for i, r in enumerate(self.tgds)}
+        self.queued: Set[Tuple[int, HomKey]] = set()
+        self.applied: Set[Tuple[int, HomKey]] = set()
         for atom in database:
             self._add_node(atom, parent=None, rule=None, trigger=None)
 
@@ -340,8 +375,11 @@ class _Engine:
         self.first_node_for.setdefault(atom, node.id)
         return node
 
-    def _guard_parent(self, rule: TGD, hom: Hom) -> Optional[int]:
-        gi = self.classification.forest_guard_index(rule)
+    def _guard_parent(self, idx: int, hom: Hom) -> Optional[int]:
+        rule = self.tgds[idx]
+        if idx not in self.guard_of:
+            self.guard_of[idx] = self.classification.forest_guard_index(rule)
+        gi = self.guard_of[idx]
         if gi is None:
             self.forest_complete = False
             return None
@@ -350,35 +388,13 @@ class _Engine:
 
     # -- trigger queue ------------------------------------------------------
 
-    def _key(self, trigger: Trigger):
-        return (self.rule_ids[id(trigger.rule)], trigger.hom)
-
-    def _enqueue(self, trigger: Trigger) -> None:
-        key = self._key(trigger)
-        if key in self.queued or key in self.applied:
-            return
-        self.queued.add(key)
-        self.queue.append(trigger)
-
-    def _discover_initial(self) -> None:
-        for rule in self.tgds:
-            for hom in body_homomorphisms(rule.body, self.instance):
-                self._enqueue(Trigger.of(rule, hom))
-
-    def _discover_from(self, new_atom: Atom) -> None:
-        for rule in self.tgds:
-            for i, atom in enumerate(rule.body):
-                if atom.predicate != new_atom.predicate:
-                    continue
-                for hom in body_homomorphisms(
-                    rule.body, self.instance, pinned=(i, new_atom)
-                ):
-                    self._enqueue(Trigger.of(rule, hom))
-
-    def _rebuild_queue(self) -> None:
-        self.queue.clear()
-        self.queued.clear()
-        self._discover_initial()
+    def _discover(self, new_atom: Optional[Atom] = None) -> None:
+        for idx, hom in rule_triggers(self.tgds, self.instance, new_atom):
+            trigger = Trigger.of(self.tgds[idx], hom)
+            key = (idx, trigger.hom)
+            if key not in self.queued and key not in self.applied:
+                self.queued.add(key)
+                self.queue.append((idx, trigger))
 
     # -- EGD drain ----------------------------------------------------------
 
@@ -388,6 +404,10 @@ class _Engine:
                 if hom[rule.lhs] != hom[rule.rhs]:
                     return rule, Trigger.of(rule, hom)
         return None
+
+    def _ends_run(self, outcome: EgdOutcome) -> bool:
+        """Does this merge outcome stop the run as FAILED?"""
+        return outcome.failed
 
     def _rewrite_bookkeeping(self, replaced: Term, kept: Term) -> None:
         sub = {replaced: kept}
@@ -415,7 +435,7 @@ class _Engine:
                 break
             rule, trigger = found
             outcome = apply_egd(rule, trigger, self.instance)
-            if outcome.failed:
+            if self._ends_run(outcome):
                 self.failure_witness = (rule, trigger)
                 return Status.FAILED, merged_any
             if len(self.steps) >= self.opts.max_steps:
@@ -428,7 +448,9 @@ class _Engine:
             self._rewrite_bookkeeping(outcome.replaced, outcome.kept)
             merged_any = True
         if merged_any:
-            self._rebuild_queue()
+            self.queue.clear()
+            self.queued.clear()
+            self._discover()
         return None, merged_any
 
     # -- main loop ----------------------------------------------------------
@@ -437,7 +459,7 @@ class _Engine:
         self.failure_witness = None
         status, _ = self._drain_egds()
         if status is None:
-            self._discover_initial()
+            self._discover()
             status = self._loop()
         return ChaseResult(
             instance=self.instance,
@@ -452,18 +474,11 @@ class _Engine:
     def _loop(self) -> Status:
         count = 0
         while self.queue:
-            trigger = self.queue.popleft()
-            key = self._key(trigger)
+            idx, trigger = self.queue.popleft()
+            key = (idx, trigger.hom)
             self.queued.discard(key)
-            if key in self.applied:
-                continue
             rule = trigger.rule
             hom = trigger.mapping()
-            stale = any(a.substitute(hom) not in self.instance for a in rule.body)
-            if stale:
-                # Only EGD merges invalidate triggers, and those rebuild
-                # the queue, so a stale entry here is an engine bug.
-                raise AssertionError("stale trigger survived a queue rebuild")
             if self.opts.mode is Mode.RESTRICTED and head_satisfied(
                 rule, hom, self.instance
             ):
@@ -474,11 +489,12 @@ class _Engine:
             )
             if will_add and len(self.steps) >= self.opts.max_steps:
                 return Status.BUDGET_EXHAUSTED
-            parent = self._guard_parent(rule, hom)
+            parent = self._guard_parent(idx, hom)
             depth = 0 if parent is None else self.forest[parent].depth + 1
             if depth > self.opts.max_depth:
                 return Status.BUDGET_EXHAUSTED
             self.applied.add(key)
+            # apply_tgd checks that the trigger still matches
             _, new_atom, added = apply_tgd(rule, trigger, self.instance, self.alloc)
             self._add_node(new_atom, parent, rule, trigger)
             if added:
@@ -492,7 +508,7 @@ class _Engine:
                 if not merged:
                     # after a merge the queue was rebuilt from the
                     # rewritten instance; new_atom may be stale
-                    self._discover_from(new_atom)
+                    self._discover(new_atom)
         return Status.SATURATED
 
 

@@ -18,7 +18,7 @@ from . import clouds, egdsep, rulesets
 from .analysis import classify
 from .chase import ChaseOptions, Mode, Status, restricted_gcf, run_chase
 from .model import Program, UsageError
-from .parser import ParseError, parse_program, render_atom, render_term
+from .parser import ParseError, answer_json, parse_program, render_atom, render_term
 from .query import (
     AnswerStatus,
     Bounded,
@@ -178,19 +178,14 @@ def cmd_answer(args) -> int:
         status = "unsat"
     else:
         status = "unknown"
-    budget_exhausted = report.budget_exhausted
-    payload = {
-        "query": query.name,
-        "status": status,
-        "answers": [[render_term(t) for t in row] for row in report.answers],
-        "budget_exhausted": budget_exhausted,
-    }
-    lines = ["query %s: %s" % (query.name, status)]
-    for row in report.answers:
-        lines.append("  (%s)" % ", ".join(render_term(t) for t in row))
-    if report.note:
-        lines.append("note: %s" % report.note)
-    _emit(args, payload, lines)
+    if args.format == "json":
+        print(answer_json(query.name, status, report.answers, report.budget_exhausted))
+    else:
+        print("query %s: %s" % (query.name, status))
+        for row in report.answers:
+            print("  (%s)" % ", ".join(render_term(t) for t in row))
+        if report.note:
+            print("note: %s" % report.note)
     return EXIT_FAILED if status == "failed" else EXIT_OK
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
-from .analysis import classify
-from .chase import body_homomorphisms
+from .analysis import classify, normalize_heads
+from .chase import head_image, hom_key, rule_triggers
 from .model import (
     TGD,
     Atom,
@@ -183,14 +183,12 @@ def blocked_saturate(
     part of the chase, which is what ground atomic queries need.
     """
     opts = opts or SaturateOptions()
+    tgds = normalize_heads(tgds)
     classification = classify(tgds)
     if not classification.is_weakly_guarded_set() and not opts.force:
         raise UsageError(
             "blocked saturation needs a weakly guarded set (use force to override)"
         )
-    for rule in tgds:
-        if not rule.single_head():
-            raise UsageError("blocked_saturate needs single-head rules; normalize first")
 
     preds = {a.predicate for a in database}
     for rule in tgds:
@@ -232,7 +230,6 @@ def _expand_round(
     instance = Instance(ground)
     alloc = NullAllocator.after(instance)
     blocked: Set[Atom] = set()
-    rule_ids = {id(r): i for i, r in enumerate(tgds)}
     guard_of: Dict[int, Optional[int]] = {
         i: classification.forest_guard_index(r) for i, r in enumerate(tgds)
     }
@@ -251,27 +248,13 @@ def _expand_round(
 
     queue: deque = deque()
     seen: Set[Tuple[int, Tuple]] = set()
-    homs: Dict[Tuple[int, Tuple], Dict] = {}
-
-    def enqueue(rule_idx: int, hom: Dict) -> None:
-        key = (rule_idx, tuple(sorted(hom.items(), key=lambda kv: kv[0].name)))
-        if key not in seen:
-            seen.add(key)
-            homs[key] = hom
-            queue.append(key)
 
     def discover(new_atom: Optional[Atom]) -> None:
-        for idx, rule in enumerate(tgds):
-            if new_atom is None:
-                for hom in body_homomorphisms(rule.body, instance):
-                    enqueue(idx, hom)
-                continue
-            for i, atom in enumerate(rule.body):
-                if atom.predicate != new_atom.predicate:
-                    continue
-                for hom in body_homomorphisms(rule.body, instance,
-                                               pinned=(i, new_atom)):
-                    enqueue(idx, hom)
+        for idx, hom in rule_triggers(tgds, instance, new_atom):
+            key = (idx, hom_key(hom))
+            if key not in seen:
+                seen.add(key)
+                queue.append((idx, hom))
 
     for atom in instance:
         register(atom)
@@ -279,17 +262,12 @@ def _expand_round(
 
     steps = 0
     while queue:
-        key = queue.popleft()
-        rule_idx, _ = key
+        rule_idx, hom = queue.popleft()
         rule = tgds[rule_idx]
-        hom = homs.pop(key)
         gi = guard_of[rule_idx]
         if gi is not None and rule.body[gi].substitute(hom) in blocked:
             continue
-        extended = dict(hom)
-        for v in sorted(rule.existentials, key=lambda x: x.name):
-            extended[v] = alloc.fresh()
-        new_atom = rule.head[0].substitute(extended)
+        new_atom = head_image(rule, hom, alloc)
         if not instance.add(new_atom):
             continue
         steps += 1

@@ -12,16 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .chase import (
     ChaseOptions,
     ChaseResult,
+    EgdOutcome,
     EgdStep,
     Mode,
     Status,
+    TgdStep,
     Trigger,
-    body_homomorphisms,
+    _Engine,
     run_chase,
 )
 from .model import (
@@ -32,7 +34,6 @@ from .model import (
     Constant,
     Instance,
     Predicate,
-    UsageError,
 )
 from .query import AnswerReport, AnswerStatus, Terminate, certain_answers, eval_cq
 
@@ -172,11 +173,11 @@ class BlockingChaseResult:
     aborted_on: Optional[Tuple[EGD, Trigger]] = None
 
 
-class NonInnocuousApplication(Exception):
-    def __init__(self, egd: EGD, trigger: Trigger):
-        super().__init__("non-innocuous EGD application: %r" % (egd,))
-        self.egd = egd
-        self.trigger = trigger
+class _BlockingEngine(_Engine):
+    """The chase engine that also stops at a merge that is not innocuous."""
+
+    def _ends_run(self, outcome: EgdOutcome) -> bool:
+        return super()._ends_run(outcome) or not outcome.innocuous
 
 
 def blocking_chase(
@@ -187,89 +188,24 @@ def blocking_chase(
 ) -> BlockingChaseResult:
     """Chase variant that bans atoms instead of rewriting them.
 
-    TGD triggers touching a banned atom are blocked; an EGD application
-    moves the atoms that a merge would delete into the banned set C and
-    leaves A untouched.  On innocuous runs A - C tracks the interleaved
-    chase exactly, and the survivors satisfy all dependencies once the
-    run saturates.  Any non-innocuous (or failing) EGD application
-    aborts the run with the offending step.
+    A holds the database and every atom a TGD step added; C holds the
+    atoms an EGD merge took away, and the survivors A - C are the
+    instance of the oblivious interleaved chase.  While every merge is
+    innocuous, banning the merged-away atoms and rewriting them agree,
+    and the survivors satisfy all dependencies once the run saturates.
+    A failing or non-innocuous EGD application stops the run as FAILED
+    with the offending step.
     """
-    for rule in tgds:
-        if not rule.single_head():
-            raise UsageError("blocking_chase needs single-head rules; normalize first")
-    from .model import NullAllocator, compare_terms
-
-    unblocked = database.copy()          # A
-    banned: Set[Atom] = set()            # C
-    alloc = NullAllocator.after(database)
-    applied: Set[Tuple[int, Tuple]] = set()
-    rule_ids = {id(r): i for i, r in enumerate(tgds)}
-    steps = 0
-
-    def live() -> Instance:
-        return Instance(a for a in unblocked if a not in banned)
-
-    def drain_egds() -> Optional[Tuple[EGD, Trigger]]:
-        nonlocal steps
-        changed = True
-        while changed:
-            changed = False
-            view = live()
-            for egd in egds:
-                for hom in body_homomorphisms(egd.body, view):
-                    a, b = hom[egd.lhs], hom[egd.rhs]
-                    if a == b:
-                        continue
-                    trigger = Trigger.of(egd, hom)
-                    if isinstance(a, Constant) and isinstance(b, Constant):
-                        raise NonInnocuousApplication(egd, trigger)
-                    kept, replaced = (a, b) if compare_terms(a, b) < 0 else (b, a)
-                    losers = {x for x in view if replaced in x.args}
-                    for x in losers:
-                        if x.substitute({replaced: kept}) not in view:
-                            raise NonInnocuousApplication(egd, trigger)
-                    banned.update(losers)
-                    steps += 1
-                    changed = True
-                    break
-                if changed:
-                    break
-        return None
-
-    try:
-        drain_egds()
-        work = True
-        while work and steps < max_steps:
-            work = False
-            view = live()
-            for rule in tgds:
-                for hom in body_homomorphisms(rule.body, unblocked):
-                    key = (
-                        rule_ids[id(rule)],
-                        tuple(sorted(hom.items(), key=lambda kv: kv[0].name)),
-                    )
-                    if key in applied:
-                        continue
-                    applied.add(key)
-                    if any(a.substitute(hom) in banned for a in rule.body):
-                        continue  # blocked application
-                    extended = dict(hom)
-                    for v in sorted(rule.existentials, key=lambda x: x.name):
-                        extended[v] = alloc.fresh()
-                    new_atom = rule.head[0].substitute(extended)
-                    if unblocked.add(new_atom):
-                        steps += 1
-                        drain_egds()
-                        work = True
-                        break
-                if work:
-                    break
-        status = Status.SATURATED if not work else Status.BUDGET_EXHAUSTED
-    except NonInnocuousApplication as e:
-        return BlockingChaseResult(
-            unblocked, Instance(sorted(banned, key=repr)), live(),
-            Status.FAILED, aborted_on=(e.egd, e.trigger),
-        )
+    # A node's depth is at most the number of TGD steps before it plus
+    # one, so max_steps + 1 never binds.
+    opts = ChaseOptions(mode=Mode.OBLIVIOUS, max_steps=max_steps, max_depth=max_steps + 1)
+    result = _BlockingEngine(database, tgds, egds, opts).run()
+    unblocked = database.copy()
+    for step in result.steps:
+        if isinstance(step, TgdStep):
+            unblocked.add(step.atom)
+    banned = unblocked.atom_set() - result.instance.atom_set()
     return BlockingChaseResult(
-        unblocked, Instance(sorted(banned, key=repr)), live(), status
+        unblocked, Instance(sorted(banned, key=repr)), result.instance,
+        result.status, aborted_on=result.failure_witness,
     )

@@ -287,10 +287,6 @@ class NullAllocator:
         return n
 
 
-def fresh_null(alloc: NullAllocator) -> LabeledNull:
-    return alloc.fresh()
-
-
 # ---------------------------------------------------------------------------
 # Dependencies and queries
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
 from chasekit.cli import main
+from chasekit.model import CQ, Atom, Program, Variable
+from chasekit.parser import render_program
+
+from helpers import wg_cases
 
 EXAMPLE = """
 fact r1(a,b).
@@ -208,3 +213,70 @@ def test_byte_identical_output(example_file, capsys):
 
 def test_unknown_subcommand_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def _wg_program_text(db, rules):
+    """A generated case as a program file, with one atomic query per
+    predicate, all of its arguments answer variables."""
+    preds = sorted({a.predicate for a in db} | {a.predicate for r in rules
+                                               for a in r.body + r.head},
+                   key=lambda p: (p.name, p.arity))
+    queries = [CQ("q_" + p.name, tuple(Variable("X%d" % i) for i in range(p.arity)),
+                  (Atom(p, tuple(Variable("X%d" % i) for i in range(p.arity))),))
+               for p in preds]
+    return render_program(Program(db, list(rules), [], queries)), queries
+
+
+# sha256 over "<exit code>\n<stdout>" of every run, recorded before the
+# blocking chase moved onto the chase engine
+CLOUD_GOLDEN = {
+    "store-stats": "2c83cb01de1f92391f8d8133692e353d23c9b9c9f2e693b18e03a948528d11bc",
+    "blocked-atomic": "38145258d3636bb1bb913159dfbc6914655b554d42e84f151875a44018fbb50c",
+}
+
+
+def test_cloud_store_output_matches_the_golden_digests(tmp_path, capsys):
+    digests = {k: hashlib.sha256() for k in CLOUD_GOLDEN}
+    for n, (db, rules) in enumerate(wg_cases(seed=20241, count=100)):
+        path = tmp_path / ("case%d.dlp" % n)
+        text, queries = _wg_program_text(db, rules)
+        path.write_text(text)
+        runs = [("store-stats", ["store-stats", str(path), "--format", "json"])]
+        runs += [("blocked-atomic", ["answer", str(path), "--query", q.name,
+                                     "--strategy", "blocked-atomic", "--format", "json"])
+                 for q in queries]
+        for kind, argv in runs:
+            code, out, _ = run_cli(capsys, *argv)
+            digests[kind].update(("%d\n%s" % (code, out)).encode())
+    assert {k: h.hexdigest() for k, h in digests.items()} == CLOUD_GOLDEN
+
+
+MULTI_HEAD = """
+fact r(a). fact r(b). fact t(b).
+tgd r(X) -> exists Y: s(X,Y), t(Y).
+tgd s(X,Y), t(Y) -> u(X).
+tgd t(X) -> w(X).
+query qu(X) :- u(X).
+query qw(X) :- w(X).
+"""
+# MULTI_HEAD with its first rule normalized by hand
+HAND_NORMALIZED = MULTI_HEAD.replace(
+    "tgd r(X) -> exists Y: s(X,Y), t(Y).",
+    "tgd r(X) -> exists Y: v1(X,Y). tgd v1(X,Y) -> s(X,Y). tgd v1(X,Y) -> t(Y).",
+)
+
+
+@pytest.mark.parametrize("strategy", ["terminate", "blocked-atomic"])
+def test_answer_multi_atom_heads_as_normalized(tmp_path, capsys, strategy):
+    multi, hand = tmp_path / "multi.dlp", tmp_path / "hand.dlp"
+    multi.write_text(MULTI_HEAD)
+    hand.write_text(HAND_NORMALIZED)
+    for query in ("qu", "qw"):
+        outs = []
+        for path in (multi, hand):
+            code, out, err = run_cli(capsys, "answer", str(path), "--query", query,
+                                     "--strategy", strategy, "--format", "json")
+            assert code == 0, err
+            outs.append(json.loads(out))
+        assert outs[0] == outs[1]
+        assert outs[0]["status"] == "sat"

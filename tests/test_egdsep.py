@@ -1,4 +1,6 @@
-from chasekit.chase import ChaseOptions, Mode, Status, run_chase
+import hashlib
+
+from chasekit.chase import ChaseOptions, EgdStep, Mode, Status, run_chase
 from chasekit.egdsep import (
     FailureCheck,
     blocking_chase,
@@ -8,8 +10,8 @@ from chasekit.egdsep import (
     separated_answer,
 )
 from chasekit.model import CQ, Atom, Constant, Predicate, Variable
-from chasekit.parser import parse_atom, parse_program
-from chasekit.query import AnswerStatus, Terminate, certain_answers, eval_cq
+from chasekit.parser import parse_atom, parse_program, render_atom
+from chasekit.query import AnswerStatus, Terminate, certain_answers, eval_cq, find_homomorphism
 from chasekit.rulesets import fll_rules
 
 FAILING_DB = "fact data(o,a,c1). fact data(o,a,c2). fact funct(a,o)."
@@ -209,15 +211,45 @@ def test_blocking_chase_survivors_model_the_dependencies():
             assert hom[egd.lhs] == hom[egd.rhs], egd
 
 
-def test_blocking_chase_agrees_with_interleaved_on_innocuous_runs():
-    p = fll_with(
-        "fact mandatory(a,o). fact funct(a,o). fact data(o,a,c1)."
-    )
-    out = blocking_chase(p.facts, p.tgds, p.egds)
-    verdict, inter = monitor_innocuousness(p.facts, p.tgds, p.egds)
-    assert out.status is Status.SATURATED
-    assert inter.status is Status.SATURATED
-    from chasekit.query import find_homomorphism
+# Innocuous object-logic databases: the oblivious interleaved chase merges
+# an invented data value onto a stored constant.  With each, the status,
+# survivor count and sha256 of the sorted null-free survivors that the
+# blocking chase gave before it ran on the chase engine.
+INNOCUOUS_DBS = [
+    ("fact mandatory(a,o). fact funct(a,o). fact data(o,a,c1).",
+     "saturated", 3, "da6f380b11b3e249e4df64f7100a739c5d2de0a5d58a4e02c3f2401429752bd1"),
+    ("fact sub(k1,k0). fact mandatory(a,k0). fact funct(a,k0)."
+     "fact member(o1,k1). fact member(o2,k1). fact data(o1,a,v1).",
+     "saturated", 17, "04ce7d9425eaad1b2ace9edd0b73c36dfc11dbef2ad78511bc1bb3f78932c3c0"),
+    ("fact sub(k1,k0). fact sub(t0,t1). fact mandatory(a0,k0). fact funct(a0,k0)."
+     "fact type(k0,a0,t0). fact mandatory(a1,k1). fact funct(a1,k1)."
+     "fact member(o1,k1). fact member(o2,k0). fact data(o1,a0,v1). fact data(o1,a1,v2).",
+     "saturated", 39, "a406153c65da33f406e6f8203c4315391c6e29d22e47b2ea2d6e5e5889354b98"),
+    ("fact sub(k1,k0). fact sub(k2,k0). fact sub(t0,t1)."
+     "fact mandatory(a0,k0). fact funct(a0,k0). fact type(k0,a0,t0)."
+     "fact mandatory(a1,k1). fact funct(a1,k1). fact type(k1,a1,t1)."
+     "fact mandatory(a2,k2). fact funct(a2,k2). fact funct(a1,k2). fact type(k2,a2,t0)."
+     "fact member(o0,k1). fact member(o1,k2). fact member(o2,k1)."
+     "fact data(o0,a0,v0). fact data(o0,a1,v1). fact data(o1,a2,v2). fact data(o2,a0,v3).",
+     "saturated", 82, "dc5cefd7ed35840d4a3fe11778dd1e866af2cf14dad5245764917db51a7121b8"),
+]
 
-    assert find_homomorphism(out.survivors.atoms(), inter.instance) is not None
-    assert find_homomorphism(inter.instance.atoms(), out.survivors) is not None
+
+def test_blocking_chase_agrees_with_interleaved_on_innocuous_runs():
+    for facts, status, count, digest in INNOCUOUS_DBS:
+        p = fll_with(facts)
+        inter = run_chase(p.facts, p.tgds, p.egds, ChaseOptions(mode=Mode.OBLIVIOUS))
+        merges = [s for s in inter.steps if isinstance(s, EgdStep)]
+        assert merges and all(s.innocuous for s in merges), facts
+        out = blocking_chase(p.facts, p.tgds, p.egds)
+        assert out.status.value == status, facts
+        assert len(out.survivors) == count, facts
+        ground = sorted(render_atom(a) for a in out.survivors if a.is_ground())
+        assert hashlib.sha256("\n".join(ground).encode()).hexdigest() == digest, facts
+        assert out.survivors.atom_set() == inter.instance.atom_set(), facts
+        assert out.blocked.atom_set() == out.unblocked.atom_set() - out.survivors.atom_set()
+        # and homomorphically equivalent to the restricted interleaved chase
+        _, restricted = monitor_innocuousness(p.facts, p.tgds, p.egds)
+        assert restricted.status is Status.SATURATED
+        assert find_homomorphism(out.survivors.atoms(), restricted.instance) is not None
+        assert find_homomorphism(restricted.instance.atoms(), out.survivors) is not None

@@ -12,7 +12,6 @@ from chasekit.model import (
     UsageError,
     Variable,
     compare_terms,
-    fresh_null,
 )
 
 a, b, zzz = Constant("a"), Constant("b"), Constant("zzz")
@@ -59,21 +58,21 @@ def test_compare_is_a_total_order():
 
 def test_fresh_null_counter():
     alloc = NullAllocator()
-    assert fresh_null(alloc) == LabeledNull(1)
-    assert fresh_null(alloc) == LabeledNull(2)
+    assert alloc.fresh() == LabeledNull(1)
+    assert alloc.fresh() == LabeledNull(2)
 
 
 def test_allocator_seeds_above_parsed_nulls():
     inst = Instance([Atom(r, (a, LabeledNull(5)))])
     alloc = NullAllocator.after(inst)
-    assert fresh_null(alloc) == LabeledNull(6)
+    assert alloc.fresh() == LabeledNull(6)
 
 
 def test_fresh_nulls_never_collide_with_instance():
     inst = Instance([Atom(r, (LabeledNull(3), LabeledNull(9)))])
     alloc = NullAllocator.after(inst)
     for _ in range(20):
-        assert fresh_null(alloc) not in inst.domain()
+        assert alloc.fresh() not in inst.domain()
 
 
 def test_atom_arity_checked():
