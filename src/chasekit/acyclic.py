@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from itertools import combinations_with_replacement
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import combinations_with_replacement, product
+from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .chase import ChaseOptions, Mode, Status, run_chase, split_ground
 from .model import (
@@ -30,12 +30,40 @@ from .model import (
     atoms_domain,
     atoms_variables,
 )
+from .parser import render_atom
 from .query import eval_cq, homomorphisms
 
 
 # ---------------------------------------------------------------------------
 # Join forests via GYO reduction
 # ---------------------------------------------------------------------------
+
+def _connected(
+    parents: Sequence[Optional[int]],
+    labels: Sequence[Collection[Term]],
+    values: Set[Term],
+) -> bool:
+    """Do the nodes whose label holds a value form a connected subtree,
+    for every one of the values?  Each value must occur in some label."""
+    adj: Dict[int, Set[int]] = {i: set() for i in range(len(labels))}
+    for i, p in enumerate(parents):
+        if p is not None:
+            adj[i].add(p)
+            adj[p].add(i)
+    for value in values:
+        carriers = {i for i, label in enumerate(labels) if value in label}
+        start = next(iter(carriers))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb in carriers and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if seen != carriers:
+            return False
+    return True
+
 
 @dataclass
 class JoinForest:
@@ -46,42 +74,12 @@ class JoinForest:
     def roots(self) -> List[int]:
         return [i for i, p in enumerate(self.parents) if p is None]
 
-    def children(self) -> Dict[int, List[int]]:
-        kids: Dict[int, List[int]] = {i: [] for i in range(len(self.atoms))}
-        for i, p in enumerate(self.parents):
-            if p is not None:
-                kids[p].append(i)
-        return kids
-
-    def neighbors(self) -> Dict[int, Set[int]]:
-        adj: Dict[int, Set[int]] = {i: set() for i in range(len(self.atoms))}
-        for i, p in enumerate(self.parents):
-            if p is not None:
-                adj[i].add(p)
-                adj[p].add(i)
-        return adj
-
     def validate(self, atom_set: Set[Atom]) -> bool:
         """Check both join-forest conditions directly."""
         if set(self.atoms) != set(atom_set):
             return False
-        adj = self.neighbors()
         values = atoms_domain(self.atoms) - set(self.hidden)
-        for value in values:
-            carriers = {i for i, a in enumerate(self.atoms) if value in a.args}
-            if not carriers:
-                continue
-            start = next(iter(carriers))
-            seen = {start}
-            stack = [start]
-            while stack:
-                for nb in adj[stack.pop()]:
-                    if nb in carriers and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if seen != carriers:
-                return False
-        return True
+        return _connected(self.parents, [a.args for a in self.atoms], values)
 
 
 @dataclass
@@ -93,14 +91,6 @@ class TreeDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=1) - 1
 
-    def neighbors(self) -> Dict[int, Set[int]]:
-        adj: Dict[int, Set[int]] = {i: set() for i in range(len(self.bags))}
-        for i, p in enumerate(self.parents):
-            if p is not None:
-                adj[i].add(p)
-                adj[p].add(i)
-        return adj
-
     def validate(self, atoms: Sequence[Atom]) -> bool:
         """The three tree-decomposition conditions over the atom set."""
         values = atoms_domain(atoms)
@@ -110,20 +100,7 @@ class TreeDecomposition:
         for a in atoms:
             if not any(set(a.args) <= bag for bag in self.bags):
                 return False
-        adj = self.neighbors()
-        for value in values:
-            carriers = {i for i, bag in enumerate(self.bags) if value in bag}
-            start = next(iter(carriers))
-            seen = {start}
-            stack = [start]
-            while stack:
-                for nb in adj[stack.pop()]:
-                    if nb in carriers and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if seen != carriers:
-                return False
-        return True
+        return _connected(self.parents, self.bags, values)
 
 
 def s_join_forest(
@@ -315,6 +292,16 @@ def _unify_fold(rep: VarMap, a: Atom, b: Atom) -> Optional[VarMap]:
     return {v: find(v) for v in rep}
 
 
+def _cover(query: CQ, preds: Sequence[Predicate]) -> Tuple[Atom, ...]:
+    """The query body plus one fresh-variable atom per given predicate;
+    the k-th extra atom's i-th argument is the variable Fk_i."""
+    fresh = tuple(
+        Atom(p, tuple(Variable("F%d_%d" % (k + 1, i + 1)) for i in range(p.arity)))
+        for k, p in enumerate(preds)
+    )
+    return tuple(query.body) + fresh
+
+
 def enumerate_squids(
     query: CQ,
     limits: Optional[SquidLimits] = None,
@@ -328,36 +315,29 @@ def enumerate_squids(
     additionally be sent to any folded variable, and every subset of the
     folded variables is tried as the ground split.  Only candidates
     passing validate_squid are yielded.  When the candidate budget runs
-    out the stream stops with limits.truncated set.
+    out the stream stops with limits.truncated set; the limits
+    themselves are left as given.
     """
     limits = limits or SquidLimits()
-    if limits.max_cover_atoms is None:
-        limits.max_cover_atoms = 2 * len(query.body)
+    limits.truncated = False
+    max_cover = limits.max_cover_atoms
+    if max_cover is None:
+        max_cover = 2 * len(query.body)
     preds = list(predicates) if predicates else sorted(
         {a.predicate for a in query.body}, key=lambda p: (p.name, p.arity)
     )
-    max_extra = min(len(query.body), max(limits.max_cover_atoms - len(query.body), 0))
+    max_extra = min(len(query.body), max(max_cover - len(query.body), 0))
     budget = limits.max_candidates
     spent = 0
 
     for extra in range(0, max_extra + 1):
         for combo in combinations_with_replacement(preds, extra):
-            fresh_atoms: List[Atom] = []
-            fresh_vars: List[Variable] = []
-            for k, p in enumerate(combo):
-                args = tuple(
-                    Variable("F%d_%d" % (k + 1, i + 1)) for i in range(p.arity)
-                )
-                fresh_vars.extend(args)
-                fresh_atoms.append(Atom(p, args))
-            q_plus = tuple(query.body) + tuple(fresh_atoms)
-            base_vars = sorted(atoms_variables(query.body), key=lambda v: v.name)
+            q_plus = _cover(query, combo)
+            fresh_vars = [v for a in q_plus[len(query.body):] for v in a.args]
             for fold in _fold_closure(query.body, budget):
-                targets: List[List[Variable]] = []
                 reps = sorted(set(fold.values()), key=lambda v: v.name)
-                for fv in fresh_vars:
-                    targets.append([fv] + reps)
-                for assignment in _product(targets):
+                targets = [[fv] + reps for fv in fresh_vars]
+                for assignment in product(*targets):
                     h: VarMap = dict(fold)
                     for fv, tv in zip(fresh_vars, assignment):
                         h[fv] = tv
@@ -373,15 +353,6 @@ def enumerate_squids(
                         squid = make_squid(query, q_plus, h, set(v_delta))
                         if validate_squid(query, squid):
                             yield squid
-
-
-def _product(pools: List[List[Variable]]) -> Iterator[Tuple[Variable, ...]]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
 
 
 def _subsets(items: List[Variable]) -> Iterator[Tuple[Variable, ...]]:
@@ -422,13 +393,7 @@ def squids_from_witnesses(
     seen: Set[Tuple] = set()
     for extra in range(0, max_extra + 1):
         for combo in combinations_with_replacement(preds, extra):
-            fresh_atoms = []
-            for k, p in enumerate(combo):
-                args = tuple(
-                    Variable("F%d_%d" % (k + 1, i + 1)) for i in range(p.arity)
-                )
-                fresh_atoms.append(Atom(p, args))
-            q_plus = tuple(query.body) + tuple(fresh_atoms)
+            q_plus = _cover(query, combo)
             for g in homomorphisms(q_plus, chase_instance):
                 by_image: Dict[Term, Variable] = {}
                 fold: VarMap = {}
@@ -497,8 +462,6 @@ def verify_squid_lemma(
 # ---------------------------------------------------------------------------
 
 def join_forest_dot(forest: JoinForest) -> str:
-    from .parser import render_atom
-
     lines = ["graph join_forest {"]
     for i, atom in enumerate(forest.atoms):
         lines.append('  n%d [label="%s"];' % (i, render_atom(atom)))
@@ -510,8 +473,6 @@ def join_forest_dot(forest: JoinForest) -> str:
 
 
 def squid_dot(squid: SquidDecomposition) -> str:
-    from .parser import render_atom
-
     lines = ["graph squid {"]
     atoms = sorted(squid.head_part, key=repr) + sorted(squid.tentacles, key=repr)
     ids = {a: i for i, a in enumerate(atoms)}

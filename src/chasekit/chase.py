@@ -67,10 +67,6 @@ class Trigger:
     def mapping(self) -> Hom:
         return dict(self.hom)
 
-    def image(self, atoms: Sequence[Atom]) -> List[Atom]:
-        m = self.mapping()
-        return [a.substitute(m) for a in atoms]
-
 
 @dataclass
 class ForestNode:
@@ -79,7 +75,6 @@ class ForestNode:
     parent: Optional[int]
     rule: Optional[TGD]
     trigger: Optional[Trigger]
-    generation: int
     depth: int
 
 
@@ -324,7 +319,6 @@ class ChaseOptions:
     mode: Mode = Mode.RESTRICTED
     max_steps: int = 10_000
     max_depth: int = 64
-    egd_interleave: bool = True
     memory_check: Optional[Callable[[], None]] = None
 
 
@@ -343,7 +337,7 @@ class _Engine:
                     raise UsageError("chase input contains variables")
         self.opts = opts
         self.tgds = normalize_heads(tgds)
-        self.egds = list(egds) if opts.egd_interleave else []
+        self.egds = list(egds)
         self.classification = classify(self.tgds)
         self.guard_of: Dict[int, Optional[int]] = {}
         self.instance = database.copy()
@@ -368,7 +362,6 @@ class _Engine:
             parent=parent,
             rule=rule,
             trigger=trigger,
-            generation=len(self.forest),
             depth=depth,
         )
         self.forest.append(node)
@@ -529,11 +522,11 @@ def run_chase(
 def restricted_gcf(forest: Sequence[ForestNode]) -> List[ForestNode]:
     """Prune every subtree rooted at a duplicate-labeled node.
 
-    A node whose atom already labels an earlier-generation node is
-    removed together with all of its descendants; afterwards each atom
-    labels at most one node.
+    A node whose atom already labels an earlier node is removed
+    together with all of its descendants; afterwards each atom labels at
+    most one node.
     """
-    ordered = sorted(forest, key=lambda n: n.generation)
+    ordered = sorted(forest, key=lambda n: n.id)
     removed: Set[int] = set()
     seen: Dict[Atom, int] = {}
     for node in ordered:
@@ -595,36 +588,24 @@ def subtree_closure(result: ChaseResult, atom: Atom, side_atoms: Set[Atom]) -> S
     that stay inside atom's forest subtree.
 
     A subtree atom joins the closure as soon as some rule derives it
-    with the whole body image already inside the closure.
+    with the whole body image already inside the closure.  Semi-naive:
+    triggers are discovered once over the starting set and then only
+    through each atom that joins.
     """
     scope = subtree_atoms(result, atom)
     for a in side_atoms:
         if a not in result.instance:
             raise UsageError("side atoms must come from the chase instance")
-    closure: Set[Atom] = set(side_atoms) | {atom}
-    rules = result.tgds or tuple(sorted(
-        {n.rule for n in result.forest if n.rule is not None},
-        key=lambda r: r.label,
-    ))
-    pending = set(scope) - closure
-    changed = True
-    while changed and pending:
-        changed = False
-        view = Instance(sorted(closure, key=repr))
-        for candidate in sorted(pending, key=repr):
-            for rule in rules:
-                produced = False
-                for hom in body_homomorphisms(rule.body, view):
-                    frontier = {v: t for v, t in hom.items() if v in rule.frontier()}
-                    for ext in body_homomorphisms(rule.head, Instance([candidate]),
-                                                  seed=frontier):
-                        produced = True
-                        break
-                    if produced:
-                        break
-                if produced:
-                    closure.add(candidate)
-                    changed = True
-                    break
-        pending = set(scope) - closure
-    return closure
+    closure = Instance(side_atoms)
+    closure.add(atom)
+    pending = Instance(a for a in scope if a not in closure)
+    work: List[Optional[Atom]] = [None]
+    while work:
+        for idx, hom in list(rule_triggers(result.tgds, closure, work.pop())):
+            rule = result.tgds[idx]
+            seed = {v: t for v, t in hom.items() if v in rule.frontier()}
+            for ext in body_homomorphisms(rule.head, pending, seed=seed):
+                derived = rule.head[0].substitute(ext)
+                if closure.add(derived):
+                    work.append(derived)
+    return closure.atom_set()

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 from . import clouds, egdsep, rulesets
 from .analysis import classify
-from .chase import ChaseOptions, Mode, Status, restricted_gcf, run_chase
+from .chase import ChaseOptions, ChaseResult, Mode, Status, restricted_gcf, run_chase
 from .model import Program, UsageError
 from .parser import ParseError, answer_json, parse_program, render_atom, render_term
 from .query import (
@@ -111,21 +111,22 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _chase_opts(args) -> ChaseOptions:
-    return ChaseOptions(
+def _run_chase(args, program: Program) -> ChaseResult:
+    """The chase the `chase` and `forest` flags ask for; `--egd separate`
+    chases under the TGDs alone."""
+    egds = program.egds if args.egd == "interleave" else []
+    opts = ChaseOptions(
         mode=Mode(args.mode),
         max_steps=args.max_steps,
         max_depth=args.max_depth,
-        egd_interleave=(args.egd == "interleave"),
         memory_check=_memory_guard(),
     )
+    return run_chase(program.facts, program.tgds, egds, opts)
 
 
 def cmd_chase(args) -> int:
     program = _load_program(args)
-    opts = _chase_opts(args)
-    egds = program.egds if args.egd == "interleave" else []
-    result = run_chase(program.facts, program.tgds, egds, opts)
+    result = _run_chase(args, program)
     payload = {
         "status": result.status.value,
         "steps": [s.render() for s in result.steps],
@@ -140,9 +141,10 @@ def cmd_chase(args) -> int:
     return EXIT_FAILED if result.status is Status.FAILED else EXIT_OK
 
 
-def _parse_strategy(text: str):
+def _parse_strategy(args):
+    text = args.strategy
     if text == "terminate":
-        return Terminate()
+        return Terminate(max_steps=args.max_steps, max_depth=args.max_depth)
     if text == "blocked-atomic":
         return BlockedAtomic()
     if text.startswith("bounded"):
@@ -152,14 +154,14 @@ def _parse_strategy(text: str):
                 depth = int(text.split(":", 1)[1])
             except ValueError:
                 raise UsageError("bad bounded depth in %r" % text)
-        return Bounded(depth=depth)
+        return Bounded(depth=depth, max_steps=args.max_steps)
     raise UsageError("unknown strategy %r" % text)
 
 
 def cmd_answer(args) -> int:
     program = _load_program(args)
     query = program.query(args.query)
-    strategy = _parse_strategy(args.strategy)
+    strategy = _parse_strategy(args)
     if args.egd == "separate" and program.egds:
         report = egdsep.separated_answer(
             program.facts, program.tgds, program.egds, query,
@@ -211,9 +213,7 @@ def cmd_egd_check(args) -> int:
 
 def cmd_forest(args) -> int:
     program = _load_program(args)
-    opts = _chase_opts(args)
-    egds = program.egds if args.egd == "interleave" else []
-    result = run_chase(program.facts, program.tgds, egds, opts)
+    result = _run_chase(args, program)
     nodes = restricted_gcf(result.forest) if args.restricted else result.forest
     if args.dot:
         lines = ["digraph gcf {"]
@@ -287,16 +287,19 @@ def cmd_store_stats(args) -> int:
 # Argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, chase_flags=False):
+def _add_common(sub, budgets=False, mode=False, egd=False):
+    """The input and output flags, plus the chase flags a command reads."""
     sub.add_argument("file", nargs="?", help="program file")
     sub.add_argument("--builtin", help="built-in program: fll, grid, 3col[-k3|-k4|-c5]")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--max-steps", type=int, default=10_000)
-    sub.add_argument("--max-depth", type=int, default=64)
-    if chase_flags:
+    if budgets:
+        sub.add_argument("--max-steps", type=int, default=10_000)
+        sub.add_argument("--max-depth", type=int, default=64)
+    if mode:
         sub.add_argument(
             "--mode", choices=("oblivious", "restricted"), default="restricted"
         )
+    if egd:
         sub.add_argument(
             "--egd", choices=("interleave", "separate"), default="interleave"
         )
@@ -314,11 +317,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_classify)
 
     sub = subs.add_parser("chase", help="run the chase, print the step log")
-    _add_common(sub, chase_flags=True)
+    _add_common(sub, budgets=True, mode=True, egd=True)
     sub.set_defaults(func=cmd_chase)
 
     sub = subs.add_parser("answer", help="certain answers of a named query")
-    _add_common(sub, chase_flags=True)
+    _add_common(sub, budgets=True, egd=True)
     sub.add_argument("--query", required=True)
     sub.add_argument(
         "--strategy", default="bounded:16",
@@ -334,11 +337,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_contain)
 
     sub = subs.add_parser("egd-check", help="would the chase fail?")
-    _add_common(sub)
+    _add_common(sub, budgets=True)
     sub.set_defaults(func=cmd_egd_check)
 
     sub = subs.add_parser("forest", help="guarded chase forest")
-    _add_common(sub, chase_flags=True)
+    _add_common(sub, budgets=True, mode=True, egd=True)
     sub.add_argument("--restricted", action="store_true")
     sub.add_argument("--dot", action="store_true")
     sub.set_defaults(func=cmd_forest)

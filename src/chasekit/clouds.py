@@ -105,13 +105,7 @@ def d_isomorphic(
 
 def atom_isomorphism_class(atom: Atom) -> Atom:
     """Canonical form of a single atom (nulls by first occurrence)."""
-    mapping: Dict[Term, Term] = {}
-    counter = 0
-    for t in atom.args:
-        if isinstance(t, LabeledNull) and t not in mapping:
-            counter += 1
-            mapping[t] = canonical_null(counter)
-    return atom.substitute(mapping)
+    return canonicalize(atom, set(), Instance())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +140,12 @@ class CloudStore:
         return max((len(e.representative[1]) for e in self.entries.values()), default=0)
 
 
+# Per-round budgets of the blocked expansion; a round that exceeds one
+# ends the saturation as budget-exhausted.
+MAX_STEPS_PER_ROUND = 200_000
+MAX_STORE_SIZE = 100_000
+
+
 class SaturateStatus(Enum):
     STABILIZED = "stabilized"
     BUDGET_EXHAUSTED = "budget-exhausted"
@@ -154,8 +154,6 @@ class SaturateStatus(Enum):
 @dataclass
 class SaturateOptions:
     max_rounds: int = 50
-    max_store_size: int = 100_000
-    max_steps_per_round: int = 200_000
     force: bool = False
 
 
@@ -206,7 +204,7 @@ def blocked_saturate(
         rounds += 1
         store = CloudStore()
         ground_before = ground.atom_set()
-        completed = _expand_round(database, tgds, classification, ground, store, bound, opts)
+        completed = _expand_round(database, tgds, classification, ground, store, bound)
         if not completed:
             break
         keys = store.keys()
@@ -224,7 +222,6 @@ def _expand_round(
     ground: Instance,
     store: CloudStore,
     bound: int,
-    opts: SaturateOptions,
 ) -> bool:
     """One blocked forest expansion; False when a budget was hit."""
     instance = Instance(ground)
@@ -271,7 +268,7 @@ def _expand_round(
         if not instance.add(new_atom):
             continue
         steps += 1
-        if steps > opts.max_steps_per_round or len(store) > opts.max_store_size:
+        if steps > MAX_STEPS_PER_ROUND or len(store) > MAX_STORE_SIZE:
             return False
         if new_atom.domain() <= database.domain():
             ground.add(new_atom)

@@ -108,7 +108,6 @@ class AnswerReport:
     answers: List[Tuple[Term, ...]]
     status: AnswerStatus
     budget_exhausted: bool = False
-    budget_used: int = 0
     note: str = ""
     chase: Optional[ChaseResult] = None
 
@@ -131,8 +130,7 @@ class Terminate:
 
 @dataclass(frozen=True)
 class BlockedAtomic:
-    max_rounds: int = 50
-    max_store_size: int = 100_000
+    """Answer atomic queries from the cloud-store saturation."""
 
 
 @dataclass(frozen=True)
@@ -168,20 +166,11 @@ def certain_answers(
     if isinstance(strategy, BlockedAtomic):
         if len(query.body) != 1:
             raise UsageError("the blocked-atomic strategy needs an atomic query")
-        sat = clouds.blocked_saturate(
-            database,
-            tgds,
-            clouds.SaturateOptions(
-                max_rounds=strategy.max_rounds,
-                max_store_size=strategy.max_store_size,
-            ),
-        )
-        raw = eval_cq(sat.ground_atoms, query)
-        rows = _constant_rows(raw)
+        sat = clouds.blocked_saturate(database, tgds)
+        rows = _constant_rows(eval_cq(sat.ground_atoms, query))
         if sat.status is clouds.SaturateStatus.STABILIZED:
-            return AnswerReport(rows, AnswerStatus.EXACT, budget_used=sat.rounds)
-        return AnswerReport(rows, AnswerStatus.SOUND_LOWER_BOUND,
-                            budget_exhausted=True, budget_used=sat.rounds)
+            return AnswerReport(rows, AnswerStatus.EXACT)
+        return AnswerReport(rows, AnswerStatus.SOUND_LOWER_BOUND, budget_exhausted=True)
 
     if isinstance(strategy, Terminate):
         opts = ChaseOptions(
@@ -198,18 +187,16 @@ def certain_answers(
             memory_check=memory_check,
         )
     result = run_chase(database, tgds, egds, opts)
-    used = len(result.steps)
     if result.status is Status.FAILED:
         return AnswerReport(
             [], AnswerStatus.FAILED, note="EGD failure: every Boolean query holds",
-            budget_used=used, chase=result,
+            chase=result,
         )
     rows = _constant_rows(eval_cq(result.instance, query))
     if result.status is Status.SATURATED:
-        return AnswerReport(rows, AnswerStatus.EXACT, budget_used=used, chase=result)
+        return AnswerReport(rows, AnswerStatus.EXACT, chase=result)
     return AnswerReport(
-        rows, AnswerStatus.SOUND_LOWER_BOUND, budget_exhausted=True,
-        budget_used=used, chase=result,
+        rows, AnswerStatus.SOUND_LOWER_BOUND, budget_exhausted=True, chase=result,
     )
 
 

@@ -2,8 +2,8 @@
 
 The generators are seeded and deterministic.  Oracles are written
 independently of the code paths they check: exhaustive substitution for
-query evaluation, naive fixpoint scans for affected positions, vertex
-deletion for hypergraph acyclicity, exhaustive coloring for the graph
+query evaluation, naive fixpoint scans for affected positions and
+subtree closures, vertex deletion for hypergraph acyclicity, exhaustive coloring for the graph
 gadget.
 """
 
@@ -19,7 +19,15 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import chasekit
 from chasekit.analysis import Position, classify
-from chasekit.chase import ChaseOptions, Mode, Status, run_chase
+from chasekit.chase import (
+    ChaseOptions,
+    ChaseResult,
+    Mode,
+    Status,
+    body_homomorphisms,
+    run_chase,
+    subtree_atoms,
+)
 from chasekit.model import (
     CQ,
     TGD,
@@ -322,6 +330,37 @@ def naive_multihead_chase(
                 fired = True
         if not fired:
             return atoms
+
+
+def naive_subtree_closure(
+    result: ChaseResult, atom: Atom, side_atoms: Set[Atom]
+) -> Set[Atom]:
+    """Subtree closure by naive fixpoint: every round rebuilds the closure
+    and re-matches every rule against it for each pending subtree atom."""
+    scope = subtree_atoms(result, atom)
+    closure: Set[Atom] = set(side_atoms) | {atom}
+    pending = set(scope) - closure
+    changed = True
+    while changed and pending:
+        changed = False
+        view = Instance(sorted(closure, key=repr))
+        for candidate in sorted(pending, key=repr):
+            for rule in result.tgds:
+                produced = False
+                for hom in body_homomorphisms(rule.body, view):
+                    frontier = {v: t for v, t in hom.items() if v in rule.frontier()}
+                    for _ in body_homomorphisms(rule.head, Instance([candidate]),
+                                                seed=frontier):
+                        produced = True
+                        break
+                    if produced:
+                        break
+                if produced:
+                    closure.add(candidate)
+                    changed = True
+                    break
+        pending = set(scope) - closure
+    return closure
 
 
 def random_query_for(

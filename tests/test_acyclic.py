@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from helpers import gyo_acyclic_oracle, random_query_for, terminating_cases
@@ -10,12 +11,13 @@ from chasekit.acyclic import (
     make_squid,
     s_join_forest,
     squid_dot,
+    squids_from_witnesses,
     validate_squid,
     verify_squid_lemma,
 )
-from chasekit.chase import split_ground
+from chasekit.chase import ChaseOptions, Mode, run_chase, split_ground
 from chasekit.model import CQ, Atom, Constant, Predicate, Variable
-from chasekit.parser import parse_atom, parse_program
+from chasekit.parser import parse_atom, parse_program, render_atom
 
 r2 = Predicate("r", 2)
 s3 = Predicate("s", 3)
@@ -230,6 +232,64 @@ def test_enumeration_truncates_at_budget():
     limits = SquidLimits(max_candidates=500)
     list(enumerate_squids(query, limits))
     assert limits.truncated
+
+
+def test_reused_limits_do_not_carry_over():
+    p = parse_program("query a() :- r(X,Y). query b() :- r(X,Y), r(Y,Z), s(Z).")
+    a, b = p.query("a"), p.query("b")
+    reused = SquidLimits(max_candidates=2000)
+    list(enumerate_squids(a, reused))
+    fresh = list(enumerate_squids(b, SquidLimits(max_candidates=2000)))
+    assert list(enumerate_squids(b, reused)) == fresh
+    # a cover bound left over from `a` (2 atoms) admits only b's 10
+    # squids without extra cover atoms
+    assert len(fresh) > 10
+    small = SquidLimits(max_candidates=500)
+    list(enumerate_squids(b, small))
+    assert small.truncated
+    list(enumerate_squids(a, small))
+    assert not small.truncated
+
+
+def _squid_text(squid):
+    return "%s | %s | %s | %s | %s" % (
+        ",".join(render_atom(a) for a in squid.q_plus),
+        ",".join("%s->%s" % (v.name, w.name) for v, w in squid.h),
+        ",".join(sorted(render_atom(a) for a in squid.head_part)),
+        ",".join(sorted(render_atom(a) for a in squid.tentacles)),
+        ",".join(sorted(v.name for v in squid.v_delta)),
+    )
+
+
+# sha256 over the ordered squids, one line each, recorded before the
+# cover atoms were built by one helper
+SQUID_GOLDEN = {
+    "enumerate": "775b96de1feec0ce0e7c06313413edda369b46aa79804bd747dd283576fe2fc4",
+    "witnesses": "9cdf9d122bc170a87eddb8c186cb125ff3cb40ff5d1659735e3541106d26c293",
+}
+
+
+def test_squid_streams_match_the_golden_digests():
+    p = parse_program(
+        "fact r(a,b). fact s(b,c). tgd r(X,Y) -> exists Z: s(Y,Z)."
+        " tgd s(X,Y) -> exists Z: r(Y,Z)."
+        " query q1() :- r(X,Y). query q2() :- r(X,Y), r(Y,Z)."
+        " query q3() :- r(X,Y), s(Y,X). query q4() :- s(X,Y), r(Y,Z), s(Z,W)."
+    )
+    digests = {k: hashlib.sha256() for k in SQUID_GOLDEN}
+    res = run_chase(p.facts, p.tgds, (), ChaseOptions(mode=Mode.OBLIVIOUS, max_steps=6))
+    preds = sorted({a.predicate for a in res.instance}, key=lambda q: q.name)
+    for name in ("q1", "q2", "q3", "q4"):
+        query = p.query(name)
+        limits = SquidLimits(max_candidates=3000)
+        for squid in enumerate_squids(query, limits):
+            digests["enumerate"].update((_squid_text(squid) + "\n").encode())
+        digests["enumerate"].update(("truncated=%s\n" % limits.truncated).encode())
+        for squid, theta in squids_from_witnesses(query, res.instance, p.facts, preds):
+            line = "%s | %s\n" % (_squid_text(squid), sorted(
+                "%s->%r" % (v.name, t) for v, t in theta.items()))
+            digests["witnesses"].update(line.encode())
+    assert {k: h.hexdigest() for k, h in digests.items()} == SQUID_GOLDEN
 
 
 def test_dot_exports_are_well_formed():

@@ -268,7 +268,7 @@ def test_restricted_gcf_prunes_duplicate_subtrees():
     # the later r2(b) node (child of r3(b,n1) via tgd1) is gone
     r2b = [n for n in res.forest if n.atom == parse_atom("r2(b)")]
     assert len(r2b) == 2
-    survivor = min(r2b, key=lambda n: n.generation)
+    survivor = min(r2b, key=lambda n: n.id)
     assert [n.id for n in pruned if n.atom == parse_atom("r2(b)")] == [survivor.id]
 
 
@@ -308,7 +308,7 @@ def test_null_paths_connected_in_restricted_gcf():
         pruned = restricted_gcf(ob.forest)
         by_id = {n.id: n for n in pruned}
         birth = {}
-        for node in sorted(pruned, key=lambda n: n.generation):
+        for node in sorted(pruned, key=lambda n: n.id):
             for t in node.atom.args:
                 if isinstance(t, LabeledNull) and t not in birth:
                     birth[t] = node.id

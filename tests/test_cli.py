@@ -251,6 +251,72 @@ def test_cloud_store_output_matches_the_golden_digests(tmp_path, capsys):
     assert {k: h.hexdigest() for k, h in digests.items()} == CLOUD_GOLDEN
 
 
+# sha256 over "<exit code>\n<stdout>" of every run, recorded before
+# subtree_closure moved onto the trigger machinery
+FOREST_GOLDEN = {
+    "restricted": {
+        "forest": "05962c6994e99f5d0b56462b090e65e9a7c8f74f3e0045f7c82e9ed1103ab25d",
+        "forest --restricted": "05962c6994e99f5d0b56462b090e65e9a7c8f74f3e0045f7c82e9ed1103ab25d",
+    },
+    "oblivious": {
+        "forest": "d9aabc27ada652fea36985670df5728a7e33e18d8ebdd775422ce40efa26695c",
+        "forest --restricted": "e207fb2e743c10e4d8eefad2c4b884f626b4af78fdd39659582007ef2547196c",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", list(FOREST_GOLDEN))
+def test_forest_output_matches_the_golden_digests(tmp_path, capsys, mode):
+    digests = {k: hashlib.sha256() for k in FOREST_GOLDEN[mode]}
+    for n, (db, rules) in enumerate(wg_cases(seed=20241, count=100)):
+        path = tmp_path / ("case%d.dlp" % n)
+        path.write_text(_wg_program_text(db, rules)[0])
+        for kind in digests:
+            argv = kind.split() + [str(path), "--mode", mode, "--max-steps", "3000",
+                                   "--format", "json"]
+            code, out, _ = run_cli(capsys, *argv)
+            digests[kind].update(("%d\n%s" % (code, out)).encode())
+    assert {k: h.hexdigest() for k, h in digests.items()} == FOREST_GOLDEN[mode]
+
+
+CHAIN = """
+fact e(a,b). fact e(b,c). fact e(c,d).
+tgd e(X,Y) -> p(X).
+tgd e(X,Y) -> p(Y).
+tgd p(X) -> exists Z: f(X,Z).
+query qp(X) :- p(X).
+"""
+
+
+@pytest.mark.parametrize("strategy,budget", [
+    ("terminate", ["--max-steps", "3"]),
+    ("terminate", ["--max-depth", "1"]),
+    ("bounded:16", ["--max-steps", "3"]),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_answer_honours_the_budget_flags(tmp_path, capsys, strategy, budget):
+    path = tmp_path / "chain.dlp"
+    path.write_text(CHAIN)
+    argv = ["answer", str(path), "--query", "qp", "--strategy", strategy, "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["budget_exhausted"] is False
+    code, out, _ = run_cli(capsys, *argv, *budget)
+    assert code == 0 and json.loads(out)["budget_exhausted"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--max-steps", "5"],
+    ["classify", "--max-depth", "5"],
+    ["store-stats", "--max-steps", "5"],
+    ["store-stats", "--max-depth", "5"],
+    ["contain", "--q1", "qa", "--q2", "qb", "--max-steps", "5"],
+    ["contain", "--q1", "qa", "--q2", "qb", "--max-depth", "5"],
+    ["answer", "--query", "qa", "--mode", "oblivious"],
+], ids=lambda a: " ".join(a[:1] + a[-2:-1]))
+def test_flags_a_command_does_not_read_are_rejected(example_file, capsys, argv):
+    code, _, err = run_cli(capsys, argv[0], example_file, *argv[1:])
+    assert code == 2 and "unrecognized arguments" in err
+
+
 MULTI_HEAD = """
 fact r(a). fact r(b). fact t(b).
 tgd r(X) -> exists Y: s(X,Y), t(Y).

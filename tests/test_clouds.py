@@ -1,13 +1,23 @@
 import random
+from collections import Counter
 
 import pytest
 
-from helpers import run_optimized, terminating_cases, wg_cases
+from helpers import (
+    naive_subtree_closure,
+    random_stratified_program,
+    random_wg_program,
+    run_optimized,
+    terminating_cases,
+    wg_cases,
+)
 
+from chasekit import clouds
 from chasekit.chase import (
     ChaseOptions,
     Mode,
     Status,
+    hom_key,
     run_chase,
     split_ground,
     subtree_atoms,
@@ -224,6 +234,27 @@ def test_subtree_determination_on_terminating_wg_runs():
     assert checked > 20
 
 
+@pytest.mark.parametrize("generator", [random_stratified_program, random_wg_program],
+                         ids=lambda g: g.__name__)
+def test_subtree_closure_agrees_with_the_naive_fixpoint(generator):
+    # side atoms are random subsets of the instance, not only clouds; a
+    # subset that avoids the subtree makes the closure derive all of it
+    rng = random.Random(41)
+    checked = 0
+    for db, rules, ob, _ in terminating_cases(seed=409, count=12, generator=generator,
+                                              max_atoms=60):
+        atoms = ob.instance.atoms()
+        for node in ob.forest:
+            scope = subtree_atoms(ob, node.atom)
+            outside = [a for a in atoms if a not in scope]
+            for pool in (atoms, outside):
+                side = set(rng.sample(pool, rng.randint(0, len(pool))))
+                want = naive_subtree_closure(ob, node.atom, side)
+                assert subtree_closure(ob, node.atom, side) == want, (node.atom, rules)
+                checked += 1
+    assert checked > 200
+
+
 def test_isomorphism_coherence_of_subtrees():
     # D-isomorphic (atom, cloud) pairs have D-isomorphic subtree closures
     from chasekit.query import find_homomorphism
@@ -351,3 +382,22 @@ def test_cloud_size_bound_is_checked_under_O():
         "    print('raised' if 'above the bound 0' in str(e) else e)\n"
         % EXAMPLE_CHASE)
     assert proc.stdout.split() == ["1", "raised"], proc.stderr
+
+
+def test_expand_round_applies_each_trigger_once_per_round(monkeypatch):
+    # r(a,a) pins both body atoms of the second rule, so discovery from
+    # it reports the same trigger twice
+    p = parse_program(
+        "fact p(a). tgd p(X) -> r(X,X). tgd r(X,X), r(X,Y) -> exists Z: s(X,Z)."
+    )
+    expanded = Counter()
+    real = clouds.head_image
+
+    def spy(rule, hom, alloc):
+        expanded[(rule, hom_key(hom))] += 1
+        return real(rule, hom, alloc)
+
+    monkeypatch.setattr(clouds, "head_image", spy)
+    result = blocked_saturate(p.facts, p.tgds)
+    assert result.status is SaturateStatus.STABILIZED
+    assert expanded and max(expanded.values()) <= result.rounds
