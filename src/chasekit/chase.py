@@ -4,7 +4,10 @@ The engine runs a fair FIFO strategy: triggers are queued in discovery
 order and each (rule, homomorphism) pair is applied at most once.  When
 EGDs are interleaved they are drained to fixpoint after every
 instance-changing TGD step, and any merge rebuilds the trigger queue
-from the rewritten instance rather than patching stale triggers.
+from the rewritten instance rather than patching stale triggers.  The
+drain after a TGD step looks for EGD triggers through the new atom only
+(the drain before left none elsewhere) and picks the one a full scan
+would have found first.
 
 Every applied TGD trigger contributes a node to the guarded chase
 forest, parented at the (earliest node labeled with the) image of the
@@ -189,7 +192,7 @@ def body_homomorphisms(
 
 
 def rule_triggers(
-    tgds: Sequence[TGD],
+    rules: Sequence[Union[TGD, EGD]],
     instance: Instance,
     new_atom: Optional[Atom] = None,
 ) -> Iterator[Tuple[int, Hom]]:
@@ -199,7 +202,7 @@ def rule_triggers(
     body atom of its predicate is pinned to it in turn, so a trigger
     that uses it twice comes up twice and callers deduplicate.
     """
-    for idx, rule in enumerate(tgds):
+    for idx, rule in enumerate(rules):
         if new_atom is None:
             for hom in body_homomorphisms(rule.body, instance):
                 yield idx, hom
@@ -391,12 +394,29 @@ class _Engine:
 
     # -- EGD drain ----------------------------------------------------------
 
-    def _first_egd_trigger(self) -> Optional[Tuple[EGD, Trigger]]:
-        for rule in self.egds:
-            for hom in body_homomorphisms(rule.body, self.instance):
-                if hom[rule.lhs] != hom[rule.rhs]:
-                    return rule, Trigger.of(rule, hom)
-        return None
+    def _first_egd_trigger(
+        self, new_atom: Optional[Atom] = None
+    ) -> Optional[Tuple[EGD, Trigger]]:
+        """The EGD trigger a declaration-order scan of the instance finds
+        first.  With `new_atom`, every trigger must use that atom: only
+        the homomorphisms pinned to it are enumerated, and the least by
+        rule index and then by the insertion positions of the body
+        images is the one the scan would reach first."""
+        egds = self.egds
+        triggers = (
+            (idx, hom) for idx, hom in rule_triggers(egds, self.instance, new_atom)
+            if hom[egds[idx].lhs] != hom[egds[idx].rhs]
+        )
+        if new_atom is None:
+            found = next(triggers, None)
+        else:
+            position = self.instance.position
+            found = min(triggers, default=None, key=lambda t: (
+                t[0], tuple(position(a.substitute(t[1])) for a in egds[t[0]].body)))
+        if found is None:
+            return None
+        rule = egds[found[0]]
+        return rule, Trigger.of(rule, found[1])
 
     def _ends_run(self, outcome: EgdOutcome) -> bool:
         """Does this merge outcome stop the run as FAILED?"""
@@ -415,15 +435,19 @@ class _Engine:
             for rid, hom in self.applied
         }
 
-    def _drain_egds(self) -> Tuple[Optional[Status], bool]:
-        """Apply EGDs to fixpoint; (status, merged).  A merge rebuilds
-        the trigger queue, so callers must not discover from atoms that
-        predate the drain."""
+    def _drain_egds(self, new_atom: Optional[Atom] = None) -> Tuple[Optional[Status], bool]:
+        """Apply EGDs to fixpoint; (status, merged).  `new_atom` is the
+        atom a TGD step just added to an instance that the previous drain
+        left without EGD triggers, so the first search looks through it
+        alone; every search after a merge scans the whole instance.  A
+        merge rebuilds the trigger queue, so callers must not discover
+        from atoms that predate the drain."""
         if not self.egds:
             return None, False
         merged_any = False
         while True:
-            found = self._first_egd_trigger()
+            found = self._first_egd_trigger(new_atom)
+            new_atom = None
             if found is None:
                 break
             rule, trigger = found
@@ -495,7 +519,7 @@ class _Engine:
                 count += 1
                 if self.opts.memory_check is not None and count % 128 == 0:
                     self.opts.memory_check()
-                egd_status, merged = self._drain_egds()
+                egd_status, merged = self._drain_egds(new_atom)
                 if egd_status is not None:
                     return egd_status
                 if not merged:

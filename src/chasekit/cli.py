@@ -166,6 +166,7 @@ def cmd_answer(args) -> int:
         report = egdsep.separated_answer(
             program.facts, program.tgds, program.egds, query,
             max_steps=args.max_steps, max_depth=args.max_depth,
+            memory_check=_memory_guard(),
         )
     else:
         report = certain_answers(
@@ -205,6 +206,7 @@ def cmd_egd_check(args) -> int:
     outcome = egdsep.egd_failure_check(
         program.facts, program.tgds, program.egds,
         max_steps=args.max_steps, max_depth=args.max_depth,
+        memory_check=_memory_guard(),
     )
     payload = {"result": outcome.value}
     _emit(args, payload, ["egd failure check: %s" % outcome.value])

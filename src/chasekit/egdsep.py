@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .chase import (
     ChaseOptions,
@@ -35,7 +35,7 @@ from .model import (
     Instance,
     Predicate,
 )
-from .query import AnswerReport, AnswerStatus, Terminate, certain_answers, eval_cq
+from .query import AnswerReport, AnswerStatus, answers_from_chase, eval_cq
 
 
 @dataclass
@@ -99,12 +99,24 @@ def failure_query(egd: EGD, neq_pred: Predicate) -> CQ:
     )
 
 
+def _tgd_chase(database: Instance, tgds: Sequence[TGD], max_steps: int, max_depth: int,
+               memory_check: Optional[Callable[[], None]]) -> ChaseResult:
+    """The restricted chase under the TGDs alone, which both the failure
+    check and separated answering read."""
+    return run_chase(
+        database, tgds, (),
+        ChaseOptions(mode=Mode.RESTRICTED, max_steps=max_steps, max_depth=max_depth,
+                     memory_check=memory_check),
+    )
+
+
 def egd_failure_check(
     database: Instance,
     tgds: Sequence[TGD],
     egds: Sequence[EGD],
     max_steps: int = 10_000,
     max_depth: int = 64,
+    memory_check: Optional[Callable[[], None]] = None,
 ) -> FailureCheck:
     """Would the interleaved chase fail?  Decided under the TGDs alone.
 
@@ -114,10 +126,13 @@ def egd_failure_check(
     """
     if not egds:
         return FailureCheck.NO_FAILURE
-    result = run_chase(
-        database, tgds, (),
-        ChaseOptions(mode=Mode.RESTRICTED, max_steps=max_steps, max_depth=max_depth),
-    )
+    return _failure_in(_tgd_chase(database, tgds, max_steps, max_depth, memory_check),
+                       database, egds)
+
+
+def _failure_in(result: ChaseResult, database: Instance,
+                egds: Sequence[EGD]) -> FailureCheck:
+    """The failure check over a finished TGD-only chase."""
     neq_pred, facts = _neq_facts(database)
     extended = result.instance.copy()
     for f in facts:
@@ -137,27 +152,24 @@ def separated_answer(
     query: CQ,
     max_steps: int = 10_000,
     max_depth: int = 64,
+    memory_check: Optional[Callable[[], None]] = None,
 ) -> AnswerReport:
     """Answer a query under TGDs plus innocuous EGDs without merging.
 
-    First the failure check: a failing theory entails every Boolean
-    query, reported as status Failed rather than by enumerating the
-    trivial answer set.  Otherwise the EGDs are dropped and the query is
-    answered under the TGDs alone.
+    One restricted chase under the TGDs alone feeds both steps.  First
+    the failure check: a failing theory entails every Boolean query,
+    reported as status Failed rather than by enumerating the trivial
+    answer set.  Otherwise the EGDs are dropped and the query is
+    answered over that chase, as the Terminate strategy would: exact
+    when it saturated, which is also when the check is conclusive.
     """
-    check = egd_failure_check(database, tgds, egds, max_steps, max_depth)
-    if check is FailureCheck.FAILED:
+    result = _tgd_chase(database, tgds, max_steps, max_depth, memory_check)
+    if _failure_in(result, database, egds) is FailureCheck.FAILED:
         return AnswerReport(
             [], AnswerStatus.FAILED,
             note="chase fails: every Boolean query is entailed",
         )
-    report = certain_answers(
-        database, tgds, query, Terminate(max_steps=max_steps, max_depth=max_depth)
-    )
-    if check is FailureCheck.UNKNOWN and report.status is AnswerStatus.EXACT:
-        report.status = AnswerStatus.UNKNOWN
-        report.note = "failure check inconclusive within budget"
-    return report
+    return answers_from_chase(result, query)
 
 
 # ---------------------------------------------------------------------------

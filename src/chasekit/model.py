@@ -160,7 +160,8 @@ class Instance:
     """A set of variable-free atoms with an argument-position index.
 
     Atoms are kept in insertion order so that trigger enumeration and
-    rendering are deterministic.  Each atom is also listed under every
+    rendering are deterministic; `position` gives an atom's place in
+    that order.  Each atom is also listed under every
     (predicate, position, term) it carries; those lists keep insertion
     order too, so each one is a subsequence of `by_predicate`.
     Instances are single-writer: the chase that builds one is the only
@@ -168,7 +169,7 @@ class Instance:
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
-        self._atoms: Dict[Atom, None] = {}
+        self._atoms: Dict[Atom, int] = {}
         self._by_predicate: Dict[Predicate, List[Atom]] = {}
         # predicate -> one {term: atoms} column per argument position
         self._by_position: Dict[Predicate, Tuple[Dict[Term, List[Atom]], ...]] = {}
@@ -182,7 +183,7 @@ class Instance:
             raise UsageError("instances hold no variables: %r" % (atom,))
         if atom in self._atoms:
             return False
-        self._atoms[atom] = None
+        self._atoms[atom] = len(self._atoms)
         self._by_predicate.setdefault(atom.predicate, []).append(atom)
         columns = self._by_position.get(atom.predicate)
         if columns is None:
@@ -200,6 +201,10 @@ class Instance:
 
     def __len__(self) -> int:
         return len(self._atoms)
+
+    def position(self, atom: Atom) -> int:
+        """The atom's insertion position (0 for the first atom added)."""
+        return self._atoms[atom]
 
     def atoms(self) -> List[Atom]:
         return list(self._atoms)

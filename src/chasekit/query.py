@@ -100,7 +100,6 @@ class AnswerStatus(Enum):
     EXACT = "exact"
     SOUND_LOWER_BOUND = "sound-lower-bound"
     FAILED = "failed"
-    UNKNOWN = "unknown"
 
 
 @dataclass
@@ -160,14 +159,24 @@ def certain_answers(
 
     Terminate runs the restricted chase and is exact when it saturates;
     Bounded runs the oblivious chase to a depth and reports a sound
-    lower bound; BlockedAtomic answers ground atomic queries from the
-    cloud-store saturation of a weakly guarded set.
+    lower bound; BlockedAtomic answers atomic queries from the
+    cloud-store saturation of a weakly guarded set: from its null-free
+    atoms, and from its canonical anchors when the query projects a
+    position out.
     """
     if isinstance(strategy, BlockedAtomic):
         if len(query.body) != 1:
             raise UsageError("the blocked-atomic strategy needs an atomic query")
         sat = clouds.blocked_saturate(database, tgds)
-        rows = _constant_rows(eval_cq(sat.ground_atoms, query))
+        facts = sat.ground_atoms
+        if query.variables() - set(query.head_vars):
+            # a projected position may hold an invented value: the store's
+            # canonical anchors stand for every atom of the chase up to a
+            # renaming of its nulls
+            facts = Instance(facts)
+            for anchor, _ in sat.store.entries:
+                facts.add(anchor)
+        rows = _constant_rows(eval_cq(facts, query))
         if sat.status is clouds.SaturateStatus.STABILIZED:
             return AnswerReport(rows, AnswerStatus.EXACT)
         return AnswerReport(rows, AnswerStatus.SOUND_LOWER_BOUND, budget_exhausted=True)
@@ -186,7 +195,12 @@ def certain_answers(
             max_depth=strategy.depth,
             memory_check=memory_check,
         )
-    result = run_chase(database, tgds, egds, opts)
+    return answers_from_chase(run_chase(database, tgds, egds, opts), query)
+
+
+def answers_from_chase(result: ChaseResult, query: CQ) -> AnswerReport:
+    """The certain answers a finished chase gives: exact when it
+    saturated, a sound lower bound when a budget stopped it."""
     if result.status is Status.FAILED:
         return AnswerReport(
             [], AnswerStatus.FAILED, note="EGD failure: every Boolean query holds",

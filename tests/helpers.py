@@ -36,9 +36,11 @@ from chasekit.model import (
     Instance,
     LabeledNull,
     Predicate,
+    Program,
     Term,
     Variable,
 )
+from chasekit.rulesets import fll_rules
 
 CONSTS = [Constant(c) for c in "abcde"]
 
@@ -200,6 +202,61 @@ def wg_cases(seed: int, count: int):
             continue
         produced += 1
         yield db, rules
+
+
+# ---------------------------------------------------------------------------
+# Random object-logic databases (the built-in rules plus the funct EGD)
+# ---------------------------------------------------------------------------
+
+def random_fll_program(rng: random.Random, n_objects: int, failing: bool) -> Program:
+    """An object-logic database over `rulesets.fll_rules()`.
+
+    A random class tree under k0, attributes made mandatory and mostly
+    functional on random classes, objects placed in random classes, and
+    about half of the object slots filled with a constant value, so the
+    chase invents data values that the EGD merges onto those constants.
+    A failing database gives one object two constants on an attribute
+    that is functional on its class, so the clash shows up only after
+    the TGDs have derived `funct(af, o)`.
+    """
+    program = fll_rules()
+    preds = program.predicates()
+
+    def fact(name: str, *args: str) -> None:
+        program.facts.add(Atom(preds[name], tuple(Constant(a) for a in args)))
+
+    classes = ["k%d" % i for i in range(rng.randint(2, 4))]
+    for i, k in enumerate(classes[1:], 1):
+        fact("sub", k, classes[rng.randrange(i)])
+    fact("sub", "t0", "t1")
+    attrs = ["a%d" % i for i in range(rng.randint(1, 3))]
+    for a in attrs:
+        k = rng.choice(classes)
+        fact("mandatory", a, k)
+        if rng.random() < 0.8:
+            fact("funct", a, k)
+        if rng.random() < 0.5:
+            fact("type", k, a, rng.choice(("t0", "t1")))
+    objects = ["o%d" % i for i in range(n_objects)]
+    placed = {o: rng.choice(classes) for o in objects}
+    for o in objects:
+        fact("member", o, placed[o])
+        for a in attrs:
+            if rng.random() < 0.5:
+                fact("data", o, a, "v%d" % rng.randrange(100))
+    if failing:
+        o = rng.choice(objects)
+        fact("funct", "af", placed[o])
+        fact("data", o, "af", "w1")
+        fact("data", o, "af", "w2")
+    return program
+
+
+def fll_cases(seed: int, count: int):
+    """Seeded random_fll_program stream, every fourth one failing."""
+    rng = random.Random(seed)
+    for i in range(count):
+        yield random_fll_program(rng, rng.randint(2, 6), failing=(i % 4 == 3))
 
 
 # ---------------------------------------------------------------------------

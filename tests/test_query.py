@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import exhaustive_eval, terminating_cases
+from helpers import exhaustive_eval, random_stratified_program, terminating_cases
 
 from chasekit.model import (
     CQ,
@@ -17,6 +17,7 @@ from chasekit.model import (
 from chasekit.parser import parse_atom, parse_instance, parse_program
 from chasekit.query import (
     AnswerStatus,
+    BlockedAtomic,
     Bounded,
     Terminate,
     certain_answers,
@@ -148,6 +149,47 @@ def test_sound_lower_bound_is_subset_of_exact():
     shallow = certain_answers(p.facts, p.tgds, p.queries[0], Bounded(depth=2))
     deeper = certain_answers(p.facts, p.tgds, p.queries[0], Bounded(depth=6))
     assert set(shallow.answers) <= set(deeper.answers)
+
+
+def test_blocked_atomic_keeps_answers_reached_through_invented_values():
+    # r(b,_:n1) is in every model, so b is a certain answer of q although
+    # no null-free atom r(b,c) exists
+    p = parse_program(
+        "fact r(a,b). tgd r(X,Y) -> exists Z: r(Y,Z). query qq(X) :- r(X,Y).")
+    query = p.queries[0]
+    report = certain_answers(p.facts, p.tgds, query, BlockedAtomic())
+    assert report.status is AnswerStatus.EXACT
+    assert report.answers == [(Constant("a"),), (Constant("b"),)]
+    bounded = certain_answers(p.facts, p.tgds, query, Bounded(depth=3))
+    assert bounded.answers == report.answers
+    oracle = {row for row in exhaustive_eval(bounded.chase.instance, query)
+              if all(isinstance(t, Constant) for t in row)}
+    assert set(report.answers) == oracle
+
+
+def atomic_queries(pred):
+    """Every atomic query over pred that projects out at least one
+    position: Boolean, and each single answer position."""
+    vars_ = tuple(Variable("H%d" % i) for i in range(pred.arity))
+    body = (Atom(pred, vars_),)
+    yield CQ("q", (), body)
+    for v in vars_:
+        yield CQ("q", (v,), body)
+
+
+def test_blocked_atomic_agrees_with_the_terminating_chase():
+    for db, rules, ob, _ in terminating_cases(
+            seed=71, count=20, generator=random_stratified_program,
+            weakly_guarded_only=True, max_atoms=120):
+        preds = sorted({a.predicate for a in ob.instance},
+                       key=lambda p: (p.name, p.arity))
+        for pred in preds:
+            for query in atomic_queries(pred):
+                report = certain_answers(db, rules, query, BlockedAtomic())
+                assert report.status is AnswerStatus.EXACT
+                want = {row for row in exhaustive_eval(ob.instance, query)
+                        if all(isinstance(t, Constant) for t in row)}
+                assert set(report.answers) == want, (rules, query)
 
 
 def test_answers_sorted_lexicographically():
