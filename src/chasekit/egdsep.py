@@ -164,7 +164,7 @@ def separated_answer(
     when it saturated, which is also when the check is conclusive.
     """
     result = _tgd_chase(database, tgds, max_steps, max_depth, memory_check)
-    if _failure_in(result, database, egds) is FailureCheck.FAILED:
+    if egds and _failure_in(result, database, egds) is FailureCheck.FAILED:
         return AnswerReport(
             [], AnswerStatus.FAILED,
             note="chase fails: every Boolean query is entailed",

@@ -161,21 +161,18 @@ def certain_answers(
     Bounded runs the oblivious chase to a depth and reports a sound
     lower bound; BlockedAtomic answers atomic queries from the
     cloud-store saturation of a weakly guarded set: from its null-free
-    atoms, and from its canonical anchors when the query projects a
-    position out.
+    atoms and its canonical anchors.
     """
     if isinstance(strategy, BlockedAtomic):
         if len(query.body) != 1:
             raise UsageError("the blocked-atomic strategy needs an atomic query")
         sat = clouds.blocked_saturate(database, tgds)
-        facts = sat.ground_atoms
-        if query.variables() - set(query.head_vars):
-            # a projected position may hold an invented value: the store's
-            # canonical anchors stand for every atom of the chase up to a
-            # renaming of its nulls
-            facts = Instance(facts)
-            for anchor, _ in sat.store.entries:
-                facts.add(anchor)
+        # a projected position may hold an invented value: the store's
+        # canonical anchors stand for every atom of the chase up to a
+        # renaming of its nulls
+        facts = Instance(sat.ground_atoms)
+        for anchor, _ in sat.store.entries:
+            facts.add(anchor)
         rows = _constant_rows(eval_cq(facts, query))
         if sat.status is clouds.SaturateStatus.STABILIZED:
             return AnswerReport(rows, AnswerStatus.EXACT)

@@ -223,6 +223,18 @@ def test_separated_answer_chases_once(tmp_path, capsys, monkeypatch):
     assert h.hexdigest() == SEPARATE_GOLDEN
 
 
+def test_separated_answer_without_egds_skips_the_failure_check(monkeypatch):
+    def no_check(*args):
+        raise AssertionError("failure check run without EGDs")
+
+    monkeypatch.setattr(egdsep, "_failure_in", no_check)
+    p = next(fll_cases(seed=11, count=1))
+    q = CQ("m", (X, Y), (Atom(Predicate("member", 2), (X, Y)),))
+    report = egdsep.separated_answer(p.facts, p.tgds, (), q)
+    expected = query.certain_answers(p.facts, p.tgds, q, query.Terminate())
+    assert (report.answers, report.status) == (expected.answers, expected.status)
+
+
 # ---------------------------------------------------------------------------
 # memory cap
 # ---------------------------------------------------------------------------
