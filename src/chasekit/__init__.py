@@ -30,7 +30,6 @@ from .chase import (
     Status,
     apply_egd,
     apply_tgd,
-    find_triggers,
     restricted_gcf,
     run_chase,
     split_ground,

@@ -223,28 +223,6 @@ def head_satisfied(rule: TGD, hom: Hom, instance: Instance) -> bool:
     return False
 
 
-def find_triggers(
-    rule: Union[TGD, EGD],
-    instance: Instance,
-    mode: Mode = Mode.OBLIVIOUS,
-) -> List[Trigger]:
-    """All triggers of one rule on an instance, in deterministic order."""
-    if isinstance(rule, EGD):
-        if mode is Mode.RESTRICTED:
-            raise UsageError("restricted applicability is a TGD notion")
-        out = []
-        for hom in body_homomorphisms(rule.body, instance):
-            if hom[rule.lhs] != hom[rule.rhs]:
-                out.append(Trigger.of(rule, hom))
-        return out
-    out = []
-    for hom in body_homomorphisms(rule.body, instance):
-        if mode is Mode.RESTRICTED and head_satisfied(rule, hom, instance):
-            continue
-        out.append(Trigger.of(rule, hom))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Single chase steps
 # ---------------------------------------------------------------------------

@@ -41,7 +41,13 @@ def _memory_guard():
     cap_mb = os.environ.get("CHASEKIT_MAX_MEMORY_MB")
     if not cap_mb:
         return None
-    cap_kb = int(cap_mb) * 1024
+    try:
+        cap_kb = int(cap_mb) * 1024
+    except ValueError:
+        cap_kb = 0
+    if cap_kb <= 0:
+        raise UsageError("CHASEKIT_MAX_MEMORY_MB must be a positive integer, not %r"
+                         % cap_mb)
 
     def check():
         usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

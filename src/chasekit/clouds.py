@@ -8,8 +8,9 @@ giving one representative per D-isomorphism class.  Blocked saturation
 expands the guarded chase forest but stops every branch whose
 (atom, cloud) pair canonicalizes to an already-stored key; because a
 cloud computed against a chase prefix can still grow, the expansion is
-re-run, keeping the derived ground atoms, until neither the ground
-atoms nor the store keys change.
+re-run, keeping the derived ground atoms, until a round derives no new
+ground atom.  A round depends only on the ground atoms it starts from,
+so that round is already the fixpoint.
 """
 
 from __future__ import annotations
@@ -113,31 +114,23 @@ def atom_isomorphism_class(atom: Atom) -> Atom:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class StoreEntry:
-    entry_id: int
-    representative: Tuple[Atom, Cloud]
-
-
-@dataclass
 class CloudStore:
-    entries: Dict[CanonicalPair, StoreEntry] = field(default_factory=dict)
+    """The canonical (anchor, cloud) keys of one expansion, in insertion order."""
+
+    keys: Dict[CanonicalPair, None] = field(default_factory=dict)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.keys)
 
     def __contains__(self, key: CanonicalPair) -> bool:
-        return key in self.entries
+        return key in self.keys
 
-    def put(self, key: CanonicalPair, anchor: Atom, cloud: Cloud) -> StoreEntry:
-        entry = StoreEntry(len(self.entries), (anchor, cloud))
-        self.entries[key] = entry
-        return entry
-
-    def keys(self) -> Set[CanonicalPair]:
-        return set(self.entries)
+    def put(self, key: CanonicalPair) -> None:
+        self.keys[key] = None
 
     def max_cloud_size(self) -> int:
-        return max((len(e.representative[1]) for e in self.entries.values()), default=0)
+        # canonical renaming is injective, so a key has its cloud's size
+        return max((len(atoms) for _, atoms in self.keys), default=0)
 
 
 # Per-round budgets of the blocked expansion; a round that exceeds one
@@ -176,11 +169,15 @@ def blocked_saturate(
     forest is expanded breadth-first; a branch is blocked at any atom
     whose canonicalized (atom, cloud) pair already keys the store.
     Rounds repeat, keeping the accumulated ground atoms but resetting
-    the store, until one full round changes neither the ground atoms nor
-    the store key set.  The ground atoms then approximate the null-free
-    part of the chase, which is what ground atomic queries need.
+    the store, until one full round derives no new ground atom; `rounds`
+    counts the rounds run, that one included.  A round is a function of
+    the ground atoms it starts from, so another round would repeat it.
+    The ground atoms then approximate the null-free part of the chase,
+    which is what ground atomic queries need.
     """
     opts = opts or SaturateOptions()
+    if opts.max_rounds <= 0:
+        raise UsageError("the round budget must be positive")
     tgds = normalize_heads(tgds)
     classification = classify(tgds)
     if not classification.is_weakly_guarded_set() and not opts.force:
@@ -196,22 +193,18 @@ def blocked_saturate(
     bound = cloud_size_bound(len(preds), len(database.domain()), max_arity)
 
     ground = Instance(database)
-    prev_keys: Optional[Set[CanonicalPair]] = None
     rounds = 0
     status = SaturateStatus.BUDGET_EXHAUSTED
     store = CloudStore()
     while rounds < opts.max_rounds:
         rounds += 1
         store = CloudStore()
-        ground_before = ground.atom_set()
-        completed = _expand_round(database, tgds, classification, ground, store, bound)
-        if not completed:
+        known = len(ground)
+        if not _expand_round(database, tgds, classification, ground, store, bound):
             break
-        keys = store.keys()
-        if ground.atom_set() == ground_before and keys == prev_keys:
+        if len(ground) == known:
             status = SaturateStatus.STABILIZED
             break
-        prev_keys = keys
     return SaturationResult(store, ground, status, rounds)
 
 
@@ -241,7 +234,7 @@ def _expand_round(
         if key in store:
             blocked.add(atom)
         else:
-            store.put(key, atom, cloud)
+            store.put(key)
 
     queue: deque = deque()
     seen: Set[Tuple[int, Tuple]] = set()

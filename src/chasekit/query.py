@@ -171,7 +171,7 @@ def certain_answers(
         # canonical anchors stand for every atom of the chase up to a
         # renaming of its nulls
         facts = Instance(sat.ground_atoms)
-        for anchor, _ in sat.store.entries:
+        for anchor, _ in sat.store.keys:
             facts.add(anchor)
         rows = _constant_rows(eval_cq(facts, query))
         if sat.status is clouds.SaturateStatus.STABILIZED:

@@ -9,16 +9,18 @@ from chasekit.chase import (
     Mode,
     Status,
     TgdStep,
+    Trigger,
     apply_egd,
     apply_tgd,
-    find_triggers,
+    head_satisfied,
     restricted_gcf,
+    rule_triggers,
     run_chase,
     split_ground,
 )
 from chasekit.model import (
+    EGD,
     Constant,
-    Instance,
     LabeledNull,
     NullAllocator,
     UsageError,
@@ -43,6 +45,15 @@ def hom_of(trigger):
     return {v.name: t for v, t in trigger.hom}
 
 
+def triggers_of(rule, instance):
+    """The rule's triggers on the instance, in discovery order; for an EGD
+    only those whose equated values differ."""
+    homs = [hom for _, hom in rule_triggers([rule], instance)]
+    if isinstance(rule, EGD):
+        homs = [hom for hom in homs if hom[rule.lhs] != hom[rule.rhs]]
+    return [Trigger.of(rule, hom) for hom in homs]
+
+
 # ---------------------------------------------------------------------------
 # Trigger finding
 # ---------------------------------------------------------------------------
@@ -50,7 +61,7 @@ def hom_of(trigger):
 def test_oblivious_trigger_on_database():
     p = example_program()
     sigma2 = p.tgds[1]
-    triggers = find_triggers(sigma2, p.facts, Mode.OBLIVIOUS)
+    triggers = triggers_of(sigma2, p.facts)
     assert len(triggers) == 1
     assert hom_of(triggers[0]) == {"X": Constant("a"), "Y": Constant("b")}
 
@@ -59,28 +70,23 @@ def test_restricted_blocks_satisfied_head():
     p = example_program()
     sigma2 = p.tgds[1]
     inst = parse_instance("r1(a,b), r3(b,_:n9).")
-    assert find_triggers(sigma2, inst, Mode.RESTRICTED) == []
-    assert len(find_triggers(sigma2, inst, Mode.OBLIVIOUS)) == 1
+    (trigger,) = triggers_of(sigma2, inst)
+    assert head_satisfied(sigma2, trigger.mapping(), inst)
+    assert not head_satisfied(sigma2, trigger.mapping(), parse_instance("r1(a,b)."))
 
 
 def test_unmatched_body_no_triggers():
     p = example_program()
     sigma3 = p.tgds[2]
-    assert find_triggers(sigma3, p.facts, Mode.OBLIVIOUS) == []
-
-
-def test_restricted_mode_for_egd_is_an_error():
-    egd = parse_program("egd r(X,Y), r(X,Z) -> Y = Z.").egds[0]
-    with pytest.raises(UsageError):
-        find_triggers(egd, Instance(), Mode.RESTRICTED)
+    assert triggers_of(sigma3, p.facts) == []
 
 
 def test_egd_triggers_need_distinct_values():
     egd = parse_program("egd r(X,Y), r(X,Z) -> Y = Z.").egds[0]
     inst = parse_instance("r(a,b), r(a,b).")
-    assert find_triggers(egd, inst) == []
+    assert triggers_of(egd, inst) == []
     inst2 = parse_instance("r(a,b), r(a,c).")
-    assert len(find_triggers(egd, inst2)) == 2  # both orientations
+    assert len(triggers_of(egd, inst2)) == 2  # both orientations
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +98,7 @@ def test_apply_tgd_adds_head_image():
     sigma2 = p.tgds[1]
     inst = p.facts.copy()
     alloc = NullAllocator.after(inst)
-    (trigger,) = find_triggers(sigma2, inst, Mode.OBLIVIOUS)
+    (trigger,) = triggers_of(sigma2, inst)
     _, atom, added = apply_tgd(sigma2, trigger, inst, alloc)
     assert added and atom == parse_atom("r3(b,_:n1)")
 
@@ -101,7 +107,7 @@ def test_apply_tgd_preserves_head_constants():
     rules = parse_program("tgd t(X, c) -> u(X, c).").tgds
     inst = parse_instance("t(a, c).")
     alloc = NullAllocator.after(inst)
-    (trigger,) = find_triggers(rules[0], inst, Mode.OBLIVIOUS)
+    (trigger,) = triggers_of(rules[0], inst)
     _, atom, _ = apply_tgd(rules[0], trigger, inst, alloc)
     assert atom == parse_atom("u(a, c)")
 
@@ -109,7 +115,7 @@ def test_apply_tgd_preserves_head_constants():
 def test_apply_tgd_rejects_stale_trigger():
     rules = parse_program("tgd t(X) -> u(X).").tgds
     inst = parse_instance("t(a).")
-    (trigger,) = find_triggers(rules[0], inst, Mode.OBLIVIOUS)
+    (trigger,) = triggers_of(rules[0], inst)
     other = parse_instance("t(b).")
     with pytest.raises(UsageError):
         apply_tgd(rules[0], trigger, other, NullAllocator())
@@ -135,7 +141,7 @@ def test_apply_egd_two_constants_fails():
     egd = egd_fixture()
     inst = parse_instance("data(o,a,c1), data(o,a,c2), funct(a,o).")
     trigger = next(
-        t for t in find_triggers(egd, inst)
+        t for t in triggers_of(egd, inst)
         if dict(t.hom)[Variable("V")] == Constant("c1")
     )
     outcome = apply_egd(egd, trigger, inst)
@@ -145,7 +151,7 @@ def test_apply_egd_two_constants_fails():
 def test_apply_egd_constant_beats_null():
     egd = egd_fixture()
     inst = parse_instance("data(o,a,c), data(o,a,_:n1), funct(a,o).")
-    trigger = find_triggers(egd, inst)[0]
+    trigger = triggers_of(egd, inst)[0]
     outcome = apply_egd(egd, trigger, inst)
     assert not outcome.failed
     assert outcome.kept == Constant("c") and outcome.replaced == LabeledNull(1)
@@ -156,7 +162,7 @@ def test_apply_egd_constant_beats_null():
 def test_apply_egd_lower_null_survives():
     egd = egd_fixture()
     inst = parse_instance("data(o,a,_:n1), data(o,a,_:n2), funct(a,o).")
-    trigger = find_triggers(egd, inst)[0]
+    trigger = triggers_of(egd, inst)[0]
     outcome = apply_egd(egd, trigger, inst)
     assert outcome.kept == LabeledNull(1) and outcome.replaced == LabeledNull(2)
     assert outcome.innocuous
@@ -165,7 +171,7 @@ def test_apply_egd_lower_null_survives():
 def test_apply_egd_non_innocuous_merge():
     egd = parse_program("egd r(X,Y), r(Y,X) -> X = Y.").egds[0]
     inst = parse_instance("r(_:n1,_:n2), r(_:n2,_:n1), s(_:n2,c).")
-    trigger = find_triggers(egd, inst)[0]
+    trigger = triggers_of(egd, inst)[0]
     outcome = apply_egd(egd, trigger, inst)
     # r-atoms collapse but s(_:n1,c) is new: same size, not a shrink
     assert not outcome.failed and not outcome.innocuous

@@ -190,8 +190,23 @@ def test_store_stats(example_file, capsys):
     payload = json.loads(out)
     assert payload["status"] == "stabilized"
     assert payload["entries"] > 0
-    assert payload["rounds"] >= 2
+    assert payload["rounds"] == 2
     assert payload["ground_atoms"] == 2  # r1(a,b), r2(b)
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_store_stats_rejects_a_non_positive_round_budget(example_file, capsys, rounds):
+    code, out, err = run_cli(capsys, "store-stats", example_file, "--max-rounds", rounds)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cap", ["abc", "-5", "0", "1.5"])
+def test_memory_cap_must_be_a_positive_integer(example_file, capsys, monkeypatch, cap):
+    monkeypatch.setenv("CHASEKIT_MAX_MEMORY_MB", cap)
+    code, out, err = run_cli(capsys, "chase", example_file, "--max-steps", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: CHASEKIT_MAX_MEMORY_MB must be a positive integer")
 
 
 def test_store_stats_rejects_grid_without_force(capsys):
@@ -228,9 +243,11 @@ def _wg_program_text(db, rules):
 
 
 # sha256 over "<exit code>\n<stdout>" of every run, recorded before the
-# blocking chase moved onto the chase engine
+# blocking chase moved onto the chase engine; store-stats re-recorded when
+# saturation stopped at the first round that derives no ground atom, after
+# a check that only `rounds` changed, by one, in every run
 CLOUD_GOLDEN = {
-    "store-stats": "2c83cb01de1f92391f8d8133692e353d23c9b9c9f2e693b18e03a948528d11bc",
+    "store-stats": "4f605a899b8e140315cf6be7249e1dc0a70bffc08eaecae2cf955da433215005",
     "blocked-atomic": "38145258d3636bb1bb913159dfbc6914655b554d42e84f151875a44018fbb50c",
 }
 

@@ -1,9 +1,11 @@
+import math
 import random
 from collections import Counter
 
 import pytest
 
 from helpers import (
+    fll_cases,
     naive_subtree_closure,
     random_stratified_program,
     random_wg_program,
@@ -13,6 +15,7 @@ from helpers import (
 )
 
 from chasekit import clouds
+from chasekit.analysis import classify, normalize_heads
 from chasekit.chase import (
     ChaseOptions,
     Mode,
@@ -314,10 +317,36 @@ def test_blocked_saturate_rejects_unguarded_sets():
     out = blocked_saturate(g.facts, g.tgds, SaturateOptions(force=True))
     assert out.status is SaturateStatus.STABILIZED
     assert out.ground_atoms.atom_set() == {parse_atom("index(0)")}
-    # a one-round budget is never enough to observe stabilization
+    # a round that derives no ground atom is the fixpoint: the grid's
+    # first round derives none, the running example's first derives r2(b)
     tight = blocked_saturate(g.facts, g.tgds,
                              SaturateOptions(max_rounds=1, force=True))
-    assert tight.status is SaturateStatus.BUDGET_EXHAUSTED
+    assert (tight.status, tight.rounds) == (SaturateStatus.STABILIZED, 1)
+    p = parse_program(EXAMPLE_CHASE)
+    tight = blocked_saturate(p.facts, p.tgds, SaturateOptions(max_rounds=1))
+    assert (tight.status, tight.rounds) == (SaturateStatus.BUDGET_EXHAUSTED, 1)
+    enough = blocked_saturate(p.facts, p.tgds, SaturateOptions(max_rounds=2))
+    assert (enough.status, enough.rounds) == (SaturateStatus.STABILIZED, 2)
+    assert parse_atom("r2(b)") in enough.ground_atoms
+
+
+@pytest.mark.parametrize("cases", [
+    lambda: wg_cases(seed=20241, count=100),
+    lambda: ((p.facts, p.tgds) for p in fll_cases(seed=5, count=20)),
+], ids=["wg", "fll"])
+def test_stabilized_saturation_is_a_fixpoint_of_the_round(cases):
+    # one more round over the returned ground atoms, into a fresh store,
+    # derives nothing and keys the returned store again, in order
+    for db, rules in cases():
+        out = blocked_saturate(db, rules)
+        assert out.status is SaturateStatus.STABILIZED
+        tgds = normalize_heads(rules)
+        ground = Instance(out.ground_atoms)
+        store = clouds.CloudStore()
+        # the cloud-size bound only guards against a runaway cloud
+        assert clouds._expand_round(db, tgds, classify(tgds), ground, store, math.inf)
+        assert len(ground) == len(out.ground_atoms)
+        assert list(store.keys) == list(out.store.keys)
 
 
 def test_blocked_saturate_sound_wrt_naive_chase():
