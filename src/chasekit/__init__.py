@@ -26,6 +26,7 @@ from .analysis import RuleClass, affected_positions, classify, normalize_heads
 from .chase import (
     ChaseOptions,
     ChaseResult,
+    MemoryBudgetExceeded,
     Mode,
     Status,
     apply_egd,

@@ -17,6 +17,8 @@ duplicate-labeled node; the restricted forest prunes those subtrees.
 
 from __future__ import annotations
 
+import os
+import resource
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -287,7 +289,8 @@ def apply_egd(rule: EGD, trigger: Trigger, instance: Instance) -> EgdOutcome:
         instance=rewritten,
         kept=kept,
         replaced=replaced,
-        innocuous=rewritten.atom_set() < instance.atom_set(),
+        # the replaced value is gone, so a subset is a strict one
+        innocuous=all(a in instance for a in rewritten),
     )
 
 
@@ -295,12 +298,41 @@ def apply_egd(rule: EGD, trigger: Trigger, instance: Instance) -> EgdOutcome:
 # Full runs
 # ---------------------------------------------------------------------------
 
+class MemoryBudgetExceeded(Exception):
+    pass
+
+
+def memory_guard() -> Optional[Callable[[], None]]:
+    """The soft memory cap `CHASEKIT_MAX_MEMORY_MB`, as a check that
+    raises MemoryBudgetExceeded once the process's peak RSS is over it;
+    None when the variable is unset.  The chase loops fetch it when they
+    start and poll it every 128 steps."""
+    cap_mb = os.environ.get("CHASEKIT_MAX_MEMORY_MB")
+    if not cap_mb:
+        return None
+    try:
+        cap_kb = int(cap_mb) * 1024
+    except ValueError:
+        cap_kb = 0
+    if cap_kb <= 0:
+        raise UsageError("CHASEKIT_MAX_MEMORY_MB must be a positive integer, not %r"
+                         % cap_mb)
+
+    def check():
+        usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        if usage > cap_kb:
+            raise MemoryBudgetExceeded(
+                "memory budget of %s MB exceeded" % cap_mb
+            )
+
+    return check
+
+
 @dataclass
 class ChaseOptions:
     mode: Mode = Mode.RESTRICTED
     max_steps: int = 10_000
     max_depth: int = 64
-    memory_check: Optional[Callable[[], None]] = None
 
 
 class _Engine:
@@ -317,6 +349,7 @@ class _Engine:
                 if a.has_variables():
                     raise UsageError("chase input contains variables")
         self.opts = opts
+        self.check_memory = memory_guard()
         self.tgds = normalize_heads(tgds)
         self.egds = list(egds)
         self.classification = classify(self.tgds)
@@ -332,6 +365,12 @@ class _Engine:
         self.applied: Set[Tuple[int, HomKey]] = set()
         for atom in database:
             self._add_node(atom, parent=None, rule=None, trigger=None)
+
+    def _record(self, step: Step) -> None:
+        """Log a step; every 128th polls the memory cap."""
+        self.steps.append(step)
+        if self.check_memory is not None and len(self.steps) % 128 == 0:
+            self.check_memory()
 
     # -- forest -------------------------------------------------------------
 
@@ -436,10 +475,8 @@ class _Engine:
             if len(self.steps) >= self.opts.max_steps:
                 return Status.BUDGET_EXHAUSTED, merged_any
             self.instance = outcome.instance
-            self.steps.append(
-                EgdStep(outcome.kept, outcome.replaced, rule, trigger.hom,
-                        outcome.innocuous)
-            )
+            self._record(EgdStep(outcome.kept, outcome.replaced, rule, trigger.hom,
+                                 outcome.innocuous))
             self._rewrite_bookkeeping(outcome.replaced, outcome.kept)
             merged_any = True
         if merged_any:
@@ -467,7 +504,6 @@ class _Engine:
         )
 
     def _loop(self) -> Status:
-        count = 0
         while self.queue:
             idx, trigger = self.queue.popleft()
             key = (idx, trigger.hom)
@@ -493,10 +529,7 @@ class _Engine:
             _, new_atom, added = apply_tgd(rule, trigger, self.instance, self.alloc)
             self._add_node(new_atom, parent, rule, trigger)
             if added:
-                self.steps.append(TgdStep(new_atom, rule, trigger.hom))
-                count += 1
-                if self.opts.memory_check is not None and count % 128 == 0:
-                    self.opts.memory_check()
+                self._record(TgdStep(new_atom, rule, trigger.hom))
                 egd_status, merged = self._drain_egds(new_atom)
                 if egd_status is not None:
                     return egd_status

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import resource
 import sys
 from typing import List, Optional, Sequence
 
 from . import clouds, egdsep, rulesets
 from .analysis import classify
-from .chase import ChaseOptions, ChaseResult, Mode, Status, restricted_gcf, run_chase
+from .chase import (ChaseOptions, ChaseResult, MemoryBudgetExceeded, Mode, Status,
+                    memory_guard, restricted_gcf, run_chase)
 from .model import Program, UsageError
 from .parser import ParseError, answer_json, parse_program, render_atom, render_term
 from .query import (
@@ -31,32 +30,6 @@ from .query import (
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
-
-
-class MemoryBudgetExceeded(Exception):
-    pass
-
-
-def _memory_guard():
-    cap_mb = os.environ.get("CHASEKIT_MAX_MEMORY_MB")
-    if not cap_mb:
-        return None
-    try:
-        cap_kb = int(cap_mb) * 1024
-    except ValueError:
-        cap_kb = 0
-    if cap_kb <= 0:
-        raise UsageError("CHASEKIT_MAX_MEMORY_MB must be a positive integer, not %r"
-                         % cap_mb)
-
-    def check():
-        usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        if usage > cap_kb:
-            raise MemoryBudgetExceeded(
-                "memory budget of %s MB exceeded" % cap_mb
-            )
-
-    return check
 
 
 def _load_program(args) -> Program:
@@ -125,7 +98,6 @@ def _run_chase(args, program: Program) -> ChaseResult:
         mode=Mode(args.mode),
         max_steps=args.max_steps,
         max_depth=args.max_depth,
-        memory_check=_memory_guard(),
     )
     return run_chase(program.facts, program.tgds, egds, opts)
 
@@ -153,7 +125,7 @@ def _parse_strategy(args):
         return Terminate(max_steps=args.max_steps, max_depth=args.max_depth)
     if text == "blocked-atomic":
         return BlockedAtomic()
-    if text.startswith("bounded"):
+    if text == "bounded" or text.startswith("bounded:"):
         depth = 16
         if ":" in text:
             try:
@@ -172,12 +144,10 @@ def cmd_answer(args) -> int:
         report = egdsep.separated_answer(
             program.facts, program.tgds, program.egds, query,
             max_steps=args.max_steps, max_depth=args.max_depth,
-            memory_check=_memory_guard(),
         )
     else:
         report = certain_answers(
             program.facts, program.tgds, query, strategy, egds=program.egds,
-            memory_check=_memory_guard(),
         )
     if report.status is AnswerStatus.FAILED:
         status = "failed"
@@ -212,7 +182,6 @@ def cmd_egd_check(args) -> int:
     outcome = egdsep.egd_failure_check(
         program.facts, program.tgds, program.egds,
         max_steps=args.max_steps, max_depth=args.max_depth,
-        memory_check=_memory_guard(),
     )
     payload = {"result": outcome.value}
     _emit(args, payload, ["egd failure check: %s" % outcome.value])
@@ -371,6 +340,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
+        memory_guard()  # every command rejects a bad cap, chasing or not
         return args.func(args)
     except (ParseError, UsageError) as e:
         print("error: %s" % e, file=sys.stderr)

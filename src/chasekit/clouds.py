@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from .analysis import classify, normalize_heads
-from .chase import head_image, hom_key, rule_triggers
+from .chase import head_image, hom_key, memory_guard, rule_triggers
 from .model import (
     TGD,
     Atom,
@@ -216,7 +216,9 @@ def _expand_round(
     store: CloudStore,
     bound: int,
 ) -> bool:
-    """One blocked forest expansion; False when a budget was hit."""
+    """One blocked forest expansion; False when a budget was hit.  The
+    memory cap is polled every 128 steps."""
+    check_memory = memory_guard()
     instance = Instance(ground)
     alloc = NullAllocator.after(instance)
     blocked: Set[Atom] = set()
@@ -263,6 +265,8 @@ def _expand_round(
         steps += 1
         if steps > MAX_STEPS_PER_ROUND or len(store) > MAX_STORE_SIZE:
             return False
+        if check_memory is not None and steps % 128 == 0:
+            check_memory()
         if new_atom.domain() <= database.domain():
             ground.add(new_atom)
         register(new_atom)

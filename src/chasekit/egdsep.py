@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .chase import (
     ChaseOptions,
@@ -99,14 +99,13 @@ def failure_query(egd: EGD, neq_pred: Predicate) -> CQ:
     )
 
 
-def _tgd_chase(database: Instance, tgds: Sequence[TGD], max_steps: int, max_depth: int,
-               memory_check: Optional[Callable[[], None]]) -> ChaseResult:
+def _tgd_chase(database: Instance, tgds: Sequence[TGD], max_steps: int,
+               max_depth: int) -> ChaseResult:
     """The restricted chase under the TGDs alone, which both the failure
     check and separated answering read."""
     return run_chase(
         database, tgds, (),
-        ChaseOptions(mode=Mode.RESTRICTED, max_steps=max_steps, max_depth=max_depth,
-                     memory_check=memory_check),
+        ChaseOptions(mode=Mode.RESTRICTED, max_steps=max_steps, max_depth=max_depth),
     )
 
 
@@ -116,7 +115,6 @@ def egd_failure_check(
     egds: Sequence[EGD],
     max_steps: int = 10_000,
     max_depth: int = 64,
-    memory_check: Optional[Callable[[], None]] = None,
 ) -> FailureCheck:
     """Would the interleaved chase fail?  Decided under the TGDs alone.
 
@@ -126,7 +124,7 @@ def egd_failure_check(
     """
     if not egds:
         return FailureCheck.NO_FAILURE
-    return _failure_in(_tgd_chase(database, tgds, max_steps, max_depth, memory_check),
+    return _failure_in(_tgd_chase(database, tgds, max_steps, max_depth),
                        database, egds)
 
 
@@ -152,7 +150,6 @@ def separated_answer(
     query: CQ,
     max_steps: int = 10_000,
     max_depth: int = 64,
-    memory_check: Optional[Callable[[], None]] = None,
 ) -> AnswerReport:
     """Answer a query under TGDs plus innocuous EGDs without merging.
 
@@ -163,7 +160,7 @@ def separated_answer(
     answered over that chase, as the Terminate strategy would: exact
     when it saturated, which is also when the check is conclusive.
     """
-    result = _tgd_chase(database, tgds, max_steps, max_depth, memory_check)
+    result = _tgd_chase(database, tgds, max_steps, max_depth)
     if egds and _failure_in(result, database, egds) is FailureCheck.FAILED:
         return AnswerReport(
             [], AnswerStatus.FAILED,

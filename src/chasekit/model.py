@@ -58,32 +58,24 @@ def canonical_null(i: int) -> LabeledNull:
     return LabeledNull(CANONICAL_NULL_BASE + i)
 
 
-def compare_terms(a: Term, b: Term) -> int:
-    """Total order on constants and nulls: -1, 0 or 1.
+def term_sort_key(t: Term) -> Tuple[int, object]:
+    """The total order on constants and nulls, as a sort key.
 
     Constants are ordered byte-lexicographically on their name and all
     of them precede every labeled null; nulls are ordered by index.
     Variables are not comparable.
     """
-    if isinstance(a, Variable) or isinstance(b, Variable):
-        raise UsageError("variables have no place in the term order")
-    if isinstance(a, Constant):
-        if isinstance(b, Constant):
-            ka, kb = a.name.encode("utf-8"), b.name.encode("utf-8")
-            return -1 if ka < kb else (1 if ka > kb else 0)
-        return -1
-    if isinstance(b, Constant):
-        return 1
-    return -1 if a.index < b.index else (1 if a.index > b.index else 0)
-
-
-def term_sort_key(t: Term) -> Tuple[int, object]:
-    """Sort key consistent with compare_terms (constants, then nulls)."""
     if isinstance(t, Constant):
         return (0, t.name.encode("utf-8"))
     if isinstance(t, LabeledNull):
         return (1, t.index)
     raise UsageError("variables have no place in the term order")
+
+
+def compare_terms(a: Term, b: Term) -> int:
+    """The term order of `term_sort_key` as -1, 0 or 1."""
+    ka, kb = term_sort_key(a), term_sort_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,6 @@ def certain_answers(
     query: CQ,
     strategy: Strategy = Bounded(),
     egds: Sequence[EGD] = (),
-    memory_check=None,
 ) -> AnswerReport:
     """Certain answers of a query over a database under dependencies.
 
@@ -183,14 +182,12 @@ def certain_answers(
             mode=Mode.RESTRICTED,
             max_steps=strategy.max_steps,
             max_depth=strategy.max_depth,
-            memory_check=memory_check,
         )
     else:
         opts = ChaseOptions(
             mode=Mode.OBLIVIOUS,
             max_steps=strategy.max_steps,
             max_depth=strategy.depth,
-            memory_check=memory_check,
         )
     return answers_from_chase(run_chase(database, tgds, egds, opts), query)
 

@@ -1,11 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chasekit
+from chasekit.chase import MemoryBudgetExceeded
 from chasekit.cli import main
+from chasekit.egdsep import blocking_chase
 from chasekit.model import CQ, Atom, Program, Variable
-from chasekit.parser import render_program
+from chasekit.parser import parse_program, render_program
 
 from helpers import wg_cases
 
@@ -113,6 +120,14 @@ def test_answer_boolean_query(example_file, capsys):
     assert payload["status"] == "sat" and payload["answers"] == [[]]
 
 
+@pytest.mark.parametrize("strategy", ["boundedXYZ", "bounded16", "bounded:", "bounded:x"])
+def test_answer_rejects_a_malformed_bounded_strategy(example_file, capsys, strategy):
+    code, out, err = run_cli(capsys, "answer", example_file, "--query", "qa",
+                             "--strategy", strategy)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_answer_3col_k4_unsat(capsys):
     code, out, _ = run_cli(
         capsys, "answer", "--builtin", "3col-k4", "--query", "color",
@@ -201,12 +216,75 @@ def test_store_stats_rejects_a_non_positive_round_budget(example_file, capsys, r
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("cap", ["abc", "-5", "0", "1.5"])
-def test_memory_cap_must_be_a_positive_integer(example_file, capsys, monkeypatch, cap):
+COMMANDS = {
+    "classify": [],
+    "chase": ["--max-steps", "3"],
+    "answer": ["--query", "qa"],
+    "contain": ["--q1", "qa", "--q2", "qb"],
+    "egd-check": [],
+    "forest": ["--max-steps", "3"],
+    "store-stats": [],
+}
+
+
+# ids: the bare cap for chase, cap-command for the other commands
+@pytest.mark.parametrize("cap,command", [
+    pytest.param(cap, command, id=cap if command == "chase" else "%s-%s" % (cap, command))
+    for cap in ("abc", "-5", "0", "1.5") for command in sorted(COMMANDS)
+])
+def test_memory_cap_must_be_a_positive_integer(example_file, capsys, monkeypatch, cap,
+                                               command):
     monkeypatch.setenv("CHASEKIT_MAX_MEMORY_MB", cap)
-    code, out, err = run_cli(capsys, "chase", example_file, "--max-steps", "3")
+    code, out, err = run_cli(capsys, command, example_file, *COMMANDS[command])
     assert (code, out) == (2, "")
     assert err.startswith("error: CHASEKIT_MAX_MEMORY_MB must be a positive integer")
+
+
+# 200 TGD steps at depth 1 from the facts, so every chase and every
+# saturation round polls the cap after 128 of them; t(X) grows a binary
+# tree, whose first 128 steps stay well within depth 64.
+WIDE = "".join("fact s(c%d).\n" % i for i in range(200)) + """
+tgd s(X) -> exists Y: r(X,Y).
+egd r(X,Y), r(X,Z) -> Y = Z.
+tgd t(X) -> exists Y: left(X,Y).
+tgd t(X) -> exists Y: right(X,Y).
+tgd left(X,Y) -> t(Y).
+tgd right(X,Y) -> t(Y).
+query m(X) :- r(X,Y).
+query root(X) :- t(X).
+query never(X) :- s(X).
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["chase"],
+    ["forest"],
+    ["answer", "--query", "m", "--strategy", "bounded:4"],
+    ["answer", "--query", "m", "--strategy", "terminate"],
+    ["answer", "--query", "m", "--strategy", "blocked-atomic"],
+    ["answer", "--query", "m", "--egd", "separate"],
+    ["egd-check"],
+    ["contain", "--q1", "root", "--q2", "never", "--budget", "1000"],
+    ["store-stats"],
+], ids=["chase", "forest", "bounded", "terminate", "blocked-atomic", "separate",
+        "egd-check", "contain", "store-stats"])
+def test_memory_cap_stops_every_chasing_command(tmp_path, argv):
+    path = tmp_path / "wide.dlp"
+    path.write_text(WIDE)
+    src = str(Path(chasekit.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "chasekit.cli", argv[0], str(path)] + argv[1:],
+        env=dict(os.environ, PYTHONPATH=src, CHASEKIT_MAX_MEMORY_MB="1"),
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("aborted: memory budget of 1 MB exceeded")
+
+
+def test_memory_cap_stops_the_blocking_chase(monkeypatch):
+    program = parse_program(WIDE)
+    monkeypatch.setenv("CHASEKIT_MAX_MEMORY_MB", "1")
+    with pytest.raises(MemoryBudgetExceeded):
+        blocking_chase(program.facts, program.tgds, program.egds)
 
 
 def test_store_stats_rejects_grid_without_force(capsys):

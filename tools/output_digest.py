@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Byte-identity check of the benchmark workloads' outputs.
+
+    python3 tools/output_digest.py 1 7 21 22
+
+For each seed, builds every benchmark workload (bench/gen.py), runs each
+of its jobs once with the benchmark's in-process runner (bench/run.py)
+and prints one sha256 per workload over the exit code and stdout of
+every job, in job order.  Program files go to a temporary directory.
+Two checkouts print the same lines exactly when every job printed the
+same bytes and exited with the same code, so running the script in both
+shows whether a change altered any output.  Unset `CHASEKIT_MAX_MEMORY_MB`
+first: a job the cap stops prints nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+import run  # noqa: E402  (bench/run.py, which also puts bench/ on the path)
+
+
+def workload_digest(workload: str, seed: int) -> str:
+    """sha256 over the exit code and stdout of every job of one workload."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        chasekit, built = run.setup(workload, seed, Path(tmp))
+        runner = run.Runner(chasekit, Path(tmp))
+        for job in built.jobs:
+            try:
+                rc, out, _ = runner.run(job)
+                record = "%d\n%s" % (rc, out)
+            except Exception as e:  # a raising job is an output too
+                record = "raised %s: %s" % (type(e).__name__, e)
+            digest.update(record.encode("utf-8") + b"\0")
+    return digest.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("seeds", type=int, nargs="+")
+    args = ap.parse_args(argv)
+    for seed in args.seeds:
+        for workload in run.WORKLOADS:
+            print("seed %d %-20s %s" % (seed, workload, workload_digest(workload, seed)),
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
