@@ -302,11 +302,24 @@ class MemoryBudgetExceeded(Exception):
     pass
 
 
+def _rss_kb() -> int:
+    """The resident set size now; the peak one where /proc is missing.
+    The peak cannot measure a run: it keeps whatever the process, or
+    the process that started it, once used."""
+    try:
+        with open("/proc/self/statm") as f:
+            return int(f.read().split()[1]) * resource.getpagesize() // 1024
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def memory_guard() -> Optional[Callable[[], None]]:
     """The soft memory cap `CHASEKIT_MAX_MEMORY_MB`, as a check that
-    raises MemoryBudgetExceeded once the process's peak RSS is over it;
-    None when the variable is unset.  The chase loops fetch it when they
-    start and poll it every 128 steps."""
+    raises MemoryBudgetExceeded once the process's RSS has grown by more
+    than the cap since the check was fetched; None when the variable is
+    unset.  The chase loops fetch it when they start and poll it every
+    128 steps, so each run is measured by its own growth, whatever the
+    process used before it."""
     cap_mb = os.environ.get("CHASEKIT_MAX_MEMORY_MB")
     if not cap_mb:
         return None
@@ -318,9 +331,10 @@ def memory_guard() -> Optional[Callable[[], None]]:
         raise UsageError("CHASEKIT_MAX_MEMORY_MB must be a positive integer, not %r"
                          % cap_mb)
 
+    start_kb = _rss_kb()
+
     def check():
-        usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        if usage > cap_kb:
+        if _rss_kb() - start_kb > cap_kb:
             raise MemoryBudgetExceeded(
                 "memory budget of %s MB exceeded" % cap_mb
             )

@@ -11,6 +11,18 @@ cloud computed against a chase prefix can still grow, the expansion is
 re-run, keeping the derived ground atoms, until a round derives no new
 ground atom.  A round depends only on the ground atoms it starts from,
 so that round is already the fixpoint.
+
+A store key is (canonical anchor, ground count, canonical null part).
+The null part is the cloud's atoms with a term outside dom(D); the rest
+of the cloud is every atom over dom(D) so far, which is the round's
+ground atoms.  Those only grow within a round and canonical renaming
+leaves them alone, so their count names them: two keys of one round are
+equal exactly when the full canonical (atom, cloud) pairs are.  The null
+part is found through an index from each term outside dom(D) to the
+atoms carrying it, so keying an atom costs its neighbourhood, not the
+instance.  A database built in the library may hold nulls, which
+renaming would move inside the ground atoms; its keys hold whole clouds
+and a ground count of 0.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .analysis import classify, normalize_heads
 from .chase import head_image, hom_key, memory_guard, rule_triggers
@@ -43,7 +55,7 @@ class Cloud:
         return len(self.atoms)
 
 
-def cloud_of(instance: Instance, database: Instance, anchor: Atom) -> Cloud:
+def cloud_of(instance: Collection[Atom], database: Instance, anchor: Atom) -> Cloud:
     """Atoms of the instance whose values lie in dom(anchor) + dom(database).
 
     Against a chase prefix this is a lower approximation of the true
@@ -113,24 +125,28 @@ def atom_isomorphism_class(atom: Atom) -> Atom:
 # Cloud-store blocked saturation
 # ---------------------------------------------------------------------------
 
+# (canonical anchor, ground count, canonical null part); see the module docstring
+StoreKey = Tuple[Atom, int, FrozenSet[Atom]]
+
+
 @dataclass
 class CloudStore:
-    """The canonical (anchor, cloud) keys of one expansion, in insertion order."""
+    """The keys of one expansion, in insertion order."""
 
-    keys: Dict[CanonicalPair, None] = field(default_factory=dict)
+    keys: Dict[StoreKey, None] = field(default_factory=dict)
 
     def __len__(self):
         return len(self.keys)
 
-    def __contains__(self, key: CanonicalPair) -> bool:
+    def __contains__(self, key: StoreKey) -> bool:
         return key in self.keys
 
-    def put(self, key: CanonicalPair) -> None:
+    def put(self, key: StoreKey) -> None:
         self.keys[key] = None
 
     def max_cloud_size(self) -> int:
         # canonical renaming is injective, so a key has its cloud's size
-        return max((len(atoms) for _, atoms in self.keys), default=0)
+        return max((n + len(atoms) for _, n, atoms in self.keys), default=0)
 
 
 # Per-round budgets of the blocked expansion; a round that exceeds one
@@ -220,6 +236,11 @@ def _expand_round(
     memory cap is polled every 128 steps."""
     check_memory = memory_guard()
     instance = Instance(ground)
+    dom = database.domain()
+    # programs carry no nulls; see the module docstring for those that do
+    whole = any(isinstance(t, LabeledNull) for t in dom)
+    # term outside dom(D) -> the atoms carrying it; instance starts ground
+    by_term: Dict[Term, List[Atom]] = {}
     alloc = NullAllocator.after(instance)
     blocked: Set[Atom] = set()
     guard_of: Dict[int, Optional[int]] = {
@@ -228,11 +249,17 @@ def _expand_round(
 
     def register(atom: Atom) -> None:
         """Key the atom's current cloud; an already-present key blocks it."""
-        cloud = cloud_of(instance, database, atom)
-        if len(cloud) > bound:
+        if whole:
+            count, near = 0, instance
+        else:
+            count = len(ground)
+            near = {a for t in atom.args if t not in dom for a in by_term[t]}
+        part = cloud_of(near, database, atom).atoms if near else frozenset()
+        if count + len(part) > bound:
             raise RuntimeError("cloud of %r has %d atoms, above the bound %d"
-                               % (atom, len(cloud), bound))
-        key = canonicalize(atom, set(cloud.atoms), database)
+                               % (atom, count + len(part), bound))
+        can_anchor, can_part = canonicalize(atom, part, database)
+        key = (can_anchor, count, can_part)
         if key in store:
             blocked.add(atom)
         else:
@@ -267,8 +294,11 @@ def _expand_round(
             return False
         if check_memory is not None and steps % 128 == 0:
             check_memory()
-        if new_atom.domain() <= database.domain():
+        terms = new_atom.domain()
+        if terms <= dom:
             ground.add(new_atom)
+        for t in terms - dom:
+            by_term.setdefault(t, []).append(new_atom)
         register(new_atom)
         discover(new_atom)
     return True

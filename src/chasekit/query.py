@@ -170,8 +170,8 @@ def certain_answers(
         # canonical anchors stand for every atom of the chase up to a
         # renaming of its nulls
         facts = Instance(sat.ground_atoms)
-        for anchor, _ in sat.store.keys:
-            facts.add(anchor)
+        for key in sat.store.keys:
+            facts.add(key[0])
         rows = _constant_rows(eval_cq(facts, query))
         if sat.status is clouds.SaturateStatus.STABILIZED:
             return AnswerReport(rows, AnswerStatus.EXACT)

@@ -8,11 +8,9 @@ from pathlib import Path
 import pytest
 
 import chasekit
-from chasekit.chase import MemoryBudgetExceeded
 from chasekit.cli import main
-from chasekit.egdsep import blocking_chase
 from chasekit.model import CQ, Atom, Program, Variable
-from chasekit.parser import parse_program, render_program
+from chasekit.parser import render_program
 
 from helpers import wg_cases
 
@@ -240,19 +238,21 @@ def test_memory_cap_must_be_a_positive_integer(example_file, capsys, monkeypatch
     assert err.startswith("error: CHASEKIT_MAX_MEMORY_MB must be a positive integer")
 
 
-# 200 TGD steps at depth 1 from the facts, so every chase and every
-# saturation round polls the cap after 128 of them; t(X) grows a binary
-# tree, whose first 128 steps stay well within depth 64.
-WIDE = "".join("fact s(c%d).\n" % i for i in range(200)) + """
-tgd s(X) -> exists Y: r(X,Y).
-egd r(X,Y), r(X,Z) -> Y = Z.
+# The cap bounds a run's own growth, so each run must outgrow 1 MB:
+# 4096 TGD steps at depth 1 from the facts do, in every chase and in the
+# first saturation round.  The facts use 64 constants only, because the
+# EGD failure check builds the inequality relation over all of them.
+# t(X) grows a binary tree, whose first 10,000 steps stay within depth 64.
+WIDE = "".join("fact s(c%d,c%d).\n" % (i, j) for i in range(64) for j in range(64)) + """
+tgd s(X,Z) -> exists Y: r(X,Z,Y).
+egd r(X,Z,Y), r(X,Z,W) -> Y = W.
 tgd t(X) -> exists Y: left(X,Y).
 tgd t(X) -> exists Y: right(X,Y).
 tgd left(X,Y) -> t(Y).
 tgd right(X,Y) -> t(Y).
-query m(X) :- r(X,Y).
+query m(X) :- r(X,Z,Y).
 query root(X) :- t(X).
-query never(X) :- s(X).
+query never(X) :- s(X,X).
 """
 
 
@@ -264,7 +264,7 @@ query never(X) :- s(X).
     ["answer", "--query", "m", "--strategy", "blocked-atomic"],
     ["answer", "--query", "m", "--egd", "separate"],
     ["egd-check"],
-    ["contain", "--q1", "root", "--q2", "never", "--budget", "1000"],
+    ["contain", "--q1", "root", "--q2", "never", "--budget", "10000"],
     ["store-stats"],
 ], ids=["chase", "forest", "bounded", "terminate", "blocked-atomic", "separate",
         "egd-check", "contain", "store-stats"])
@@ -280,11 +280,37 @@ def test_memory_cap_stops_every_chasing_command(tmp_path, argv):
     assert proc.stderr.startswith("aborted: memory budget of 1 MB exceeded")
 
 
-def test_memory_cap_stops_the_blocking_chase(monkeypatch):
-    program = parse_program(WIDE)
-    monkeypatch.setenv("CHASEKIT_MAX_MEMORY_MB", "1")
-    with pytest.raises(MemoryBudgetExceeded):
-        blocking_chase(program.facts, program.tgds, program.egds)
+def test_memory_cap_stops_the_blocking_chase(tmp_path):
+    # in a fresh process, so that the run starts from a small peak
+    path = tmp_path / "wide.dlp"
+    path.write_text(WIDE)
+    src = str(Path(chasekit.__file__).resolve().parent.parent)
+    code = ("import sys\n"
+            "from chasekit.egdsep import blocking_chase\n"
+            "from chasekit.parser import parse_program\n"
+            "p = parse_program(open(sys.argv[1]).read())\n"
+            "blocking_chase(p.facts, p.tgds, p.egds)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env=dict(os.environ, PYTHONPATH=src, CHASEKIT_MAX_MEMORY_MB="1"),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith(
+        "MemoryBudgetExceeded: memory budget of 1 MB exceeded"), proc.stderr
+
+
+def test_memory_cap_counts_only_the_runs_own_growth(tmp_path, capsys, monkeypatch):
+    # a peak the process reached before the run is not charged to it
+    monkeypatch.setenv("CHASEKIT_MAX_MEMORY_MB", "16")
+    freed = b"x" * (32 << 20)
+    del freed
+    path = tmp_path / "small.dlp"
+    path.write_text("".join("fact s(c%d).\n" % i for i in range(300))
+                    + "tgd s(X) -> exists Y: r(X,Y).\n")
+    code, out, err = run_cli(capsys, "chase", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["status"], len(payload["steps"])) == ("saturated", 300)
 
 
 def test_store_stats_rejects_grid_without_force(capsys):

@@ -1,8 +1,10 @@
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     fll_cases,
@@ -20,7 +22,9 @@ from chasekit.chase import (
     ChaseOptions,
     Mode,
     Status,
+    head_image,
     hom_key,
+    rule_triggers,
     run_chase,
     split_ground,
     subtree_atoms,
@@ -36,7 +40,17 @@ from chasekit.clouds import (
     cloud_size_bound,
     d_isomorphic,
 )
-from chasekit.model import Atom, Constant, Instance, LabeledNull, Predicate, UsageError
+from chasekit.model import (
+    TGD,
+    Atom,
+    Constant,
+    Instance,
+    LabeledNull,
+    NullAllocator,
+    Predicate,
+    UsageError,
+    Variable,
+)
 from chasekit.parser import parse_atom, parse_instance, parse_program
 
 EXAMPLE_CHASE = """
@@ -330,10 +344,13 @@ def test_blocked_saturate_rejects_unguarded_sets():
     assert parse_atom("r2(b)") in enough.ground_atoms
 
 
-@pytest.mark.parametrize("cases", [
+saturation_cases = pytest.mark.parametrize("cases", [
     lambda: wg_cases(seed=20241, count=100),
     lambda: ((p.facts, p.tgds) for p in fll_cases(seed=5, count=20)),
 ], ids=["wg", "fll"])
+
+
+@saturation_cases
 def test_stabilized_saturation_is_a_fixpoint_of_the_round(cases):
     # one more round over the returned ground atoms, into a fresh store,
     # derives nothing and keys the returned store again, in order
@@ -430,3 +447,143 @@ def test_expand_round_applies_each_trigger_once_per_round(monkeypatch):
     result = blocked_saturate(p.facts, p.tgds)
     assert result.status is SaturateStatus.STABILIZED
     assert expanded and max(expanded.values()) <= result.rounds
+
+
+# ---------------------------------------------------------------------------
+# the store key against whole-cloud keying
+# ---------------------------------------------------------------------------
+
+def reference_saturate(database, rules):
+    """Blocked saturation keyed by definition: each atom's cloud is taken
+    over the whole instance and canonicalized in full.  Returns the
+    ground atoms, the last store as (canonical anchor, cloud size)
+    pairs, the status, the rounds, and every (atom, blocked) decision of
+    every round in order."""
+    tgds = normalize_heads(rules)
+    classification = classify(tgds)
+    guard_of = {i: classification.forest_guard_index(r) for i, r in enumerate(tgds)}
+    ground = Instance(database)
+    status, rounds, decisions, keys = SaturateStatus.BUDGET_EXHAUSTED, 0, [], {}
+    while rounds < SaturateOptions().max_rounds:
+        rounds += 1
+        known, keys, blocked = len(ground), {}, set()
+        instance = Instance(ground)
+        alloc = NullAllocator.after(instance)
+
+        def register(atom):
+            key = canonicalize(atom, set(cloud_of(instance, database, atom).atoms),
+                               database)
+            decisions.append((atom, key in keys))
+            if key in keys:
+                blocked.add(atom)
+            keys.setdefault(key, None)
+
+        queue, seen = deque(), set()
+
+        def discover(new_atom):
+            for idx, hom in rule_triggers(tgds, instance, new_atom):
+                if (idx, hom_key(hom)) not in seen:
+                    seen.add((idx, hom_key(hom)))
+                    queue.append((idx, hom))
+
+        for atom in instance.atoms():
+            register(atom)
+        discover(None)
+        steps, exhausted = 0, False
+        while queue:
+            idx, hom = queue.popleft()
+            gi = guard_of[idx]
+            if gi is not None and tgds[idx].body[gi].substitute(hom) in blocked:
+                continue
+            new_atom = head_image(tgds[idx], hom, alloc)
+            if not instance.add(new_atom):
+                continue
+            steps += 1
+            exhausted = (steps > clouds.MAX_STEPS_PER_ROUND
+                         or len(keys) > clouds.MAX_STORE_SIZE)
+            if exhausted:
+                break
+            if new_atom.domain() <= database.domain():
+                ground.add(new_atom)
+            register(new_atom)
+            discover(new_atom)
+        if exhausted:
+            break
+        if len(ground) == known:
+            status = SaturateStatus.STABILIZED
+            break
+    store = [(anchor, len(atoms)) for anchor, atoms in keys]
+    return ground.atoms(), store, status, rounds, decisions
+
+
+def assert_keyed_as_the_reference(monkeypatch, database, rules):
+    """blocked_saturate decides, stores and derives as reference_saturate."""
+    anchors, hits = [], []
+    real_canonicalize = clouds.canonicalize
+    real_contains = clouds.CloudStore.__contains__
+
+    def canonicalize_spy(anchor, atoms, db):
+        anchors.append(anchor)
+        return real_canonicalize(anchor, atoms, db)
+
+    def contains_spy(store, key):
+        hits.append(real_contains(store, key))
+        return hits[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(clouds, "canonicalize", canonicalize_spy)
+        m.setattr(clouds.CloudStore, "__contains__", contains_spy)
+        out = blocked_saturate(database, rules)
+    ground, store, status, rounds, decisions = reference_saturate(database, rules)
+    assert list(zip(anchors, hits)) == decisions
+    assert [(k[0], k[1] + len(k[2])) for k in out.store.keys] == store
+    assert out.ground_atoms.atoms() == ground
+    assert (out.status, out.rounds) == (status, rounds)
+
+
+@saturation_cases
+def test_saturation_keys_as_whole_cloud_keying(monkeypatch, cases):
+    for db, rules in cases():
+        assert_keyed_as_the_reference(monkeypatch, db, rules)
+
+
+REF_PREDS = [Predicate("q0", 1), Predicate("q1", 2), Predicate("q2", 3)]
+REF_VARS = [Variable("X"), Variable("Y"), Variable("Z")]
+REF_CONSTS = [Constant("a"), Constant("b")]
+
+
+@st.composite
+def ref_rules(draw, label):
+    body = tuple(
+        Atom(p, tuple(draw(st.sampled_from(REF_VARS)) for _ in range(p.arity)))
+        for p in draw(st.lists(st.sampled_from(REF_PREDS), min_size=1, max_size=2))
+    )
+    body_vars = sorted({v for a in body for v in a.variables()}, key=lambda v: v.name)
+    # up to two existentials, and a constant outside the database, which
+    # only a rule built in the library can put into its head
+    fresh = [Variable("E1"), Variable("E2"), Constant("k")]
+    head_pred = draw(st.sampled_from(REF_PREDS))
+    head = tuple(draw(st.sampled_from(body_vars + fresh)) for _ in range(head_pred.arity))
+    existentials = frozenset(t for t in head if isinstance(t, Variable)
+                             and t.name.startswith("E"))
+    return TGD(body, (Atom(head_pred, head),), existentials, label=label)
+
+
+@st.composite
+def ref_programs(draw):
+    values = REF_CONSTS + draw(st.sampled_from([[], [LabeledNull(1), LabeledNull(2)]]))
+    db = Instance(
+        Atom(p, tuple(draw(st.sampled_from(values)) for _ in range(p.arity)))
+        for p in draw(st.lists(st.sampled_from(REF_PREDS), min_size=1, max_size=4))
+    )
+    rules = [draw(ref_rules("tgd%d" % (i + 1))) for i in range(draw(st.integers(1, 4)))]
+    assume(classify(rules).is_weakly_guarded_set())
+    return db, rules
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ref_programs())
+def test_saturation_keys_as_whole_cloud_keying_on_random_programs(program):
+    # a database value may be a null, whose atoms canonical renaming moves
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_keyed_as_the_reference(monkeypatch, *program)

@@ -244,12 +244,14 @@ def test_separated_answer_without_egds_skips_the_failure_check(monkeypatch):
     ["answer", "--query", "m", "--egd", "separate"],
 ], ids=["egd-check", "answer-separate"])
 def test_memory_cap_stops_the_egd_commands(tmp_path, argv):
-    # 200 TGD steps, all at depth 1, so the cap is polled after 128 of them
+    # 4096 TGD steps, all at depth 1, so the run's own growth passes the
+    # 1 MB cap; 64 constants keep the failure check's inequality relation small
     path = tmp_path / "wide.dlp"
-    path.write_text("".join("fact s(c%d).\n" % i for i in range(200)) + """
-tgd s(X) -> exists Y: r(X,Y).
-egd r(X,Y), r(X,Z) -> Y = Z.
-query m(X) :- r(X,Y).
+    path.write_text("".join("fact s(c%d,c%d).\n" % (i, j)
+                            for i in range(64) for j in range(64)) + """
+tgd s(X,Z) -> exists Y: r(X,Z,Y).
+egd r(X,Z,Y), r(X,Z,W) -> Y = W.
+query m(X) :- r(X,Z,Y).
 """)
     src = str(Path(chasekit.__file__).resolve().parent.parent)
     proc = subprocess.run(

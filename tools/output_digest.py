@@ -2,14 +2,17 @@
 """Byte-identity check of the benchmark workloads' outputs.
 
     python3 tools/output_digest.py 1 7 21 22
+    python3 tools/output_digest.py --workload wg-saturate \
+        --workload wg-saturate-failing 1 7
 
-For each seed, builds every benchmark workload (bench/gen.py), runs each
-of its jobs once with the benchmark's in-process runner (bench/run.py)
-and prints one sha256 per workload over the exit code and stdout of
-every job, in job order.  Program files go to a temporary directory.
-Two checkouts print the same lines exactly when every job printed the
-same bytes and exited with the same code, so running the script in both
-shows whether a change altered any output.  Unset `CHASEKIT_MAX_MEMORY_MB`
+For each seed, builds every benchmark workload (bench/gen.py), or only
+those named by `--workload`, runs each of its jobs once with the
+benchmark's in-process runner (bench/run.py) and prints one sha256 per
+workload over the exit code and stdout of every job, in job order.
+Program files go to a temporary directory.  Two checkouts print the
+same lines exactly when every job printed the same bytes and exited
+with the same code, so running the script in both shows whether a
+change altered any output.  Unset `CHASEKIT_MAX_MEMORY_MB`
 first: a job the cap stops prints nothing.
 """
 
@@ -46,9 +49,11 @@ def workload_digest(workload: str, seed: int) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("seeds", type=int, nargs="+")
+    ap.add_argument("--workload", action="append", choices=run.WORKLOADS,
+                    help="digest only this workload; repeatable (default: all)")
     args = ap.parse_args(argv)
     for seed in args.seeds:
-        for workload in run.WORKLOADS:
+        for workload in args.workload or run.WORKLOADS:
             print("seed %d %-20s %s" % (seed, workload, workload_digest(workload, seed)),
                   flush=True)
     return 0
