@@ -216,6 +216,19 @@ def rule_triggers(
                     yield idx, hom
 
 
+def egd_violations(
+    egds: Sequence[EGD],
+    instance: Instance,
+    new_atom: Optional[Atom] = None,
+) -> Iterator[Tuple[int, Hom]]:
+    """(EGD index, homomorphism) for every EGD trigger that equates two
+    distinct values, in `rule_triggers` order and with its `new_atom`
+    pinning."""
+    for idx, hom in rule_triggers(egds, instance, new_atom):
+        if hom[egds[idx].lhs] != hom[egds[idx].rhs]:
+            yield idx, hom
+
+
 def head_satisfied(rule: TGD, hom: Hom, instance: Instance) -> bool:
     """Is there an extension of hom (on the frontier) mapping the head into B?"""
     frontier = rule.frontier()
@@ -357,11 +370,6 @@ class _Engine:
                  opts: ChaseOptions):
         if opts.max_steps <= 0 or opts.max_depth <= 0:
             raise UsageError("chase budgets must be positive")
-        if not database.is_ground():
-            # Frozen query bodies legitimately contain nulls; variables never.
-            for a in database:
-                if a.has_variables():
-                    raise UsageError("chase input contains variables")
         self.opts = opts
         self.check_memory = memory_guard()
         self.tgds = normalize_heads(tgds)
@@ -434,10 +442,7 @@ class _Engine:
         rule index and then by the insertion positions of the body
         images is the one the scan would reach first."""
         egds = self.egds
-        triggers = (
-            (idx, hom) for idx, hom in rule_triggers(egds, self.instance, new_atom)
-            if hom[egds[idx].lhs] != hom[egds[idx].rhs]
-        )
+        triggers = egd_violations(egds, self.instance, new_atom)
         if new_atom is None:
             found = next(triggers, None)
         else:

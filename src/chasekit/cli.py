@@ -8,6 +8,7 @@ deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Sequence
@@ -282,7 +283,10 @@ def _add_common(sub, budgets=False, mode=False, egd=False):
         )
 
 
+@functools.lru_cache(maxsize=None)
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every
+    later `main` call in the process."""
     parser = argparse.ArgumentParser(
         prog="chasekit",
         description="Chase-based reasoning over TGDs and EGDs",

@@ -4,15 +4,18 @@ When every EGD application merely collapses an atom onto an existing one
 (an innocuous application), the EGDs cannot enable new TGD derivations:
 if the chase does not fail, queries can be answered under the TGDs
 alone.  Failure itself is detectable without running the interleaved
-chase, by asking, for each EGD, whether its body can be satisfied with
-the two equated variables bound to distinct database constants.
+chase: it fails exactly when some EGD trigger of the TGD-only chase
+equates two distinct constants.  The check filters the triggers that
+`chase.egd_violations` enumerates, the ones the engine's EGD drain
+reads, by the unique-name clash on which `apply_egd` fails, so it costs
+one pass over the EGD bodies and builds nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .chase import (
     ChaseOptions,
@@ -24,18 +27,11 @@ from .chase import (
     TgdStep,
     Trigger,
     _Engine,
+    egd_violations,
     run_chase,
 )
-from .model import (
-    CQ,
-    EGD,
-    TGD,
-    Atom,
-    Constant,
-    Instance,
-    Predicate,
-)
-from .query import AnswerReport, AnswerStatus, answers_from_chase, eval_cq
+from .model import CQ, EGD, TGD, Constant, Instance
+from .query import AnswerReport, AnswerStatus, answers_from_chase
 
 
 @dataclass
@@ -74,31 +70,6 @@ class FailureCheck(Enum):
     UNKNOWN = "unknown"
 
 
-NEQ = "neq"
-
-
-def _neq_facts(database: Instance) -> Tuple[Predicate, List[Atom]]:
-    """The inequality relation over the database constants, minus the diagonal."""
-    constants = sorted(
-        (t for t in database.domain() if isinstance(t, Constant)),
-        key=lambda c: c.name,
-    )
-    pred = Predicate(NEQ, 2)
-    facts = [
-        Atom(pred, (x, y)) for x in constants for y in constants if x != y
-    ]
-    return pred, facts
-
-
-def failure_query(egd: EGD, neq_pred: Predicate) -> CQ:
-    """Boolean query: the EGD's body with its two variables forced apart."""
-    return CQ(
-        name="fail_" + (egd.label or "egd"),
-        head_vars=(),
-        body=egd.body + (Atom(neq_pred, (egd.lhs, egd.rhs)),),
-    )
-
-
 def _tgd_chase(database: Instance, tgds: Sequence[TGD], max_steps: int,
                max_depth: int) -> ChaseResult:
     """The restricted chase under the TGDs alone, which both the failure
@@ -118,25 +89,21 @@ def egd_failure_check(
 ) -> FailureCheck:
     """Would the interleaved chase fail?  Decided under the TGDs alone.
 
-    A failure means some EGD body matches the TGD-only chase with the
-    equated pair bound to two distinct database constants; the neq
-    relation is materialized eagerly and never grows during the chase.
+    A failure means some EGD trigger of the TGD-only chase equates two
+    distinct constants, the unique-name clash on which `apply_egd`
+    fails.  Triggers that equate a null are skipped, not applied, and
+    no atom is added: the check is one pass over the EGD bodies.
     """
     if not egds:
         return FailureCheck.NO_FAILURE
-    return _failure_in(_tgd_chase(database, tgds, max_steps, max_depth),
-                       database, egds)
+    return _failure_in(_tgd_chase(database, tgds, max_steps, max_depth), egds)
 
 
-def _failure_in(result: ChaseResult, database: Instance,
-                egds: Sequence[EGD]) -> FailureCheck:
+def _failure_in(result: ChaseResult, egds: Sequence[EGD]) -> FailureCheck:
     """The failure check over a finished TGD-only chase."""
-    neq_pred, facts = _neq_facts(database)
-    extended = result.instance.copy()
-    for f in facts:
-        extended.add(f)
-    for egd in egds:
-        if eval_cq(extended, failure_query(egd, neq_pred)):
+    for idx, hom in egd_violations(egds, result.instance):
+        egd = egds[idx]
+        if isinstance(hom[egd.lhs], Constant) and isinstance(hom[egd.rhs], Constant):
             return FailureCheck.FAILED
     if result.status is Status.SATURATED:
         return FailureCheck.NO_FAILURE
@@ -161,7 +128,7 @@ def separated_answer(
     when it saturated, which is also when the check is conclusive.
     """
     result = _tgd_chase(database, tgds, max_steps, max_depth)
-    if egds and _failure_in(result, database, egds) is FailureCheck.FAILED:
+    if egds and _failure_in(result, egds) is FailureCheck.FAILED:
         return AnswerReport(
             [], AnswerStatus.FAILED,
             note="chase fails: every Boolean query is entailed",

@@ -233,9 +233,6 @@ class Instance:
     def domain(self) -> Set[Term]:
         return set(self._domain)
 
-    def is_ground(self) -> bool:
-        return all(a.is_ground() for a in self._atoms)
-
     def max_null_index(self) -> int:
         best = 0
         for t in self._domain:

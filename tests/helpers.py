@@ -28,8 +28,10 @@ from chasekit.chase import (
     run_chase,
     subtree_atoms,
 )
+from chasekit.egdsep import FailureCheck
 from chasekit.model import (
     CQ,
+    EGD,
     TGD,
     Atom,
     Constant,
@@ -264,16 +266,63 @@ def fll_cases(seed: int, count: int):
 # ---------------------------------------------------------------------------
 
 def exhaustive_eval(instance: Instance, query: CQ) -> Set[Tuple[Term, ...]]:
-    """Query evaluation by enumerating every variable substitution."""
+    """Query evaluation by brute force over the domain: the variables are
+    bound in name order, each to every term of the domain, and a partial
+    substitution is dropped as soon as a body atom that it grounds is
+    missing from the instance."""
     variables = sorted(query.variables(), key=lambda v: v.name)
     domain = sorted(instance.domain(), key=repr)
     atoms = instance.atom_set()
+    # checks[i]: the body atoms grounded once variables[:i] are bound
+    checks = [[a for a in query.body
+               if a.variables() <= set(variables[:i])
+               and (i == 0 or not a.variables() <= set(variables[:i - 1]))]
+              for i in range(len(variables) + 1)]
     out: Set[Tuple[Term, ...]] = set()
-    for values in product(domain, repeat=len(variables)):
-        sub = dict(zip(variables, values))
-        if all(a.substitute(sub) in atoms for a in query.body):
+
+    def extend(sub: Dict[Variable, Term], i: int) -> None:
+        if not all(a.substitute(sub) in atoms for a in checks[i]):
+            return
+        if i == len(variables):
             out.add(tuple(sub[v] for v in query.head_vars))
+            return
+        for t in domain:
+            extend({**sub, variables[i]: t}, i + 1)
+
+    extend({}, 0)
     return out
+
+
+# The inequality relation of the failure oracle; no generated program
+# uses this predicate name.
+ORACLE_NEQ = Predicate("oracle_neq", 2)
+
+
+def failure_by_inequality_oracle(database: Instance, tgds: Sequence[TGD],
+                                 egds: Sequence[EGD], max_steps: int = 10_000,
+                                 max_depth: int = 64) -> FailureCheck:
+    """The paper's EGD failure check, built literally: over the TGD-only
+    restricted chase plus an inequality relation on every pair of
+    distinct database constants, one Boolean query per EGD, its body
+    with `ORACLE_NEQ(lhs, rhs)` added, evaluated by `exhaustive_eval`.
+    It agrees with `egd_failure_check` only when every constant of the
+    chase comes from the database, that is when no rule head carries a
+    constant of its own."""
+    result = run_chase(database, tgds, (), ChaseOptions(
+        mode=Mode.RESTRICTED, max_steps=max_steps, max_depth=max_depth))
+    extended = result.instance.copy()
+    constants = [t for t in database.domain() if isinstance(t, Constant)]
+    for x in constants:
+        for y in constants:
+            if x != y:
+                extended.add(ORACLE_NEQ(x, y))
+    for egd in egds:
+        query = CQ("fail", (), egd.body + (ORACLE_NEQ(egd.lhs, egd.rhs),))
+        if exhaustive_eval(extended, query):
+            return FailureCheck.FAILED
+    if result.status is Status.SATURATED:
+        return FailureCheck.NO_FAILURE
+    return FailureCheck.UNKNOWN
 
 
 def affected_oracle(rules: Sequence[TGD]) -> Set[Position]:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -240,8 +241,7 @@ def test_memory_cap_must_be_a_positive_integer(example_file, capsys, monkeypatch
 
 # The cap bounds a run's own growth, so each run must outgrow 1 MB:
 # 4096 TGD steps at depth 1 from the facts do, in every chase and in the
-# first saturation round.  The facts use 64 constants only, because the
-# EGD failure check builds the inequality relation over all of them.
+# first saturation round.
 # t(X) grows a binary tree, whose first 10,000 steps stay within depth 64.
 WIDE = "".join("fact s(c%d,c%d).\n" % (i, j) for i in range(64) for j in range(64)) + """
 tgd s(X,Z) -> exists Y: r(X,Z,Y).
@@ -320,6 +320,20 @@ def test_store_stats_rejects_grid_without_force(capsys):
         capsys, "store-stats", "--builtin", "grid", "--force", "--format", "json"
     )
     assert code == 0
+
+
+def test_main_builds_the_parser_once(example_file, capsys, monkeypatch):
+    assert main(["classify", example_file]) == 0
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["classify", example_file]) == 0
+    assert built == []
 
 
 def test_byte_identical_output(example_file, capsys):

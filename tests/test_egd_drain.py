@@ -25,7 +25,8 @@ from chasekit.cli import main
 from chasekit.model import CQ, EGD, TGD, Atom, Constant, Instance, LabeledNull, Predicate, Variable
 from chasekit.parser import render_program, render_term
 
-from helpers import fll_cases
+from chasekit.egdsep import FailureCheck
+from helpers import failure_by_inequality_oracle, fll_cases
 
 
 def render_witness(witness):
@@ -177,6 +178,33 @@ def test_delta_drain_agrees_with_a_full_rescan(program, mode):
 
 
 # ---------------------------------------------------------------------------
+# failure check
+# ---------------------------------------------------------------------------
+
+# The oracle builds the paper's inequality relation; neither program
+# source puts a constant in a rule head, so the two checks must agree.
+def test_failure_check_agrees_with_the_inequality_oracle_on_fll_cases():
+    seen = set()
+    for p in fll_cases(seed=5, count=40):
+        for max_steps in (3, 10, 10_000):
+            got = egdsep.egd_failure_check(p.facts, p.tgds, p.egds, max_steps=max_steps)
+            assert got is failure_by_inequality_oracle(p.facts, p.tgds, p.egds,
+                                                       max_steps=max_steps)
+            seen.add(got)
+    assert seen == set(FailureCheck)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(programs(), st.sampled_from([2, 6, 40]))
+def test_failure_check_agrees_with_the_inequality_oracle(program, max_steps):
+    facts, rules, constraints = program
+    got = egdsep.egd_failure_check(facts, rules, constraints, max_steps=max_steps,
+                                   max_depth=8)
+    assert got is failure_by_inequality_oracle(facts, rules, constraints,
+                                               max_steps=max_steps, max_depth=8)
+
+
+# ---------------------------------------------------------------------------
 # separated answering
 # ---------------------------------------------------------------------------
 
@@ -245,7 +273,7 @@ def test_separated_answer_without_egds_skips_the_failure_check(monkeypatch):
 ], ids=["egd-check", "answer-separate"])
 def test_memory_cap_stops_the_egd_commands(tmp_path, argv):
     # 4096 TGD steps, all at depth 1, so the run's own growth passes the
-    # 1 MB cap; 64 constants keep the failure check's inequality relation small
+    # 1 MB cap
     path = tmp_path / "wide.dlp"
     path.write_text("".join("fact s(c%d,c%d).\n" % (i, j)
                             for i in range(64) for j in range(64)) + """

@@ -5,11 +5,11 @@ from chasekit.egdsep import (
     FailureCheck,
     blocking_chase,
     egd_failure_check,
-    failure_query,
     monitor_innocuousness,
     separated_answer,
 )
-from chasekit.model import CQ, Atom, Constant, Predicate, Variable
+from chasekit.cli import main
+from chasekit.model import CQ, EGD, TGD, Constant, Instance, Predicate, Variable
 from chasekit.parser import parse_atom, parse_program, render_atom
 from chasekit.query import AnswerStatus, Terminate, certain_answers, eval_cq, find_homomorphism
 from chasekit.rulesets import fll_rules
@@ -58,14 +58,6 @@ def test_failure_through_derived_atoms():
     assert egd_failure_check(p.facts, p.tgds, p.egds) is FailureCheck.NO_FAILURE
 
 
-def test_failure_query_shape():
-    p = fll_rules()
-    neq = Predicate("neq", 2)
-    q = failure_query(p.egds[0], neq)
-    assert q.is_boolean()
-    assert q.body[-1] == Atom(neq, (Variable("V"), Variable("W")))
-
-
 def test_unknown_on_budget_exhaustion():
     p = parse_program(
         "fact r(a,b)."
@@ -74,6 +66,61 @@ def test_unknown_on_budget_exhaustion():
     )
     out = egd_failure_check(p.facts, p.tgds, p.egds, max_steps=25)
     assert out is FailureCheck.UNKNOWN
+
+
+# A program's own neq/2 facts are data, not inequalities: the EGD's only
+# trigger equates a with itself, so nothing fails.
+OWN_NEQ = """
+fact r(c,a).
+fact neq(a,a).
+egd r(X,Y), r(X,Z) -> Y = Z.
+query q(X) :- r(X,Y).
+"""
+
+
+def test_own_neq_facts_are_not_read_as_inequalities(tmp_path, capsys):
+    path = tmp_path / "neq.dlp"
+    path.write_text(OWN_NEQ)
+    outputs = {}
+    for command in (["chase"], ["egd-check"], ["answer", "--query", "q", "--egd", "separate"]):
+        code = main([command[0], str(path)] + command[1:])
+        outputs[command[0]] = (code, capsys.readouterr().out.splitlines())
+    assert outputs["chase"] == (0, ["status: saturated", "atoms: 2"])
+    assert outputs["egd-check"] == (0, ["egd failure check: no-failure"])
+    assert outputs["answer"] == (0, ["query q: sat", "  (c)"])
+
+
+def test_failure_through_a_head_constant():
+    # k enters the chase through the TGD head, not the database
+    p, q = Predicate("p", 1), Predicate("q", 2)
+    X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
+    a, k = Constant("a"), Constant("k")
+    facts = Instance([p(a), q(a, a)])
+    tgds = [TGD((p(X),), (q(X, k),), frozenset(), label="tgd1")]
+    egds = [EGD((q(X, Y), q(X, Z)), Y, Z, label="egd1")]
+    assert run_chase(facts, tgds, egds).status is Status.FAILED
+    assert egd_failure_check(facts, tgds, egds) is FailureCheck.FAILED
+
+
+def test_failure_check_adds_no_atoms(monkeypatch):
+    # 1,000 constants: an inequality relation would hold 999,000 atoms
+    p = parse_program("".join("fact s(c%d).\n" % i for i in range(1000)) + """
+tgd s(X) -> exists Y: r(X,Y).
+egd r(X,Y), r(X,Z) -> Y = Z.
+""")
+    added = []
+    original = Instance.add
+
+    def spy(self, atom):
+        added.append(atom)
+        return original(self, atom)
+
+    monkeypatch.setattr(Instance, "add", spy)
+    assert egd_failure_check(p.facts, p.tgds, p.egds) is FailureCheck.NO_FAILURE
+    check = len(added)
+    del added[:]
+    run_chase(p.facts, p.tgds, (), ChaseOptions(mode=Mode.RESTRICTED))
+    assert check == len(added) == 2000
 
 
 # ---------------------------------------------------------------------------

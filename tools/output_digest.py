@@ -12,14 +12,15 @@ workload over the exit code and stdout of every job, in job order.
 Program files go to a temporary directory.  Two checkouts print the
 same lines exactly when every job printed the same bytes and exited
 with the same code, so running the script in both shows whether a
-change altered any output.  Unset `CHASEKIT_MAX_MEMORY_MB`
-first: a job the cap stops prints nothing.
+change altered any output.  `CHASEKIT_MAX_MEMORY_MB` is unset for the
+jobs, so a cap in the caller's environment cannot blank an output.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -52,6 +53,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", choices=run.WORKLOADS,
                     help="digest only this workload; repeatable (default: all)")
     args = ap.parse_args(argv)
+    os.environ.pop("CHASEKIT_MAX_MEMORY_MB", None)
     for seed in args.seeds:
         for workload in args.workload or run.WORKLOADS:
             print("seed %d %-20s %s" % (seed, workload, workload_digest(workload, seed)),
