@@ -31,7 +31,7 @@ from .model import (
     atoms_variables,
 )
 from .parser import render_atom
-from .query import eval_cq, homomorphisms
+from .query import holds, homomorphisms
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +432,7 @@ def verify_squid_lemma(
             holds=False, entailed=False, witness=None, inconclusive=True,
             note="chase did not saturate within budget",
         )
-    entailed = bool(eval_cq(result.instance, query)) or not query.body
+    entailed = holds(result.instance, query)
     ground, nullpart = split_ground(result.instance, database)
 
     preds = {a.predicate for a in query.body}

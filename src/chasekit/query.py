@@ -2,9 +2,12 @@
 
 Evaluation is backtracking homomorphism search; body atoms are matched
 most-constrained-first (fewest candidate facts), which only changes the
-search order, never the answer set.  Certain answers keep all-constant
-tuples only; whether they are exact or a sound lower bound depends on
-whether the underlying chase reached a fixpoint.
+search order, never the answer set.  A Boolean query is one existence
+check that stops at its first witness, and containment asks the same
+check, seeded with the frozen head; a query with answer variables
+enumerates every homomorphism and projects it.  Certain answers keep
+all-constant tuples only; whether they are exact or a sound lower bound
+depends on whether the underlying chase reached a fixpoint.
 """
 
 from __future__ import annotations
@@ -48,8 +51,24 @@ def homomorphisms(
     yield from body_homomorphisms(order, instance, seed)
 
 
+def _extends(body: Sequence[Atom], instance: Instance,
+             seed: Optional[Dict[Variable, Term]] = None) -> bool:
+    """Does some homomorphism of the body into the instance extend the
+    seed?  The search stops at the first one."""
+    for _ in homomorphisms(body, instance, seed):
+        return True
+    return False
+
+
 def eval_cq(instance: Instance, query: CQ) -> Set[Tuple[Term, ...]]:
-    """All answer tuples of a query over one instance (nulls included)."""
+    """All answer tuples of a query over one instance (nulls included).
+
+    A Boolean query is the single existence check of `holds`; any other
+    enumerates every homomorphism of the body and projects it onto the
+    answer variables.
+    """
+    if query.is_boolean():
+        return {()} if holds(instance, query) else set()
     out: Set[Tuple[Term, ...]] = set()
     for hom in homomorphisms(query.body, instance):
         out.add(tuple(hom[v] for v in query.head_vars))
@@ -57,10 +76,10 @@ def eval_cq(instance: Instance, query: CQ) -> Set[Tuple[Term, ...]]:
 
 
 def holds(instance: Instance, query: CQ) -> bool:
-    """Boolean evaluation, stopping at the first witness."""
-    for _ in homomorphisms(query.body, instance):
-        return True
-    return False
+    """Boolean evaluation: does the body have a homomorphism into the
+    instance?  The search stops at the first witness; an empty body
+    always holds."""
+    return _extends(query.body, instance)
 
 
 def find_homomorphism(
@@ -248,11 +267,16 @@ def check_containment(
     """Containment of q1 in q2 under a TGD set, by freezing and chasing.
 
     q1's variables freeze to distinct fresh nulls; the frozen body is
-    chased; q1 is contained in q2 when the frozen head tuple shows up
-    among q2's answers over the chase.  Frozen nulls act as rigid values
-    during the evaluation.  Budget exhaustion without a witness yields
-    "unknown".
+    chased; q1 is contained in q2 when the frozen head tuple is an
+    answer of q2 over the chase.  That is one existence check: q2's
+    answer variables are seeded with the frozen head, and the search
+    stops at the first homomorphism of q2's body that extends the seed.
+    A repeated answer variable of q2 that meets two different frozen
+    values has no witness.  Frozen nulls act as rigid values during the
+    evaluation.  Budget exhaustion without a witness yields "unknown".
     """
+    q1.check_safety()
+    q2.check_safety()
     if q1.arity != q2.arity:
         raise UsageError("containment needs queries of equal arity")
     alloc = NullAllocator()
@@ -264,7 +288,9 @@ def check_containment(
     frozen_head = tuple(freeze[v] for v in q1.head_vars)
     opts = ChaseOptions(mode=Mode.RESTRICTED, max_steps=max_steps, max_depth=max_depth)
     result = run_chase(frozen_body, tgds, (), opts)
-    if frozen_head in eval_cq(result.instance, q2):
+    seed: Dict[Variable, Term] = {}
+    consistent = all(seed.setdefault(v, t) == t for v, t in zip(q2.head_vars, frozen_head))
+    if consistent and _extends(q2.body, result.instance, seed):
         return Containment("yes", witness=frozen_head)
     if result.status is Status.SATURATED:
         return Containment("no")

@@ -501,3 +501,50 @@ def random_query_for(
             body.append(Atom(p, tuple(rng.choice(var_pool)
                                       for _ in range(p.arity))))
     return CQ("q", (), tuple(body))
+
+
+def with_random_head(rng: random.Random, query: CQ, arity: Optional[int] = None) -> CQ:
+    """The query with answer variables drawn from its body, repeats
+    allowed: `arity` of them, or one up to one more than the body has
+    when None.  A body without variables gives a Boolean query."""
+    body_vars = sorted(query.variables(), key=lambda v: v.name)
+    if arity is None:
+        arity = rng.randint(1, len(body_vars) + 1) if body_vars else 0
+    head = tuple(rng.choice(body_vars) for _ in range(arity))
+    return CQ(query.name, head, query.body)
+
+
+def random_join_query(rng: random.Random, chase_instance: Instance,
+                      rules: Sequence[TGD], name: str = "q") -> CQ:
+    """A query of two to four atoms: `random_query_for` bodies put
+    together over one variable pool, so they usually share a variable.
+    One argument in five becomes a constant of the instance, and the
+    answer variables come from `with_random_head`."""
+    body: List[Atom] = []
+    while len(body) < 2:
+        body += random_query_for(rng, chase_instance, rules).body
+    consts = sorted({t for a in chase_instance for t in a.args
+                     if isinstance(t, Constant)}, key=lambda c: c.name)
+    if consts:
+        body = [Atom(a.predicate, tuple(rng.choice(consts) if rng.random() < 0.2 else t
+                                        for t in a.args))
+                for a in body]
+    return with_random_head(rng, CQ(name, (), tuple(body)))
+
+
+def random_containment_pair(rng: random.Random, chase_instance: Instance,
+                            rules: Sequence[TGD]) -> Tuple[CQ, CQ]:
+    """(q1, q2) of equal arity for a containment check.  q1 is Boolean a
+    third of the time.  Half the time q2 is q1 less one atom, so that
+    both verdicts show up; otherwise q2 is a fresh `random_query_for`
+    body.  q2's answer tuple may repeat a variable."""
+    q1 = random_join_query(rng, chase_instance, rules, "q1")
+    if rng.random() < 1 / 3:
+        q1 = CQ("q1", (), q1.body)
+    if rng.random() < 0.5:
+        body = list(q1.body)
+        del body[rng.randrange(len(body))]
+        if set(q1.head_vars) <= {v for a in body for v in a.variables()}:
+            return q1, CQ("q2", q1.head_vars, tuple(body))
+    body = random_query_for(rng, chase_instance, rules).body
+    return q1, with_random_head(rng, CQ("q2", (), body), q1.arity)

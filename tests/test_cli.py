@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from chasekit.cli import main
 from chasekit.model import CQ, Atom, Program, Variable
 from chasekit.parser import render_program
 
-from helpers import wg_cases
+from helpers import random_containment_pair, random_join_query, terminating_cases, wg_cases
 
 EXAMPLE = """
 fact r1(a,b).
@@ -412,6 +413,46 @@ def test_forest_output_matches_the_golden_digests(tmp_path, capsys, mode):
             code, out, _ = run_cli(capsys, *argv)
             digests[kind].update(("%d\n%s" % (code, out)).encode())
     assert {k: h.hexdigest() for k, h in digests.items()} == FOREST_GOLDEN[mode]
+
+
+# sha256 over "<exit code>\n<stdout>" of every run, recorded before query
+# evaluation split off the answer prefix and stopped Boolean queries at
+# their first witness
+QUERY_GOLDEN = {
+    "3col": "032431c01b2ec03b1557c53ed26f7d71dc38e37b7cb0087240ffe5863d988b06",
+    "answer terminate": "660d20fc6e4e5f2db8f14563af5f6843464c0dbdfb56f85cb4d6ad68f4f2f4de",
+    "answer bounded:4": "66598331d2ecf67c11f59639c951a2f41047f9d39de8acb4856b7f053acc9052",
+    "contain": "f44d9f2439046fb72c65ed2deae46959d72fae4ff0310b2d66aa9855788b42dd",
+}
+
+
+def test_answer_and_contain_output_matches_the_golden_digests(tmp_path, capsys):
+    runs = [("3col", ["answer", "--builtin", name, "--query", "color",
+                      "--strategy", strategy] + fmt)
+            for name in ("3col-k3", "3col-k4", "3col-c5")
+            for strategy in ("terminate", "bounded:16")
+            for fmt in ([], ["--format", "json"])]
+    for n, (db, rules, ob, _) in enumerate(terminating_cases(seed=404, count=40)):
+        rng = random.Random(n)
+        queries = [random_join_query(rng, ob.instance, rules, "j%d" % k) for k in range(3)]
+        pairs = [random_containment_pair(rng, ob.instance, rules) for _ in range(3)]
+        for k, (q1, q2) in enumerate(pairs):
+            queries += [CQ("c%d_1" % k, q1.head_vars, q1.body),
+                        CQ("c%d_2" % k, q2.head_vars, q2.body)]
+        path = tmp_path / ("case%d.dlp" % n)
+        path.write_text(render_program(Program(db, list(rules), [], queries)))
+        for k in range(3):
+            for strategy, fmt in (("terminate", "json"), ("bounded:4", "text")):
+                runs.append(("answer " + strategy,
+                             ["answer", str(path), "--query", "j%d" % k,
+                              "--strategy", strategy, "--format", fmt]))
+            runs.append(("contain", ["contain", str(path), "--q1", "c%d_1" % k,
+                                     "--q2", "c%d_2" % k, "--format", "json"]))
+    digests = {k: hashlib.sha256() for k in QUERY_GOLDEN}
+    for kind, argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        digests[kind].update(("%d\n%s" % (code, out)).encode())
+    assert {k: h.hexdigest() for k, h in digests.items()} == QUERY_GOLDEN
 
 
 CHAIN = """

@@ -1,20 +1,32 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import exhaustive_eval, random_stratified_program, terminating_cases
+from helpers import (
+    exhaustive_eval,
+    random_containment_pair,
+    random_stratified_program,
+    terminating_cases,
+)
 
+from chasekit import query as query_mod
+from chasekit.chase import ChaseOptions, Mode, Status, run_chase
 from chasekit.model import (
     CQ,
     Atom,
     Constant,
     Instance,
     LabeledNull,
+    NullAllocator,
     Predicate,
     UsageError,
     Variable,
 )
 from chasekit.parser import parse_atom, parse_instance, parse_program
+from chasekit.rulesets import cycle_graph, encode_three_colorability
 from chasekit.query import (
     AnswerStatus,
     BlockedAtomic,
@@ -95,6 +107,73 @@ def test_eval_monotone_under_instance_growth():
 
 def test_boolean_empty_body_holds():
     assert eval_cq(Instance(), CQ("q", (), ())) == {()}
+
+
+PREDS = [Predicate("p", 2), Predicate("r", 1), Predicate("s", 3)]
+VALUES = [Constant("a"), Constant("b"), Constant("c"), LabeledNull(1), LabeledNull(2)]
+VARS = [Variable(n) for n in "UVWT"]
+# body terms: mostly variables, some constants, one null, and one
+# constant that no instance holds
+BODY_TERMS = VARS * 3 + [Constant("a"), Constant("b"), LabeledNull(1), Constant("z")]
+
+
+def atoms_over(terms):
+    return st.sampled_from(PREDS).flatmap(
+        lambda p: st.tuples(*[st.sampled_from(terms)] * p.arity).map(
+            lambda args: Atom(p, args)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.data())
+def test_eval_cq_agrees_with_exhaustive_eval(data):
+    instance = Instance(data.draw(st.lists(atoms_over(VALUES), max_size=16)))
+    # most body atoms copy an instance atom with some arguments turned
+    # into variables, so that joins have several matches
+    body = []
+    for _ in range(data.draw(st.sampled_from([2, 3, 1, 4, 2, 3, 0]))):
+        if instance.atoms() and data.draw(st.integers(0, 3)):
+            fact = data.draw(st.sampled_from(instance.atoms()))
+            body.append(Atom(fact.predicate, tuple(
+                data.draw(st.sampled_from([t] + VARS)) for t in fact.args)))
+        else:
+            body.append(data.draw(atoms_over(BODY_TERMS)))
+    body_vars = sorted({v for a in body for v in a.variables()}, key=lambda v: v.name)
+    head = ()
+    if body_vars and data.draw(st.sampled_from([True, True, True, False])):
+        head = tuple(data.draw(st.lists(st.sampled_from(body_vars), min_size=1,
+                                        max_size=3)))
+        # now and then an answer variable that only the last atom of the
+        # search order binds
+        order = sorted(body, key=lambda a: len(instance.by_predicate(a.predicate)))
+        last_only = sorted(order[-1].variables().difference(*(a.variables()
+                                                              for a in order[:-1])),
+                           key=lambda v: v.name)
+        if last_only and data.draw(st.booleans()):
+            head += (data.draw(st.sampled_from(last_only)),)
+    query = CQ("q", head, tuple(body))
+    assert eval_cq(instance, query) == exhaustive_eval(instance, query)
+
+
+def spy_on_homomorphisms(monkeypatch):
+    """Record every homomorphism that `query.homomorphisms` yields."""
+    seen = []
+    original = query_mod.homomorphisms
+
+    def spy(body, instance, seed=None):
+        for hom in original(body, instance, seed):
+            seen.append(hom)
+            yield hom
+
+    monkeypatch.setattr(query_mod, "homomorphisms", spy)
+    return seen
+
+
+def test_boolean_query_stops_at_its_first_witness(monkeypatch):
+    # C11 has 2,046 proper 3-colorings; one settles the query
+    facts, query = encode_three_colorability(cycle_graph(11))
+    seen = spy_on_homomorphisms(monkeypatch)
+    assert eval_cq(facts, query) == {()}
+    assert [len(hom) for hom in seen] == [len(query.variables())]
 
 
 def test_find_homomorphism_treats_nulls_as_variables():
@@ -292,3 +371,54 @@ def test_containment_strictness_direction():
     out1 = check_containment(q("q1(X) :- r(X,X)"), q("q2(X) :- r(X,Y)"), [])
     out2 = check_containment(q("q2(X) :- r(X,Y)"), q("q1(X) :- r(X,X)"), [])
     assert out1.verdict == "yes" and out2.verdict == "no"
+
+
+def test_containment_repeated_answer_variable():
+    # the frozen head of q1 holds two different values, so no answer of
+    # q2(Z,Z) matches it; with q1's head repeated it does
+    out = check_containment(q("q1(X,Y) :- r(X,Y)"), q("q2(Z,Z) :- r(Z,W)"), [])
+    assert out.verdict == "no"
+    out = check_containment(q("q1(X,X) :- r(X,Y)"), q("q2(Z,Z) :- r(Z,W)"), [])
+    assert out.verdict == "yes"
+
+
+@pytest.mark.parametrize("q1, q2", [
+    (CQ("q1", (Variable("X"),), (parse_atom("r(X,Y)"),)),
+     CQ("q2", (Variable("U"),), (parse_atom("r(Z,W)"),))),
+    (CQ("q1", (Variable("U"),), (parse_atom("r(X,Y)"),)),
+     CQ("q2", (Variable("Z"),), (parse_atom("r(Z,W)"),))),
+])
+def test_containment_rejects_an_unsafe_query(q1, q2):
+    # a head variable absent from the body: built through the API, not
+    # the parser, which refuses it
+    with pytest.raises(UsageError, match="not in body"):
+        check_containment(q1, q2, [])
+
+
+def frozen_head_oracle(q1, q2, rules, max_steps=10_000, max_depth=64):
+    """Containment by its definition: freeze q1, chase the frozen body,
+    and look the frozen head up among all answers of q2 by exhaustive
+    substitution."""
+    alloc = NullAllocator()
+    freeze = {v: alloc.fresh() for v in sorted(q1.variables(), key=lambda x: x.name)}
+    frozen_head = tuple(freeze[v] for v in q1.head_vars)
+    result = run_chase(Instance(a.substitute(freeze) for a in q1.body), rules, (),
+                       ChaseOptions(mode=Mode.RESTRICTED, max_steps=max_steps,
+                                    max_depth=max_depth))
+    if frozen_head in exhaustive_eval(result.instance, q2):
+        return "yes"
+    return "no" if result.status is Status.SATURATED else "unknown"
+
+
+def test_containment_agrees_with_the_frozen_head_oracle():
+    seen = Counter()
+    for n, (db, rules, ob, _) in enumerate(terminating_cases(seed=83, count=25)):
+        rng = random.Random(n)
+        for _ in range(4):
+            q1, q2 = random_containment_pair(rng, ob.instance, rules)
+            verdict = check_containment(q1, q2, rules).verdict
+            assert verdict == frozen_head_oracle(q1, q2, rules), (rules, q1, q2)
+            seen[verdict] += 1
+            seen["boolean"] += q1.is_boolean()
+            seen["repeated"] += len(set(q2.head_vars)) < len(q2.head_vars)
+    assert all(seen[k] >= 10 for k in ("yes", "no", "boolean", "repeated")), seen
