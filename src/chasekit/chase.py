@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import resource
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -38,6 +38,7 @@ from .model import (
     compare_terms,
 )
 from .parser import render_atom, render_term
+from .plan import Key, Plan, RulePlan
 
 
 class Mode(Enum):
@@ -55,22 +56,28 @@ Hom = Dict[Variable, Term]
 HomKey = Tuple[Tuple[Variable, Term], ...]
 
 
-def hom_key(hom: Hom) -> HomKey:
-    """A homomorphism as a hashable tuple, sorted by variable name."""
-    return tuple(sorted(hom.items(), key=lambda kv: kv[0].name))
-
-
 @dataclass(frozen=True)
 class Trigger:
+    """A rule with the values of its body variables, in name order (the
+    key of its `RulePlan`)."""
+
     rule: Union[TGD, EGD]
-    hom: HomKey
+    key: Key
+    plan: RulePlan = field(compare=False, repr=False)
 
     @classmethod
-    def of(cls, rule, hom: Hom) -> "Trigger":
-        return cls(rule, hom_key(hom))
+    def of(cls, rule, hom: Union[Hom, Key], plan: Optional[RulePlan] = None) -> "Trigger":
+        """The trigger of `rule` under `hom`, a homomorphism of its body;
+        given `plan`, the rule's plan, `hom` is that plan's key."""
+        if plan is None:
+            plan = RulePlan(rule)
+            hom = tuple(hom[v] for v in plan.vars)
+        return cls(rule, hom, plan)
 
-    def mapping(self) -> Hom:
-        return dict(self.hom)
+    @property
+    def hom(self) -> HomKey:
+        """The (variable, value) pairs, sorted by variable name."""
+        return tuple(zip(self.plan.vars, self.key))
 
 
 @dataclass
@@ -135,27 +142,6 @@ class ChaseResult:
 # Homomorphism search over rule bodies
 # ---------------------------------------------------------------------------
 
-def _match_atom(pattern: Atom, fact: Atom, hom: Hom) -> Optional[Hom]:
-    """Extend hom so that pattern maps onto fact, or None."""
-    if pattern.predicate != fact.predicate:
-        return None
-    out = hom
-    extended = False
-    for p, f in zip(pattern.args, fact.args):
-        if isinstance(p, Variable):
-            bound = out.get(p)
-            if bound is None:
-                if not extended:
-                    out = dict(out)
-                    extended = True
-                out[p] = f
-            elif bound != f:
-                return None
-        elif p != f:
-            return None
-    return out
-
-
 def body_homomorphisms(
     body: Sequence[Atom],
     instance: Instance,
@@ -164,92 +150,65 @@ def body_homomorphisms(
 ) -> Iterator[Hom]:
     """All homomorphisms mapping body into the instance, in a fixed order.
 
-    Body atoms are matched in declaration order, each against the
-    candidates the position index gives (`Instance.candidates`).  Those
-    keep insertion order, so the order is that of a nested loop over
-    `by_predicate`.  With `pinned`, the body atom at the given index must
-    map to the given fact (used for incremental trigger discovery); it
-    is matched first and seeds the rest.
+    The body is compiled into a `Plan` that matches its atoms in
+    declaration order, each against the position-index list its known
+    arguments select.  Those lists keep insertion order, so the order is
+    that of a nested loop over `by_predicate`.  With `pinned`, the body
+    atom at the given index must map to the given fact (incremental
+    trigger discovery); it is matched first and seeds the rest.
     """
-    hom = dict(seed) if seed else {}
-    rest = list(body)
-    if pinned is not None:
-        i, fact = pinned
-        hom = _match_atom(body[i], fact, hom)
-        if hom is None:
-            return
-        del rest[i]
-
-    def extend(k: int, hom: Hom) -> Iterator[Hom]:
-        if k == len(rest):
-            yield hom
-            return
-        pattern = rest[k]
-        for fact in instance.candidates(pattern, hom):
-            nxt = _match_atom(pattern, fact, hom)
-            if nxt is not None:
-                yield from extend(k + 1, nxt)
-
-    yield from extend(0, hom)
+    seed = seed or {}
+    plan = Plan(body, tuple(seed), None if pinned is None else pinned[0])
+    names, width = plan.vars, plan.width
+    for match in plan.matches(instance, tuple(seed.values()),
+                              None if pinned is None else pinned[1]):
+        yield dict(zip(names, match[width:]))
 
 
 def rule_triggers(
-    rules: Sequence[Union[TGD, EGD]],
+    plans: Sequence[RulePlan],
     instance: Instance,
     new_atom: Optional[Atom] = None,
-) -> Iterator[Tuple[int, Hom]]:
-    """(rule index, homomorphism) for every trigger of the rules.
+) -> Iterator[Tuple[int, Key]]:
+    """(rule index, trigger key) for every trigger of the planned rules.
 
     With `new_atom`, only the triggers whose body image uses it: each
     body atom of its predicate is pinned to it in turn, so a trigger
     that uses it twice comes up twice and callers deduplicate.
     """
-    for idx, rule in enumerate(rules):
-        if new_atom is None:
-            for hom in body_homomorphisms(rule.body, instance):
-                yield idx, hom
-            continue
-        for i, atom in enumerate(rule.body):
-            if atom.predicate == new_atom.predicate:
-                for hom in body_homomorphisms(rule.body, instance,
-                                              pinned=(i, new_atom)):
-                    yield idx, hom
+    for idx, rule_plan in enumerate(plans):
+        for plan, key in rule_plan.plans(instance, new_atom):
+            for match in plan.matches(instance, (), new_atom):
+                yield idx, key(match)
 
 
 def egd_violations(
-    egds: Sequence[EGD],
+    plans: Sequence[RulePlan],
     instance: Instance,
     new_atom: Optional[Atom] = None,
-) -> Iterator[Tuple[int, Hom]]:
-    """(EGD index, homomorphism) for every EGD trigger that equates two
-    distinct values, in `rule_triggers` order and with its `new_atom`
-    pinning."""
-    for idx, hom in rule_triggers(egds, instance, new_atom):
-        if hom[egds[idx].lhs] != hom[egds[idx].rhs]:
-            yield idx, hom
+) -> Iterator[Tuple[int, Key]]:
+    """(EGD index, trigger key) for every trigger of the planned EGDs that
+    equates two distinct values, in `rule_triggers` order and with its
+    `new_atom` pinning."""
+    for idx, key in rule_triggers(plans, instance, new_atom):
+        lhs, rhs = plans[idx].equated(key)
+        if lhs != rhs:
+            yield idx, key
 
 
-def head_satisfied(rule: TGD, hom: Hom, instance: Instance) -> bool:
-    """Is there an extension of hom (on the frontier) mapping the head into B?"""
-    frontier = rule.frontier()
-    seed = {v: t for v, t in hom.items() if v in frontier}
-    for _ in body_homomorphisms(rule.head, instance, seed=seed):
-        return True
-    return False
+def head_satisfied(rule: TGD, hom: Union[Hom, Key], instance: Instance,
+                   plan: Optional[RulePlan] = None) -> bool:
+    """Is there an extension of hom (on the frontier) mapping the head into
+    B?  Given `plan`, the rule's plan, `hom` is that plan's key."""
+    if plan is None:
+        plan = RulePlan(rule)
+        hom = tuple(hom[v] for v in plan.vars)
+    return plan.head_holds(hom, instance)
 
 
 # ---------------------------------------------------------------------------
 # Single chase steps
 # ---------------------------------------------------------------------------
-
-def head_image(rule: TGD, hom: Hom, alloc: NullAllocator) -> Atom:
-    """The head atom under hom, with fresh nulls for the existential
-    variables, drawn in variable-name order."""
-    extended = dict(hom)
-    for v in sorted(rule.existentials, key=lambda x: x.name):
-        extended[v] = alloc.fresh()
-    return rule.head[0].substitute(extended)
-
 
 def apply_tgd(
     rule: TGD,
@@ -264,11 +223,11 @@ def apply_tgd(
     """
     if not rule.single_head():
         raise UsageError("apply_tgd needs single-head rules; normalize first")
-    hom = trigger.mapping()
-    for atom in rule.body:
-        if atom.substitute(hom) not in instance:
+    plan, key = trigger.plan, trigger.key
+    for atom in plan.body_images(key):
+        if atom not in instance:
             raise UsageError("stale trigger: %r no longer matches" % (trigger,))
-    new_atom = head_image(rule, hom, alloc)
+    new_atom = plan.head_image(key, alloc)
     added = instance.add(new_atom)
     return instance, new_atom, added
 
@@ -289,8 +248,7 @@ def apply_egd(rule: EGD, trigger: Trigger, instance: Instance) -> EgdOutcome:
     term-order-greater value is replaced by the smaller one everywhere.
     The application is innocuous when the rewritten instance shrank.
     """
-    hom = trigger.mapping()
-    a, b = hom[rule.lhs], hom[rule.rhs]
+    a, b = trigger.plan.equated(trigger.key)
     if a == b:
         raise UsageError("EGD trigger with equal values is not applicable")
     if isinstance(a, Constant) and isinstance(b, Constant):
@@ -374,6 +332,9 @@ class _Engine:
         self.check_memory = memory_guard()
         self.tgds = normalize_heads(tgds)
         self.egds = list(egds)
+        # compiled on first use, kept for the run
+        self.plans = [RulePlan(rule) for rule in self.tgds]
+        self.egd_plans = [RulePlan(rule) for rule in self.egds]
         self.classification = classify(self.tgds)
         self.guard_of: Dict[int, Optional[int]] = {}
         self.instance = database.copy()
@@ -382,9 +343,10 @@ class _Engine:
         self.forest: List[ForestNode] = []
         self.first_node_for: Dict[Atom, int] = {}
         self.forest_complete = True
+        # (rule index, trigger key) pairs
         self.queue: deque = deque()
-        self.queued: Set[Tuple[int, HomKey]] = set()
-        self.applied: Set[Tuple[int, HomKey]] = set()
+        self.queued: Set[Tuple[int, Key]] = set()
+        self.applied: Set[Tuple[int, Key]] = set()
         for atom in database:
             self._add_node(atom, parent=None, rule=None, trigger=None)
 
@@ -410,26 +372,22 @@ class _Engine:
         self.first_node_for.setdefault(atom, node.id)
         return node
 
-    def _guard_parent(self, idx: int, hom: Hom) -> Optional[int]:
-        rule = self.tgds[idx]
+    def _guard_parent(self, idx: int, key: Key) -> Optional[int]:
         if idx not in self.guard_of:
-            self.guard_of[idx] = self.classification.forest_guard_index(rule)
+            self.guard_of[idx] = self.classification.forest_guard_index(self.tgds[idx])
         gi = self.guard_of[idx]
         if gi is None:
             self.forest_complete = False
             return None
-        guard_image = rule.body[gi].substitute(hom)
-        return self.first_node_for.get(guard_image)
+        return self.first_node_for.get(self.plans[idx].body_image(gi, key))
 
     # -- trigger queue ------------------------------------------------------
 
     def _discover(self, new_atom: Optional[Atom] = None) -> None:
-        for idx, hom in rule_triggers(self.tgds, self.instance, new_atom):
-            trigger = Trigger.of(self.tgds[idx], hom)
-            key = (idx, trigger.hom)
-            if key not in self.queued and key not in self.applied:
-                self.queued.add(key)
-                self.queue.append((idx, trigger))
+        for entry in rule_triggers(self.plans, self.instance, new_atom):
+            if entry not in self.queued and entry not in self.applied:
+                self.queued.add(entry)
+                self.queue.append(entry)
 
     # -- EGD drain ----------------------------------------------------------
 
@@ -441,18 +399,18 @@ class _Engine:
         the homomorphisms pinned to it are enumerated, and the least by
         rule index and then by the insertion positions of the body
         images is the one the scan would reach first."""
-        egds = self.egds
-        triggers = egd_violations(egds, self.instance, new_atom)
+        plans = self.egd_plans
+        triggers = egd_violations(plans, self.instance, new_atom)
         if new_atom is None:
             found = next(triggers, None)
         else:
             position = self.instance.position
             found = min(triggers, default=None, key=lambda t: (
-                t[0], tuple(position(a.substitute(t[1])) for a in egds[t[0]].body)))
+                t[0], tuple(map(position, plans[t[0]].body_images(t[1])))))
         if found is None:
             return None
-        rule = egds[found[0]]
-        return rule, Trigger.of(rule, found[1])
+        idx, key = found
+        return self.egds[idx], Trigger.of(self.egds[idx], key, plans[idx])
 
     def _ends_run(self, outcome: EgdOutcome) -> bool:
         """Does this merge outcome stop the run as FAILED?"""
@@ -467,8 +425,7 @@ class _Engine:
         for node in self.forest:
             self.first_node_for.setdefault(node.atom, node.id)
         self.applied = {
-            (rid, tuple((v, sub.get(t, t)) for v, t in hom))
-            for rid, hom in self.applied
+            (rid, tuple(sub.get(t, t) for t in key)) for rid, key in self.applied
         }
 
     def _drain_egds(self, new_atom: Optional[Atom] = None) -> Tuple[Optional[Status], bool]:
@@ -523,27 +480,27 @@ class _Engine:
         )
 
     def _loop(self) -> Status:
+        restricted = self.opts.mode is Mode.RESTRICTED
         while self.queue:
-            idx, trigger = self.queue.popleft()
-            key = (idx, trigger.hom)
-            self.queued.discard(key)
-            rule = trigger.rule
-            hom = trigger.mapping()
-            if self.opts.mode is Mode.RESTRICTED and head_satisfied(
-                rule, hom, self.instance
-            ):
-                self.applied.add(key)
+            entry = self.queue.popleft()
+            self.queued.discard(entry)
+            idx, key = entry
+            plan = self.plans[idx]
+            rule = plan.rule
+            if restricted and head_satisfied(rule, key, self.instance, plan):
+                self.applied.add(entry)
                 continue
             will_add = bool(rule.existentials) or (
-                rule.head[0].substitute(hom) not in self.instance
+                plan.head_image(key, None) not in self.instance
             )
             if will_add and len(self.steps) >= self.opts.max_steps:
                 return Status.BUDGET_EXHAUSTED
-            parent = self._guard_parent(idx, hom)
+            parent = self._guard_parent(idx, key)
             depth = 0 if parent is None else self.forest[parent].depth + 1
             if depth > self.opts.max_depth:
                 return Status.BUDGET_EXHAUSTED
-            self.applied.add(key)
+            self.applied.add(entry)
+            trigger = Trigger.of(rule, key, plan)
             # apply_tgd checks that the trigger still matches
             _, new_atom, added = apply_tgd(rule, trigger, self.instance, self.alloc)
             self._add_node(new_atom, parent, rule, trigger)
@@ -653,11 +610,13 @@ def subtree_closure(result: ChaseResult, atom: Atom, side_atoms: Set[Atom]) -> S
     closure = Instance(side_atoms)
     closure.add(atom)
     pending = Instance(a for a in scope if a not in closure)
+    plans = [RulePlan(rule) for rule in result.tgds]
     work: List[Optional[Atom]] = [None]
     while work:
-        for idx, hom in list(rule_triggers(result.tgds, closure, work.pop())):
-            rule = result.tgds[idx]
-            seed = {v: t for v, t in hom.items() if v in rule.frontier()}
+        for idx, key in list(rule_triggers(plans, closure, work.pop())):
+            rule = plans[idx].rule
+            frontier = rule.frontier()
+            seed = {v: t for v, t in zip(plans[idx].vars, key) if v in frontier}
             for ext in body_homomorphisms(rule.head, pending, seed=seed):
                 derived = rule.head[0].substitute(ext)
                 if closure.add(derived):

@@ -33,7 +33,7 @@ from enum import Enum
 from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .analysis import classify, normalize_heads
-from .chase import head_image, hom_key, memory_guard, rule_triggers
+from .chase import memory_guard, rule_triggers
 from .model import (
     TGD,
     Atom,
@@ -44,6 +44,7 @@ from .model import (
     UsageError,
     canonical_null,
 )
+from .plan import RulePlan
 
 
 @dataclass(frozen=True)
@@ -212,11 +213,12 @@ def blocked_saturate(
     rounds = 0
     status = SaturateStatus.BUDGET_EXHAUSTED
     store = CloudStore()
+    plans = [RulePlan(rule) for rule in tgds]
     while rounds < opts.max_rounds:
         rounds += 1
         store = CloudStore()
         known = len(ground)
-        if not _expand_round(database, tgds, classification, ground, store, bound):
+        if not _expand_round(database, plans, classification, ground, store, bound):
             break
         if len(ground) == known:
             status = SaturateStatus.STABILIZED
@@ -226,7 +228,7 @@ def blocked_saturate(
 
 def _expand_round(
     database: Instance,
-    tgds: Sequence[TGD],
+    plans: Sequence[RulePlan],
     classification,
     ground: Instance,
     store: CloudStore,
@@ -244,7 +246,7 @@ def _expand_round(
     alloc = NullAllocator.after(instance)
     blocked: Set[Atom] = set()
     guard_of: Dict[int, Optional[int]] = {
-        i: classification.forest_guard_index(r) for i, r in enumerate(tgds)
+        i: classification.forest_guard_index(p.rule) for i, p in enumerate(plans)
     }
 
     def register(atom: Atom) -> None:
@@ -269,11 +271,10 @@ def _expand_round(
     seen: Set[Tuple[int, Tuple]] = set()
 
     def discover(new_atom: Optional[Atom]) -> None:
-        for idx, hom in rule_triggers(tgds, instance, new_atom):
-            key = (idx, hom_key(hom))
-            if key not in seen:
-                seen.add(key)
-                queue.append((idx, hom))
+        for entry in rule_triggers(plans, instance, new_atom):
+            if entry not in seen:
+                seen.add(entry)
+                queue.append(entry)
 
     for atom in instance:
         register(atom)
@@ -281,12 +282,12 @@ def _expand_round(
 
     steps = 0
     while queue:
-        rule_idx, hom = queue.popleft()
-        rule = tgds[rule_idx]
+        rule_idx, key = queue.popleft()
+        plan = plans[rule_idx]
         gi = guard_of[rule_idx]
-        if gi is not None and rule.body[gi].substitute(hom) in blocked:
+        if gi is not None and plan.body_image(gi, key) in blocked:
             continue
-        new_atom = head_image(rule, hom, alloc)
+        new_atom = plan.head_image(key, alloc)
         if not instance.add(new_atom):
             continue
         steps += 1

@@ -31,6 +31,7 @@ from .chase import (
     run_chase,
 )
 from .model import CQ, EGD, TGD, Constant, Instance
+from .plan import RulePlan
 from .query import AnswerReport, AnswerStatus, answers_from_chase
 
 
@@ -101,9 +102,10 @@ def egd_failure_check(
 
 def _failure_in(result: ChaseResult, egds: Sequence[EGD]) -> FailureCheck:
     """The failure check over a finished TGD-only chase."""
-    for idx, hom in egd_violations(egds, result.instance):
-        egd = egds[idx]
-        if isinstance(hom[egd.lhs], Constant) and isinstance(hom[egd.rhs], Constant):
+    plans = [RulePlan(egd) for egd in egds]
+    for idx, key in egd_violations(plans, result.instance):
+        lhs, rhs = plans[idx].equated(key)
+        if isinstance(lhs, Constant) and isinstance(rhs, Constant):
             return FailureCheck.FAILED
     if result.status is Status.SATURATED:
         return FailureCheck.NO_FAILURE

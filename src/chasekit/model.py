@@ -11,7 +11,7 @@ merge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
 
 class UsageError(Exception):
@@ -210,25 +210,27 @@ class Instance:
     def predicates(self) -> List[Predicate]:
         return list(self._by_predicate)
 
-    def candidates(self, pattern: Atom, hom: Dict[Variable, Term]) -> List[Atom]:
-        """A subsequence of by_predicate holding every atom pattern can map
-        onto under an extension of hom: the shortest position list over
-        pattern's constants and hom-bound variables, if any."""
-        columns = self._by_position.get(pattern.predicate)
-        if columns is None:
+    def probe(self, p: Predicate, columns: Sequence[int],
+              values: Sequence[Term]) -> List[Atom]:
+        """A subsequence of by_predicate(p) holding every atom with
+        values[i] at argument position columns[i]: the shortest of those
+        position lists, or all atoms of p when no column is given."""
+        index = self._by_position.get(p)
+        if index is None:
             return []
         best = None
-        for column, p in zip(columns, pattern.args):
-            if isinstance(p, Variable):
-                p = hom.get(p)
-                if p is None:
-                    continue
-            atoms = column.get(p)
+        for column, value in zip(columns, values):
+            atoms = index[column].get(value)
             if atoms is None:
                 return []
             if best is None or len(atoms) < len(best):
                 best = atoms
-        return self._by_predicate[pattern.predicate] if best is None else best
+        return self._by_predicate[p] if best is None else best
+
+    def distinct(self, p: Predicate, column: int) -> int:
+        """The number of distinct terms at an argument position of p."""
+        index = self._by_position.get(p)
+        return 0 if index is None else len(index[column])
 
     def domain(self) -> Set[Term]:
         return set(self._domain)

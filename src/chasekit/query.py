@@ -1,11 +1,12 @@
 """Conjunctive query evaluation, certain answers, and containment.
 
-Evaluation is backtracking homomorphism search; body atoms are matched
-most-constrained-first (fewest candidate facts), which only changes the
-search order, never the answer set.  A Boolean query is one existence
-check that stops at its first witness, and containment asks the same
-check, seeded with the frozen head; a query with answer variables
-enumerates every homomorphism and projects it.  Certain answers keep
+Evaluation is backtracking homomorphism search over a compiled
+`plan.Plan`; the body order only changes the search, never the answer
+set.  A query with answer variables enumerates every homomorphism, its
+atoms most-constrained-first (fewest atoms of their predicate), and
+projects it.  A Boolean query is one existence check that stops at its
+first witness, its atoms in a connected order; containment asks one
+such check too, seeded with the frozen head.  Certain answers keep
 all-constant tuples only; whether they are exact or a sound lower bound
 depends on whether the underlying chase reached a fixpoint.
 """
@@ -25,7 +26,6 @@ from .model import (
     Atom,
     Constant,
     Instance,
-    LabeledNull,
     NullAllocator,
     Predicate,
     Term,
@@ -33,6 +33,7 @@ from .model import (
     Variable,
     term_sort_key,
 )
+from .plan import Plan
 
 
 def homomorphisms(
@@ -45,7 +46,8 @@ def homomorphisms(
     Constants map to themselves; instance nulls are plain values and may
     be shared by several variables.  The body atoms are put in a static
     fewest-candidates-first order (by the number of atoms of their
-    predicate) and handed to `chase.body_homomorphisms`, the one matcher.
+    predicate) and handed to `chase.body_homomorphisms`, which compiles
+    them into a `plan.Plan`, the one matcher.
     """
     order = sorted(body, key=lambda a: len(instance.by_predicate(a.predicate)))
     yield from body_homomorphisms(order, instance, seed)
@@ -75,36 +77,58 @@ def eval_cq(instance: Instance, query: CQ) -> Set[Tuple[Term, ...]]:
     return out
 
 
+def connected_order(body: Sequence[Atom], instance: Instance) -> List[Atom]:
+    """The body in a connected join order.  Each next atom shares a
+    variable with the atoms already placed, or has no variable, when
+    one such is left; otherwise (the first atom, or a new component) any
+    atom may come.  Among those that may come, the one with the fewest
+    expected candidates comes, ties going to declaration order: the
+    atoms its constants select, divided by the number of distinct terms
+    at each position of a variable already bound."""
+    expected: List[float] = []
+    ground: Set[int] = set()
+    # variable name -> (atom index, distinct terms at its position)
+    occurs: Dict[str, List[Tuple[int, int]]] = {}
+    distinct: Dict[Tuple[str, int, int], int] = {}
+    for i, a in enumerate(body):
+        columns = [c for c, t in enumerate(a.args) if not isinstance(t, Variable)]
+        expected.append(float(len(instance.probe(a.predicate, columns,
+                                                 [a.args[c] for c in columns]))))
+        if len(columns) == len(a.args):
+            ground.add(i)
+        for c, t in enumerate(a.args):
+            if isinstance(t, Variable):
+                at = (a.predicate.name, a.predicate.arity, c)
+                if at not in distinct:
+                    distinct[at] = instance.distinct(a.predicate, c)
+                occurs.setdefault(t.name, []).append((i, distinct[at]))
+    left = list(range(len(body)))
+    joined = set(ground)
+    order: List[Atom] = []
+    while left:
+        # the first least in declaration order
+        best = min([i for i in left if i in joined] or left, key=expected.__getitem__)
+        left.remove(best)
+        order.append(body[best])
+        for t in body[best].args:
+            if isinstance(t, Variable) and t.name in occurs:
+                for i, terms in occurs.pop(t.name):
+                    joined.add(i)
+                    if expected[i]:
+                        expected[i] /= terms
+    return order
+
+
 def holds(instance: Instance, query: CQ) -> bool:
     """Boolean evaluation: does the body have a homomorphism into the
-    instance?  The search stops at the first witness; an empty body
-    always holds."""
-    return _extends(query.body, instance)
-
-
-def find_homomorphism(
-    source: Sequence[Atom], target: Instance
-) -> Optional[Dict[Term, Term]]:
-    """A homomorphism from one atom set into an instance, nulls as variables.
-
-    Constants are fixed; each labeled null of the source may map to any
-    term of the target.  Returns the full term mapping or None.
-    """
-    null_vars: Dict[LabeledNull, Variable] = {}
-    pattern: List[Atom] = []
-    for a in source:
-        args = []
-        for t in a.args:
-            if isinstance(t, LabeledNull):
-                v = null_vars.setdefault(t, Variable("_N%d" % t.index))
-                args.append(v)
-            else:
-                args.append(t)
-        pattern.append(Atom(a.predicate, tuple(args)))
-    for hom in homomorphisms(pattern, target):
-        mapping: Dict[Term, Term] = {n: hom[v] for n, v in null_vars.items()}
-        return mapping
-    return None
+    instance?  The body is matched in `connected_order`, so that every
+    atom after the first of its component joins the atoms before it,
+    and the search stops at the first witness; an empty body always
+    holds."""
+    plan = Plan(connected_order(query.body, instance))
+    for _ in plan.matches(instance):
+        return True
+    return False
 
 
 def sort_answers(answers: Set[Tuple[Term, ...]]) -> List[Tuple[Term, ...]]:

@@ -42,6 +42,7 @@ from chasekit.model import (
     Term,
     Variable,
 )
+from chasekit.query import homomorphisms
 from chasekit.rulesets import fll_rules
 
 CONSTS = [Constant(c) for c in "abcde"]
@@ -264,6 +265,34 @@ def fll_cases(seed: int, count: int):
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
+
+def find_homomorphism(
+    source: Sequence[Atom], target: Instance
+) -> Optional[Dict[Term, Term]]:
+    """A homomorphism from one atom set into an instance, nulls as variables.
+
+    Constants are fixed; each labeled null of the source may map to any
+    term of the target.  Returns the full term mapping or None.
+    """
+    null_vars: Dict[LabeledNull, Variable] = {}
+    pattern: List[Atom] = []
+    for a in source:
+        args = []
+        for t in a.args:
+            if isinstance(t, LabeledNull):
+                args.append(null_vars.setdefault(t, Variable("_N%d" % t.index)))
+            else:
+                args.append(t)
+        pattern.append(Atom(a.predicate, tuple(args)))
+    for hom in homomorphisms(pattern, target):
+        return {n: hom[v] for n, v in null_vars.items()}
+    return None
+
+
+def hom_key(hom: Dict[Variable, Term]) -> Tuple[Tuple[Variable, Term], ...]:
+    """A homomorphism as a hashable tuple, sorted by variable name."""
+    return tuple(sorted(hom.items(), key=lambda kv: kv[0].name))
+
 
 def exhaustive_eval(instance: Instance, query: CQ) -> Set[Tuple[Term, ...]]:
     """Query evaluation by brute force over the domain: the variables are

@@ -8,7 +8,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 import conftest
-from helpers import terminating_cases, three_colorable_oracle, wg_cases
+from helpers import find_homomorphism, terminating_cases, three_colorable_oracle, wg_cases
 
 from chasekit.acyclic import s_join_forest, verify_squid_lemma
 from chasekit.analysis import RuleClass, affected_positions, classify
@@ -28,7 +28,7 @@ from chasekit.parser import (
     programs_equal,
     render_program,
 )
-from chasekit.query import AnswerStatus, Terminate, certain_answers, find_homomorphism
+from chasekit.query import AnswerStatus, Terminate, certain_answers
 from chasekit.egdsep import FailureCheck, egd_failure_check, separated_answer
 from chasekit.rulesets import (
     builtin_program,

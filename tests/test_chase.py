@@ -27,6 +27,7 @@ from chasekit.model import (
     Variable,
 )
 from chasekit.parser import parse_atom, parse_instance, parse_program
+from chasekit.plan import RulePlan
 
 EXAMPLE_CHASE = """
 fact r1(a,b).
@@ -48,10 +49,11 @@ def hom_of(trigger):
 def triggers_of(rule, instance):
     """The rule's triggers on the instance, in discovery order; for an EGD
     only those whose equated values differ."""
-    homs = [hom for _, hom in rule_triggers([rule], instance)]
+    plan = RulePlan(rule)
+    keys = [key for _, key in rule_triggers([plan], instance)]
     if isinstance(rule, EGD):
-        homs = [hom for hom in homs if hom[rule.lhs] != hom[rule.rhs]]
-    return [Trigger.of(rule, hom) for hom in homs]
+        keys = [key for key in keys if len(set(plan.equated(key))) == 2]
+    return [Trigger.of(rule, key, plan) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +73,8 @@ def test_restricted_blocks_satisfied_head():
     sigma2 = p.tgds[1]
     inst = parse_instance("r1(a,b), r3(b,_:n9).")
     (trigger,) = triggers_of(sigma2, inst)
-    assert head_satisfied(sigma2, trigger.mapping(), inst)
-    assert not head_satisfied(sigma2, trigger.mapping(), parse_instance("r1(a,b)."))
+    assert head_satisfied(sigma2, dict(trigger.hom), inst)
+    assert not head_satisfied(sigma2, dict(trigger.hom), parse_instance("r1(a,b)."))
 
 
 def test_unmatched_body_no_triggers():
@@ -216,7 +218,7 @@ def test_zero_budget_rejected():
 
 
 def test_restricted_chase_is_subset_of_oblivious_up_to_renaming():
-    from chasekit.query import find_homomorphism
+    from helpers import find_homomorphism
 
     for db, rules, ob, re in terminating_cases(seed=77, count=25):
         assert find_homomorphism(re.instance.atoms(), ob.instance) is not None

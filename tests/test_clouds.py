@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     fll_cases,
+    hom_key,
     naive_subtree_closure,
     random_stratified_program,
     random_wg_program,
@@ -22,9 +23,7 @@ from chasekit.chase import (
     ChaseOptions,
     Mode,
     Status,
-    head_image,
-    hom_key,
-    rule_triggers,
+    body_homomorphisms,
     run_chase,
     split_ground,
     subtree_atoms,
@@ -52,6 +51,7 @@ from chasekit.model import (
     Variable,
 )
 from chasekit.parser import parse_atom, parse_instance, parse_program
+from chasekit.plan import RulePlan
 
 EXAMPLE_CHASE = """
 fact r1(a,b).
@@ -274,7 +274,7 @@ def test_subtree_closure_agrees_with_the_naive_fixpoint(generator):
 
 def test_isomorphism_coherence_of_subtrees():
     # D-isomorphic (atom, cloud) pairs have D-isomorphic subtree closures
-    from chasekit.query import find_homomorphism
+    from helpers import find_homomorphism
 
     for db, rules, ob, _ in terminating_cases(
         seed=311, count=5, weakly_guarded_only=True, max_atoms=60
@@ -361,7 +361,8 @@ def test_stabilized_saturation_is_a_fixpoint_of_the_round(cases):
         ground = Instance(out.ground_atoms)
         store = clouds.CloudStore()
         # the cloud-size bound only guards against a runaway cloud
-        assert clouds._expand_round(db, tgds, classify(tgds), ground, store, math.inf)
+        plans = [RulePlan(rule) for rule in tgds]
+        assert clouds._expand_round(db, plans, classify(tgds), ground, store, math.inf)
         assert len(ground) == len(out.ground_atoms)
         assert list(store.keys) == list(out.store.keys)
 
@@ -437,13 +438,13 @@ def test_expand_round_applies_each_trigger_once_per_round(monkeypatch):
         "fact p(a). tgd p(X) -> r(X,X). tgd r(X,X), r(X,Y) -> exists Z: s(X,Z)."
     )
     expanded = Counter()
-    real = clouds.head_image
+    real = RulePlan.head_image
 
-    def spy(rule, hom, alloc):
-        expanded[(rule, hom_key(hom))] += 1
-        return real(rule, hom, alloc)
+    def spy(plan, key, alloc):
+        expanded[(plan.rule, key)] += 1
+        return real(plan, key, alloc)
 
-    monkeypatch.setattr(clouds, "head_image", spy)
+    monkeypatch.setattr(RulePlan, "head_image", spy)
     result = blocked_saturate(p.facts, p.tgds)
     assert result.status is SaturateStatus.STABILIZED
     assert expanded and max(expanded.values()) <= result.rounds
@@ -452,6 +453,28 @@ def test_expand_round_applies_each_trigger_once_per_round(monkeypatch):
 # ---------------------------------------------------------------------------
 # the store key against whole-cloud keying
 # ---------------------------------------------------------------------------
+
+def reference_triggers(tgds, instance, new_atom):
+    """(rule index, homomorphism) of every trigger, or of those using
+    new_atom (each body atom of its predicate pinned to it in turn)."""
+    for idx, rule in enumerate(tgds):
+        if new_atom is None:
+            yield from ((idx, hom) for hom in body_homomorphisms(rule.body, instance))
+            continue
+        for i, atom in enumerate(rule.body):
+            if atom.predicate == new_atom.predicate:
+                for hom in body_homomorphisms(rule.body, instance, pinned=(i, new_atom)):
+                    yield idx, hom
+
+
+def reference_head_image(rule, hom, alloc):
+    """The head under hom, with fresh nulls for the existentials in name
+    order."""
+    extended = dict(hom)
+    for v in sorted(rule.existentials, key=lambda x: x.name):
+        extended[v] = alloc.fresh()
+    return rule.head[0].substitute(extended)
+
 
 def reference_saturate(database, rules):
     """Blocked saturation keyed by definition: each atom's cloud is taken
@@ -481,7 +504,7 @@ def reference_saturate(database, rules):
         queue, seen = deque(), set()
 
         def discover(new_atom):
-            for idx, hom in rule_triggers(tgds, instance, new_atom):
+            for idx, hom in reference_triggers(tgds, instance, new_atom):
                 if (idx, hom_key(hom)) not in seen:
                     seen.add((idx, hom_key(hom)))
                     queue.append((idx, hom))
@@ -495,7 +518,7 @@ def reference_saturate(database, rules):
             gi = guard_of[idx]
             if gi is not None and tgds[idx].body[gi].substitute(hom) in blocked:
                 continue
-            new_atom = head_image(tgds[idx], hom, alloc)
+            new_atom = reference_head_image(tgds[idx], hom, alloc)
             if not instance.add(new_atom):
                 continue
             steps += 1

@@ -1,5 +1,7 @@
 import hashlib
 
+from helpers import find_homomorphism
+
 from chasekit.chase import ChaseOptions, EgdStep, Mode, Status, run_chase
 from chasekit.egdsep import (
     FailureCheck,
@@ -11,7 +13,7 @@ from chasekit.egdsep import (
 from chasekit.cli import main
 from chasekit.model import CQ, EGD, TGD, Constant, Instance, Predicate, Variable
 from chasekit.parser import parse_atom, parse_program, render_atom
-from chasekit.query import AnswerStatus, Terminate, certain_answers, eval_cq, find_homomorphism
+from chasekit.query import AnswerStatus, Terminate, certain_answers, eval_cq
 from chasekit.rulesets import fll_rules
 
 FAILING_DB = "fact data(o,a,c1). fact data(o,a,c2). fact funct(a,o)."

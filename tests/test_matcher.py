@@ -1,11 +1,11 @@
-"""The one homomorphism matcher: chase.body_homomorphisms, and
-query.homomorphisms on top of it.
+"""The one homomorphism matcher: compiled plans (`chasekit.plan`), run by
+chase.body_homomorphisms, chase.rule_triggers and query.homomorphisms.
 
-The position-indexed matcher must yield exactly what a declaration-order
-nested loop over `by_predicate` yields, in the same order: discovery
-order fixes the chase's FIFO queue, and with it null numbering, the
-forest and the step log.  The golden digests pin those step logs; they
-were recorded with the nested-loop matcher the index replaced.
+A plan must yield exactly what a declaration-order nested loop over
+`by_predicate` yields, in the same order: discovery order fixes the
+chase's FIFO queue, and with it null numbering, the forest and the step
+log.  The golden digests pin those step logs; they were recorded with
+the nested-loop matcher the position index and the plans replaced.
 """
 
 import hashlib
@@ -14,11 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exhaustive_eval, wg_cases
+from helpers import exhaustive_eval, hom_key, wg_cases
 
-from chasekit.chase import ChaseOptions, Mode, body_homomorphisms, run_chase
-from chasekit.model import CQ, Atom, Constant, Instance, LabeledNull, Predicate, Variable
-from chasekit.query import homomorphisms
+from chasekit.chase import (
+    ChaseOptions,
+    Mode,
+    Trigger,
+    body_homomorphisms,
+    rule_triggers,
+    run_chase,
+)
+from chasekit.model import CQ, TGD, Atom, Constant, Instance, LabeledNull, Predicate, Variable
+from chasekit.plan import RulePlan
+from chasekit.query import connected_order, holds, homomorphisms
 
 PREDS = [Predicate("p", 2), Predicate("q", 2), Predicate("s", 1), Predicate("t", 3)]
 VALUES = [Constant("a"), Constant("b"), Constant("c"), LabeledNull(1), LabeledNull(2)]
@@ -104,6 +112,111 @@ def test_query_homomorphisms_agree_with_exhaustive_eval(data):
     query = CQ("q", head, tuple(body))
     got = {tuple(hom[v] for v in head) for hom in homomorphisms(body, instance)}
     assert got == exhaustive_eval(instance, query)
+
+
+# the plan layer: every rule body, every pinned position
+NULLARY = Predicate("u", 0)
+PLAN_PREDS = PREDS + [NULLARY]
+SHAPES = ["repeat", "constant", "null", "nullary", "free"]
+
+
+def plan_atom(data, instance, terms):
+    """An atom copying an instance atom with some arguments turned into
+    variables, or one drawn freely over the given terms."""
+    if instance.atoms() and data.draw(st.integers(0, 2)):
+        fact = data.draw(st.sampled_from(instance.atoms()))
+        return Atom(fact.predicate,
+                    tuple(data.draw(st.sampled_from([t] + VARS)) for t in fact.args))
+    p = data.draw(st.sampled_from(PLAN_PREDS))
+    return Atom(p, tuple(data.draw(st.sampled_from(terms)) for _ in range(p.arity)))
+
+
+def draw_rule_body(data, instance):
+    """One to four atoms, one of which has the drawn shape: a variable
+    repeated inside the atom, a constant, a null, or no argument."""
+    body = [plan_atom(data, instance, PATTERN_TERMS) for _ in range(data.draw(st.integers(0, 3)))]
+    shape = data.draw(st.sampled_from(SHAPES))
+    if shape == "repeat":
+        v = data.draw(st.sampled_from(VARS))
+        special = Atom(PREDS[3], (v, data.draw(st.sampled_from(VARS)), v))
+    elif shape == "constant":
+        special = Atom(PREDS[0], (data.draw(st.sampled_from(VARS)),
+                                  data.draw(st.sampled_from([Constant("a"), Constant("z")]))))
+    elif shape == "null":
+        special = Atom(PREDS[1], (LabeledNull(1), data.draw(st.sampled_from(VARS))))
+    elif shape == "nullary":
+        special = Atom(NULLARY, ())
+    else:
+        special = plan_atom(data, instance, PATTERN_TERMS)
+    body.insert(data.draw(st.integers(0, len(body))), special)
+    return body
+
+
+plan_facts = st.lists(atoms_over(VALUES), min_size=4, max_size=20).flatmap(
+    lambda atoms: st.booleans().map(
+        lambda nullary: Instance(atoms + [Atom(NULLARY, ())] if nullary else atoms)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.data())
+def test_plan_keys_are_the_nested_loop_homomorphisms(data):
+    instance = data.draw(plan_facts)
+    body = draw_rule_body(data, instance)
+    plan = RulePlan(TGD(tuple(body), (Atom(NULLARY, ()),)))
+    variables = sorted({t for a in body for t in a.args if isinstance(t, Variable)},
+                       key=lambda v: v.name)
+    assert list(plan.vars) == variables
+
+    def keys(new_atom):
+        return [tuple(zip(plan.vars, key))
+                for _, key in rule_triggers([plan], instance, new_atom)]
+
+    assert keys(None) == [hom_key(h) for h in nested_loop(body, instance, {}, None)]
+    # a new fact pins every body position of its predicate in turn; it
+    # need not be in the instance
+    extra = Atom(body[0].predicate, tuple(VALUES[:body[0].predicate.arity]))
+    for fact in instance.atoms() + [extra]:
+        want = [hom_key(h) for i, atom in enumerate(body) if atom.predicate == fact.predicate
+                for h in nested_loop(body, instance, {}, (i, fact))]
+        assert keys(fact) == want
+    for key in keys(None):
+        trigger = Trigger.of(plan.rule, dict(key))
+        assert trigger == Trigger.of(plan.rule, trigger.key, plan) and trigger.hom == key
+        assert plan.body_images(trigger.key) == [a.substitute(dict(key)) for a in body]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_holds_covers_bodies_that_share_no_variable(data):
+    instance = data.draw(plan_facts)
+    own = iter(Variable("V%d" % i) for i in range(100))
+    body = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        atom = plan_atom(data, instance, VALUES + [Constant("z"), VARS[0]])
+        # every variable occurrence is a variable of its own
+        body.append(Atom(atom.predicate, tuple(next(own) if isinstance(t, Variable) else t
+                                               for t in atom.args)))
+    order = connected_order(body, instance)
+    assert sorted(order, key=repr) == sorted(body, key=repr)
+    query = CQ("q", (), tuple(body))
+    assert holds(instance, query) == bool(exhaustive_eval(instance, query))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_connected_order_joins_each_atom_to_the_ones_before(data):
+    instance = data.draw(plan_facts)
+    body = draw_rule_body(data, instance) + draw_rule_body(data, instance)
+    order = connected_order(body, instance)
+    assert sorted(order, key=repr) == sorted(body, key=repr)
+    placed = set()
+    for k, atom in enumerate(order):
+        if atom.variables() and placed and not atom.variables() & placed:
+            # a new component starts only when no atom left joins
+            assert not any(a.variables() & placed for a in order[k:])
+        placed |= atom.variables()
+    query = CQ("q", (), tuple(body))
+    assert holds(instance, query) == bool(exhaustive_eval(instance, query))
 
 
 # sha256 over "<step log>\n<status>\n" of each case, recorded with the

@@ -98,17 +98,20 @@ def test_position_index_round_trips():
     for atom in inst:
         for i, t in enumerate(atom.args):
             rebuilt.setdefault((atom.predicate, i, t), []).append(atom)
-    free = [Variable("V%d" % i) for i in range(2)]
     for p in preds:
-        pattern = Atom(p, tuple(free[:p.arity]))
-        assert inst.candidates(pattern, {}) == inst.by_predicate(p)
+        assert inst.probe(p, (), ()) == inst.by_predicate(p)
         for i in range(p.arity):
+            assert inst.distinct(p, i) == len({atom.args[i] for atom in inst.by_predicate(p)})
             for t in (a, b, n1, n2, zzz):
                 want = rebuilt.get((p, i, t), [])
-                args = list(free[:p.arity])
-                args[i] = t
-                assert inst.candidates(Atom(p, tuple(args)), {}) == want
-                assert inst.candidates(pattern, {free[i]: t}) == want
+                assert inst.probe(p, (i,), (t,)) == want
+                if p.arity == 2:
+                    # the shorter of two lists; both hold every match
+                    other = rebuilt.get((p, 1 - i, a), [])
+                    got = inst.probe(p, (i, 1 - i), (t, a))
+                    assert got in (want, other) and len(got) == min(len(want), len(other))
+                    if not want or not other:
+                        assert got == []
 
 
 def test_rewrite_replaces_everywhere():

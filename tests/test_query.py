@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     exhaustive_eval,
+    find_homomorphism,
     random_containment_pair,
     random_stratified_program,
     terminating_cases,
 )
 
-from chasekit import query as query_mod
+from chasekit.plan import Plan
 from chasekit.chase import ChaseOptions, Mode, Status, run_chase
 from chasekit.model import (
     CQ,
@@ -36,7 +37,6 @@ from chasekit.query import (
     check_containment,
     cq_to_bcq,
     eval_cq,
-    find_homomorphism,
 )
 
 EXAMPLE_CHASE = """
@@ -154,26 +154,26 @@ def test_eval_cq_agrees_with_exhaustive_eval(data):
     assert eval_cq(instance, query) == exhaustive_eval(instance, query)
 
 
-def spy_on_homomorphisms(monkeypatch):
-    """Record every homomorphism that `query.homomorphisms` yields."""
+def spy_on_matches(monkeypatch):
+    """Record every match that a compiled `Plan` yields, with its plan."""
     seen = []
-    original = query_mod.homomorphisms
+    original = Plan.matches
 
-    def spy(body, instance, seed=None):
-        for hom in original(body, instance, seed):
-            seen.append(hom)
-            yield hom
+    def spy(plan, instance, seed=(), fact=None):
+        for match in original(plan, instance, seed, fact):
+            seen.append((plan, match))
+            yield match
 
-    monkeypatch.setattr(query_mod, "homomorphisms", spy)
+    monkeypatch.setattr(Plan, "matches", spy)
     return seen
 
 
 def test_boolean_query_stops_at_its_first_witness(monkeypatch):
     # C11 has 2,046 proper 3-colorings; one settles the query
     facts, query = encode_three_colorability(cycle_graph(11))
-    seen = spy_on_homomorphisms(monkeypatch)
+    seen = spy_on_matches(monkeypatch)
     assert eval_cq(facts, query) == {()}
-    assert [len(hom) for hom in seen] == [len(query.variables())]
+    assert [len(plan.vars) for plan, _ in seen] == [len(query.variables())]
 
 
 def test_find_homomorphism_treats_nulls_as_variables():

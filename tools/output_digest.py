@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Byte-identity check of the benchmark workloads' outputs.
 
-    python3 tools/output_digest.py 1 7 21 22
+    python3 tools/output_digest.py 1 7 21 22 > before.txt
+    python3 tools/output_digest.py --expect before.txt 1 7 21 22
     python3 tools/output_digest.py --workload wg-saturate \
         --workload wg-saturate-failing 1 7
 
@@ -12,8 +13,11 @@ workload over the exit code and stdout of every job, in job order.
 Program files go to a temporary directory.  Two checkouts print the
 same lines exactly when every job printed the same bytes and exited
 with the same code, so running the script in both shows whether a
-change altered any output.  `CHASEKIT_MAX_MEMORY_MB` is unset for the
-jobs, so a cap in the caller's environment cannot blank an output.
+change altered any output.  `--expect FILE` compares each printed line
+with the line of the same seed and workload in FILE, as printed by an
+earlier run (of another checkout, say), and exits 1 if any differs or is
+missing there.  `CHASEKIT_MAX_MEMORY_MB` is unset for the jobs, so a cap
+in the caller's environment cannot blank an output.
 """
 
 from __future__ import annotations
@@ -52,13 +56,27 @@ def main(argv=None) -> int:
     ap.add_argument("seeds", type=int, nargs="+")
     ap.add_argument("--workload", action="append", choices=run.WORKLOADS,
                     help="digest only this workload; repeatable (default: all)")
+    ap.add_argument("--expect", type=Path, metavar="FILE",
+                    help="exit 1 unless every line matches this earlier output")
     args = ap.parse_args(argv)
+    expected = {}
+    if args.expect is not None:
+        for line in args.expect.read_text().splitlines():
+            if line.strip():
+                _, seed, workload, digest = line.split()
+                expected[int(seed), workload] = digest
     os.environ.pop("CHASEKIT_MAX_MEMORY_MB", None)
+    mismatches = 0
     for seed in args.seeds:
         for workload in args.workload or run.WORKLOADS:
-            print("seed %d %-20s %s" % (seed, workload, workload_digest(workload, seed)),
-                  flush=True)
-    return 0
+            digest = workload_digest(workload, seed)
+            print("seed %d %-20s %s" % (seed, workload, digest), flush=True)
+            if args.expect is not None and expected.get((seed, workload)) != digest:
+                mismatches += 1
+                print("MISMATCH: workload %s, seed %d: expected %s" % (
+                    workload, seed, expected.get((seed, workload), "no line")),
+                    file=sys.stderr, flush=True)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
