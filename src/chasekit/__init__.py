@@ -36,7 +36,7 @@ from .chase import (
     split_ground,
     subtree_closure,
 )
-from .clouds import blocked_saturate, canonicalize, cloud_of, d_isomorphic
+from .clouds import blocked_saturate, canonicalize, cloud_of
 from .query import (
     AnswerReport,
     AnswerStatus,

@@ -3,11 +3,14 @@
 The engine runs a fair FIFO strategy: triggers are queued in discovery
 order and each (rule, homomorphism) pair is applied at most once.  When
 EGDs are interleaved they are drained to fixpoint after every
-instance-changing TGD step, and any merge rebuilds the trigger queue
-from the rewritten instance rather than patching stale triggers.  The
-drain after a TGD step looks for EGD triggers through the new atom only
-(the drain before left none elsewhere) and picks the one a full scan
-would have found first.
+instance-changing TGD step.  A merge rewrites, in place, only the atoms,
+forest labels and applied keys that hold the replaced value.  After a
+TGD step, the EGD searches and the rebuild of the queue after merges
+look only through the new atom and the atoms the merges added
+(`_drain_egds`), and each keeps the order of a full scan: a scan reaches
+triggers by rule index and then by the insertion positions of their
+body images, in body order (a nested loop over position-ordered
+lists), so the least of any triggers under that key comes first.
 
 Every applied TGD trigger contributes a node to the guarded chase
 forest, parented at the (earliest node labeled with the) image of the
@@ -235,18 +238,21 @@ def apply_tgd(
 @dataclass
 class EgdOutcome:
     failed: bool
-    instance: Optional[Instance] = None
     kept: Optional[Term] = None
     replaced: Optional[Term] = None
     innocuous: bool = False
 
 
 def apply_egd(rule: EGD, trigger: Trigger, instance: Instance) -> EgdOutcome:
-    """Apply one EGD trigger: merge the two values or report failure.
+    """Decide one EGD trigger: the merge it makes, or failure.
 
     Two distinct constants fail (unique name assumption); otherwise the
-    term-order-greater value is replaced by the smaller one everywhere.
-    The application is innocuous when the rewritten instance shrank.
+    term-order-greater value is to be replaced by the smaller one
+    everywhere, which the caller does with
+    `instance.rewrite(outcome.replaced, outcome.kept)` once it goes on:
+    the instance is not changed here, so a run that stops at this merge
+    keeps the instance it had.  The merge is innocuous when every atom
+    it rewrites becomes one already there, so that the instance shrinks.
     """
     a, b = trigger.plan.equated(trigger.key)
     if a == b:
@@ -254,15 +260,9 @@ def apply_egd(rule: EGD, trigger: Trigger, instance: Instance) -> EgdOutcome:
     if isinstance(a, Constant) and isinstance(b, Constant):
         return EgdOutcome(failed=True)
     kept, replaced = (a, b) if compare_terms(a, b) < 0 else (b, a)
-    rewritten = instance.rewrite(replaced, kept)
-    return EgdOutcome(
-        failed=False,
-        instance=rewritten,
-        kept=kept,
-        replaced=replaced,
-        # the replaced value is gone, so a subset is a strict one
-        innocuous=all(a in instance for a in rewritten),
-    )
+    sub = {replaced: kept}
+    innocuous = all(atom.substitute(sub) in instance for atom in instance.holders(replaced))
+    return EgdOutcome(False, kept, replaced, innocuous)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +320,11 @@ class ChaseOptions:
     max_depth: int = 64
 
 
+def _index(by_term: Dict[Term, list], terms: Sequence[Term], item) -> None:
+    for t in terms:
+        by_term.setdefault(t, []).append(item)
+
+
 class _Engine:
     """The fair FIFO chase.  Subclasses change which EGD merges end the
     run (`_ends_run`); everything else is shared."""
@@ -347,6 +352,10 @@ class _Engine:
         self.queue: deque = deque()
         self.queued: Set[Tuple[int, Key]] = set()
         self.applied: Set[Tuple[int, Key]] = set()
+        # term -> forest node ids and applied keys holding it, built at
+        # the first merge
+        self.nodes_by_term: Optional[Dict[Term, List[int]]] = None
+        self.applied_by_term: Optional[Dict[Term, List[Tuple[int, Key]]]] = None
         for atom in database:
             self._add_node(atom, parent=None, rule=None, trigger=None)
 
@@ -370,6 +379,8 @@ class _Engine:
         )
         self.forest.append(node)
         self.first_node_for.setdefault(atom, node.id)
+        if self.nodes_by_term is not None:
+            _index(self.nodes_by_term, atom.args, node.id)
         return node
 
     def _guard_parent(self, idx: int, key: Key) -> Optional[int]:
@@ -389,24 +400,31 @@ class _Engine:
                 self.queued.add(entry)
                 self.queue.append(entry)
 
+    def _mark_applied(self, entry: Tuple[int, Key]) -> None:
+        self.applied.add(entry)
+        if self.applied_by_term is not None:
+            _index(self.applied_by_term, entry[1], entry)
+
+    def _scan_order(self, plans: Sequence[RulePlan]) -> Callable:
+        """Scan order (module docstring) as a key on (rule index, key)."""
+        position = self.instance.position
+        return lambda e: (e[0], tuple(map(position, plans[e[0]].body_images(e[1]))))
+
     # -- EGD drain ----------------------------------------------------------
 
     def _first_egd_trigger(
-        self, new_atom: Optional[Atom] = None
+        self, pins: Optional[List[Atom]] = None
     ) -> Optional[Tuple[EGD, Trigger]]:
-        """The EGD trigger a declaration-order scan of the instance finds
-        first.  With `new_atom`, every trigger must use that atom: only
-        the homomorphisms pinned to it are enumerated, and the least by
-        rule index and then by the insertion positions of the body
-        images is the one the scan would reach first."""
+        """The EGD trigger a full scan of the instance finds first.  With
+        `pins`, every EGD trigger uses one of those atoms: only the
+        homomorphisms pinned to them are enumerated, and the least in
+        scan order is the first."""
         plans = self.egd_plans
-        triggers = egd_violations(plans, self.instance, new_atom)
-        if new_atom is None:
-            found = next(triggers, None)
+        if pins is None:
+            found = next(egd_violations(plans, self.instance), None)
         else:
-            position = self.instance.position
-            found = min(triggers, default=None, key=lambda t: (
-                t[0], tuple(map(position, plans[t[0]].body_images(t[1])))))
+            found = min((t for atom in pins for t in egd_violations(plans, self.instance, atom)),
+                        default=None, key=self._scan_order(plans))
         if found is None:
             return None
         idx, key = found
@@ -417,55 +435,84 @@ class _Engine:
         return outcome.failed
 
     def _rewrite_bookkeeping(self, replaced: Term, kept: Term) -> None:
-        sub = {replaced: kept}
-        for node in self.forest:
-            if replaced in node.atom.args:
-                node.atom = node.atom.substitute(sub)
-        self.first_node_for = {}
-        for node in self.forest:
-            self.first_node_for.setdefault(node.atom, node.id)
-        self.applied = {
-            (rid, tuple(sub.get(t, t) for t in key)) for rid, key in self.applied
-        }
+        """Relabel the forest nodes and applied keys that hold `replaced`,
+        found through term indexes that the first merge builds."""
+        if self.nodes_by_term is None:
+            self.nodes_by_term, self.applied_by_term = {}, {}
+            for node in self.forest:
+                _index(self.nodes_by_term, node.atom.args, node.id)
+            for entry in self.applied:
+                _index(self.applied_by_term, entry[1], entry)
+        sub, first = {replaced: kept}, self.first_node_for
+        nodes = sorted(set(self.nodes_by_term.pop(replaced, ())))
+        for nid in nodes:
+            node = self.forest[nid]
+            if first.get(node.atom) == nid:
+                del first[node.atom]
+            node.atom = node.atom.substitute(sub)
+            if first.get(node.atom, nid) >= nid:
+                first[node.atom] = nid
+        self.nodes_by_term.setdefault(kept, []).extend(nodes)
+        # a rewritten key stays listed under its other terms: skip those
+        for entry in self.applied_by_term.pop(replaced, ()):
+            if entry in self.applied:
+                self.applied.remove(entry)
+                self._mark_applied((entry[0], tuple(sub.get(t, t) for t in entry[1])))
 
-    def _drain_egds(self, new_atom: Optional[Atom] = None) -> Tuple[Optional[Status], bool]:
-        """Apply EGDs to fixpoint; (status, merged).  `new_atom` is the
-        atom a TGD step just added to an instance that the previous drain
-        left without EGD triggers, so the first search looks through it
-        alone; every search after a merge scans the whole instance.  A
-        merge rebuilds the trigger queue, so callers must not discover
-        from atoms that predate the drain."""
-        if not self.egds:
-            return None, False
-        merged_any = False
-        while True:
-            found = self._first_egd_trigger(new_atom)
-            new_atom = None
+    def _drain_egds(self, new_atom: Optional[Atom] = None) -> Optional[Status]:
+        """Apply EGDs to fixpoint, then queue the new TGD triggers; the
+        status when the run must stop.
+
+        `new_atom` is the atom a TGD step just added.  The drain before
+        left no EGD trigger, and every TGD trigger queued or applied,
+        except through it; a merge makes new ones only through the atoms
+        it adds.  So the searches pin through these atoms, and after
+        merges the queue is rebuilt from its keys, rewritten, and the
+        TGD triggers through them.  The drain that starts a run (no
+        `new_atom`) scans the whole instance and leaves discovery to
+        the caller.
+        """
+        pins = None if new_atom is None else [new_atom]
+        merged: Dict[Term, Term] = {}   # replaced -> kept, composed
+        while self.egds:
+            found = self._first_egd_trigger(pins)
             if found is None:
                 break
             rule, trigger = found
             outcome = apply_egd(rule, trigger, self.instance)
             if self._ends_run(outcome):
                 self.failure_witness = (rule, trigger)
-                return Status.FAILED, merged_any
+                return Status.FAILED
             if len(self.steps) >= self.opts.max_steps:
-                return Status.BUDGET_EXHAUSTED, merged_any
-            self.instance = outcome.instance
-            self._record(EgdStep(outcome.kept, outcome.replaced, rule, trigger.hom,
-                                 outcome.innocuous))
-            self._rewrite_bookkeeping(outcome.replaced, outcome.kept)
-            merged_any = True
-        if merged_any:
-            self.queue.clear()
-            self.queued.clear()
-            self._discover()
-        return None, merged_any
+                return Status.BUDGET_EXHAUSTED
+            kept, replaced = outcome.kept, outcome.replaced
+            added = self.instance.rewrite(replaced, kept)
+            self._record(EgdStep(kept, replaced, rule, trigger.hom, outcome.innocuous))
+            self._rewrite_bookkeeping(replaced, kept)
+            for term, now in merged.items():
+                if now == replaced:
+                    merged[term] = kept
+            merged[replaced] = kept
+            if pins is not None:
+                pins = [atom for atom in pins if atom in self.instance] + added
+        if pins is None:
+            return None
+        if not merged:
+            self._discover(new_atom)
+            return None
+        entries = {(idx, tuple(merged.get(t, t) for t in key)) for idx, key in self.queue}
+        for atom in pins:
+            entries.update(rule_triggers(self.plans, self.instance, atom))
+        entries -= self.applied
+        self.queue = deque(sorted(entries, key=self._scan_order(self.plans)))
+        self.queued = entries
+        return None
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> ChaseResult:
         self.failure_witness = None
-        status, _ = self._drain_egds()
+        status = self._drain_egds()
         if status is None:
             self._discover()
             status = self._loop()
@@ -488,7 +535,7 @@ class _Engine:
             plan = self.plans[idx]
             rule = plan.rule
             if restricted and head_satisfied(rule, key, self.instance, plan):
-                self.applied.add(entry)
+                self._mark_applied(entry)
                 continue
             will_add = bool(rule.existentials) or (
                 plan.head_image(key, None) not in self.instance
@@ -499,20 +546,16 @@ class _Engine:
             depth = 0 if parent is None else self.forest[parent].depth + 1
             if depth > self.opts.max_depth:
                 return Status.BUDGET_EXHAUSTED
-            self.applied.add(entry)
+            self._mark_applied(entry)
             trigger = Trigger.of(rule, key, plan)
             # apply_tgd checks that the trigger still matches
             _, new_atom, added = apply_tgd(rule, trigger, self.instance, self.alloc)
             self._add_node(new_atom, parent, rule, trigger)
             if added:
                 self._record(TgdStep(new_atom, rule, trigger.hom))
-                egd_status, merged = self._drain_egds(new_atom)
-                if egd_status is not None:
-                    return egd_status
-                if not merged:
-                    # after a merge the queue was rebuilt from the
-                    # rewritten instance; new_atom may be stale
-                    self._discover(new_atom)
+                status = self._drain_egds(new_atom)
+                if status is not None:
+                    return status
         return Status.SATURATED
 
 

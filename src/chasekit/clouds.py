@@ -102,26 +102,6 @@ def canonicalize(anchor: Atom, atoms: Set[Atom], database: Instance) -> Canonica
     return can_anchor, can_atoms
 
 
-def d_isomorphic(
-    x: Tuple[Atom, Set[Atom]],
-    y: Tuple[Atom, Set[Atom]],
-    database: Instance,
-) -> bool:
-    """Do the two (atom, atom set) pairs differ only by a null bijection
-    fixing the database domain?  Decided by comparing canonical forms."""
-    try:
-        cx = canonicalize(x[0], set(x[1]), database)
-        cy = canonicalize(y[0], set(y[1]), database)
-    except UsageError:
-        return False
-    return cx == cy
-
-
-def atom_isomorphism_class(atom: Atom) -> Atom:
-    """Canonical form of a single atom (nulls by first occurrence)."""
-    return canonicalize(atom, set(), Instance())[0]
-
-
 # ---------------------------------------------------------------------------
 # Cloud-store blocked saturation
 # ---------------------------------------------------------------------------

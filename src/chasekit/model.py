@@ -10,7 +10,10 @@ merge.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import count
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
 
@@ -155,13 +158,17 @@ class Instance:
     rendering are deterministic; `position` gives an atom's place in
     that order.  Each atom is also listed under every
     (predicate, position, term) it carries; those lists keep insertion
-    order too, so each one is a subsequence of `by_predicate`.
+    order too, so each one is a subsequence of `by_predicate`.  A merge
+    (`rewrite`) keeps all of these orders.
     Instances are single-writer: the chase that builds one is the only
     mutator, afterwards they are shared read-only.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
+        # atom -> position, in position order unless _unsorted is set
         self._atoms: Dict[Atom, int] = {}
+        self._positions = count()
+        self._unsorted = False
         self._by_predicate: Dict[Predicate, List[Atom]] = {}
         # predicate -> one {term: atoms} column per argument position
         self._by_position: Dict[Predicate, Tuple[Dict[Term, List[Atom]], ...]] = {}
@@ -175,7 +182,7 @@ class Instance:
             raise UsageError("instances hold no variables: %r" % (atom,))
         if atom in self._atoms:
             return False
-        self._atoms[atom] = len(self._atoms)
+        self._atoms[atom] = next(self._positions)
         self._by_predicate.setdefault(atom.predicate, []).append(atom)
         columns = self._by_position.get(atom.predicate)
         if columns is None:
@@ -188,18 +195,28 @@ class Instance:
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._atoms
 
+    def _ordered(self) -> Dict[Atom, int]:
+        """The atoms in position order; a merge may have left the dict
+        out of it, and only iteration pays to sort it back."""
+        if self._unsorted:
+            self._atoms = dict(sorted(self._atoms.items(), key=itemgetter(1)))
+            self._unsorted = False
+        return self._atoms
+
     def __iter__(self) -> Iterator[Atom]:
-        return iter(self._atoms)
+        return iter(self._ordered())
 
     def __len__(self) -> int:
         return len(self._atoms)
 
     def position(self, atom: Atom) -> int:
-        """The atom's insertion position (0 for the first atom added)."""
+        """The atom's place in insertion order, as a sort key.  Positions
+        grow with every atom added; a merge leaves gaps where atoms went,
+        so they order the atoms but do not count them."""
         return self._atoms[atom]
 
     def atoms(self) -> List[Atom]:
-        return list(self._atoms)
+        return list(self._ordered())
 
     def atom_set(self) -> Set[Atom]:
         return set(self._atoms)
@@ -232,6 +249,12 @@ class Instance:
         index = self._by_position.get(p)
         return 0 if index is None else len(index[column])
 
+    def holders(self, term: Term) -> List[Atom]:
+        """Every atom that holds the term, in position order."""
+        found = dict.fromkeys(atom for columns in self._by_position.values()
+                              for column in columns for atom in column.get(term, ()))
+        return sorted(found, key=self._atoms.__getitem__)
+
     def domain(self) -> Set[Term]:
         return set(self._domain)
 
@@ -243,20 +266,51 @@ class Instance:
         return best
 
     def copy(self) -> "Instance":
-        return Instance(self._atoms)
+        return Instance(self)
 
-    def rewrite(self, old: Term, new: Term) -> "Instance":
-        """Instance with every occurrence of old replaced by new."""
-        out = Instance()
-        for a in self._atoms:
-            if old in a.args:
-                out.add(a.substitute({old: new}))
-            else:
-                out.add(a)
-        return out
+    def rewrite(self, old: Term, new: Term) -> List[Atom]:
+        """Replace every occurrence of old by new, in place, and return
+        the images that were not there before.  Only the atoms holding
+        old change.  Each image takes the earliest position of itself
+        and its preimages, the place a copy that adds every atom or its
+        image in position order gives it, and goes into its lists by
+        bisection on position."""
+        if old == new:
+            return []
+        positions = self._atoms
+        key = positions.__getitem__
+        added = []
+        for atom in self.holders(old):
+            at = positions[atom]
+            image = Atom(atom.predicate, tuple(new if t == old else t for t in atom.args))
+            was = positions.get(image)
+            place = at if was is None else min(at, was)
+            columns = self._by_position[atom.predicate]
+            # each list of the image, and whether the atom is in it
+            lists = [(self._by_predicate[atom.predicate], True)] + [
+                (column.setdefault(t, []), t_was != old)
+                for column, t, t_was in zip(columns, image.args, atom.args)]
+            for atoms, holds_atom in lists:
+                if was is not None:
+                    del atoms[bisect_left(atoms, was, key=key)]
+                if holds_atom:
+                    del atoms[bisect_left(atoms, at, key=key)]
+                atoms.insert(bisect_left(atoms, place, key=key), image)
+            del positions[atom]
+            positions[image] = place
+            self._unsorted = True
+            if was is None:
+                added.append(image)
+        for columns in self._by_position.values():
+            for column in columns:
+                column.pop(old, None)
+        if old in self._domain:
+            self._domain.discard(old)
+            self._domain.add(new)
+        return added
 
     def __repr__(self):
-        return "{%s}" % (", ".join(map(repr, self._atoms)))
+        return "{%s}" % (", ".join(map(repr, self)))
 
 
 # ---------------------------------------------------------------------------

@@ -379,17 +379,6 @@ def render_program(p: Program) -> str:
     return "\n".join(lines)
 
 
-def programs_equal(a: Program, b: Program) -> bool:
-    return (
-        a.facts.atom_set() == b.facts.atom_set()
-        and [(t.body, t.head, t.existentials) for t in a.tgds]
-        == [(t.body, t.head, t.existentials) for t in b.tgds]
-        and [(e.body, e.lhs, e.rhs) for e in a.egds]
-        == [(e.body, e.lhs, e.rhs) for e in b.egds]
-        and a.queries == b.queries
-    )
-
-
 # ---------------------------------------------------------------------------
 # Answer schema
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from chasekit.chase import (
     run_chase,
     subtree_atoms,
 )
+from chasekit.clouds import canonicalize
 from chasekit.egdsep import FailureCheck
 from chasekit.model import (
     CQ,
@@ -40,6 +41,7 @@ from chasekit.model import (
     Predicate,
     Program,
     Term,
+    UsageError,
     Variable,
 )
 from chasekit.query import homomorphisms
@@ -287,6 +289,41 @@ def find_homomorphism(
     for hom in homomorphisms(pattern, target):
         return {n: hom[v] for n, v in null_vars.items()}
     return None
+
+
+def copy_rewrite(instance: Instance, old: Term, new: Term) -> Instance:
+    """The whole-instance merge that `Instance.rewrite` replaced: every
+    atom or its image added, in order, to an empty instance."""
+    return Instance(atom.substitute({old: new}) for atom in instance)
+
+
+def programs_equal(a: Program, b: Program) -> bool:
+    """Same facts, and the same rules and queries in the same order."""
+    return (
+        a.facts.atom_set() == b.facts.atom_set()
+        and [(t.body, t.head, t.existentials) for t in a.tgds]
+        == [(t.body, t.head, t.existentials) for t in b.tgds]
+        and [(e.body, e.lhs, e.rhs) for e in a.egds]
+        == [(e.body, e.lhs, e.rhs) for e in b.egds]
+        and a.queries == b.queries
+    )
+
+
+def d_isomorphic(x: Tuple[Atom, Set[Atom]], y: Tuple[Atom, Set[Atom]],
+                 database: Instance) -> bool:
+    """Do the two (atom, atom set) pairs differ only by a null bijection
+    fixing the database domain?  Decided by comparing canonical forms."""
+    try:
+        cx = canonicalize(x[0], set(x[1]), database)
+        cy = canonicalize(y[0], set(y[1]), database)
+    except UsageError:
+        return False
+    return cx == cy
+
+
+def atom_isomorphism_class(atom: Atom) -> Atom:
+    """Canonical form of a single atom (nulls by first occurrence)."""
+    return canonicalize(atom, set(), Instance())[0]
 
 
 def hom_key(hom: Dict[Variable, Term]) -> Tuple[Tuple[Variable, Term], ...]:

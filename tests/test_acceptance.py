@@ -8,7 +8,13 @@ from collections import Counter
 from contextlib import contextmanager
 
 import conftest
-from helpers import find_homomorphism, terminating_cases, three_colorable_oracle, wg_cases
+from helpers import (
+    find_homomorphism,
+    programs_equal,
+    terminating_cases,
+    three_colorable_oracle,
+    wg_cases,
+)
 
 from chasekit.acyclic import s_join_forest, verify_squid_lemma
 from chasekit.analysis import RuleClass, affected_positions, classify
@@ -25,7 +31,6 @@ from chasekit.parser import (
     parse_atom,
     parse_instance,
     parse_program,
-    programs_equal,
     render_program,
 )
 from chasekit.query import AnswerStatus, Terminate, certain_answers

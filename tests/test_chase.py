@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import terminating_cases
+from helpers import find_homomorphism, terminating_cases
 
 from chasekit.analysis import affected_positions, Position
 from chasekit.chase import (
@@ -20,9 +22,13 @@ from chasekit.chase import (
 )
 from chasekit.model import (
     EGD,
+    TGD,
+    Atom,
     Constant,
+    Instance,
     LabeledNull,
     NullAllocator,
+    Predicate,
     UsageError,
     Variable,
 )
@@ -157,8 +163,11 @@ def test_apply_egd_constant_beats_null():
     outcome = apply_egd(egd, trigger, inst)
     assert not outcome.failed
     assert outcome.kept == Constant("c") and outcome.replaced == LabeledNull(1)
-    assert LabeledNull(1) not in outcome.instance.domain()
-    assert outcome.innocuous  # the two data atoms collapsed into one
+    assert outcome.innocuous  # the two data atoms will collapse into one
+    # deciding leaves the instance as it was; the merge is in place
+    assert LabeledNull(1) in inst.domain() and len(inst) == 3
+    assert inst.rewrite(outcome.replaced, outcome.kept) == []
+    assert LabeledNull(1) not in inst.domain() and len(inst) == 2
 
 
 def test_apply_egd_lower_null_survives():
@@ -222,6 +231,52 @@ def test_restricted_chase_is_subset_of_oblivious_up_to_renaming():
 
     for db, rules, ob, re in terminating_cases(seed=77, count=25):
         assert find_homomorphism(re.instance.atoms(), ob.instance) is not None
+
+
+STRATA = [Predicate("p0", 1), Predicate("p1", 2), Predicate("p2", 3), Predicate("p3", 2)]
+ARGS = [Variable("X"), Variable("Y")]
+Z = Variable("Z")
+
+
+@st.composite
+def stratified_rules(draw, label):
+    """A TGD whose head sits in a stratum at or above its body's, strictly
+    above for an existential one, so that every chase terminates."""
+    levels = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))
+    body = tuple(Atom(STRATA[lvl], tuple(draw(st.sampled_from(ARGS)) for _ in
+                                         range(STRATA[lvl].arity))) for lvl in levels)
+    body_vars = sorted({v for a in body for v in a.variables()}, key=lambda v: v.name)
+    existential = draw(st.sampled_from([True, True, False]))
+    head = STRATA[draw(st.integers(max(levels) + existential, 3))]
+    args = [draw(st.sampled_from(body_vars)) for _ in range(head.arity)]
+    if existential:
+        args[draw(st.integers(0, head.arity - 1))] = Z
+    return TGD(body, (Atom(head, tuple(args)),), frozenset({Z} if existential else ()),
+               label=label)
+
+
+@st.composite
+def stratified_programs(draw):
+    consts = [Constant(c) for c in "abc"]
+    facts = draw(st.lists(st.sampled_from(STRATA[:3]).flatmap(
+        lambda p: st.tuples(*[st.sampled_from(consts)] * p.arity).map(
+            lambda args: Atom(p, args))), min_size=2, max_size=8))
+    rules = [draw(stratified_rules("tgd%d" % (i + 1))) for i in range(draw(st.integers(2, 5)))]
+    return Instance(facts), rules
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(stratified_programs())
+def test_restricted_and_oblivious_results_are_homomorphically_equivalent(program):
+    db, rules = program
+    results = [run_chase(db, rules, (), ChaseOptions(mode=mode, max_steps=2000))
+               for mode in (Mode.RESTRICTED, Mode.OBLIVIOUS)]
+    assume(all(r.status is Status.SATURATED for r in results))
+    for source, target in (results, results[::-1]):
+        mapping = find_homomorphism(source.instance.atoms(), target.instance)
+        assert mapping is not None
+        for atom in source.instance:
+            assert atom.substitute(mapping) in target.instance
 
 
 def test_step_log_text_format():

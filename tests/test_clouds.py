@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    atom_isomorphism_class,
+    d_isomorphic,
     fll_cases,
     hom_key,
     naive_subtree_closure,
@@ -32,12 +34,10 @@ from chasekit.chase import (
 from chasekit.clouds import (
     SaturateOptions,
     SaturateStatus,
-    atom_isomorphism_class,
     blocked_saturate,
     canonicalize,
     cloud_of,
     cloud_size_bound,
-    d_isomorphic,
 )
 from chasekit.model import (
     TGD,

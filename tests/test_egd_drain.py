@@ -1,11 +1,14 @@
 """The EGD drain of the interleaved chase.
 
 After a TGD step the drain looks for EGD triggers through the new atom
-only, and takes the one a full declaration-order scan of the instance
-would find first.  These tests pin the step logs, statuses and failure
-witnesses that the full rescan gave, compare the engine with a copy
-that always rescans, and cover separated answering, which chases once
-under the TGDs alone.
+and the atoms its merges add only, and takes the one a full
+declaration-order scan of the instance would find first.  A merge
+rewrites the instance in place, and a drain that merged rebuilds the
+trigger queue through the same atoms.  These tests pin the step logs,
+statuses and failure witnesses that the full rescan gave, compare the
+engine with a copy that always rescans and with one that keeps the
+whole-instance merge path, and cover separated answering, which chases
+once under the TGDs alone.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +24,13 @@ from hypothesis import strategies as st
 
 import chasekit
 from chasekit import chase, egdsep, query
-from chasekit.chase import ChaseOptions, Mode, _Engine, run_chase
+from chasekit.chase import ChaseOptions, EgdStep, Mode, Status, _Engine, run_chase
 from chasekit.cli import main
 from chasekit.model import CQ, EGD, TGD, Atom, Constant, Instance, LabeledNull, Predicate, Variable
 from chasekit.parser import render_program, render_term
 
 from chasekit.egdsep import FailureCheck
-from helpers import failure_by_inequality_oracle, fll_cases
+from helpers import copy_rewrite, failure_by_inequality_oracle, fll_cases
 
 
 def render_witness(witness):
@@ -104,7 +108,7 @@ def test_delta_drain_keeps_the_declaration_order_of_the_egds():
 class FullScanEngine(_Engine):
     """The engine with every EGD search a full rescan of the instance."""
 
-    def _first_egd_trigger(self, new_atom=None):
+    def _first_egd_trigger(self, pins=None):
         return super()._first_egd_trigger()
 
 
@@ -175,6 +179,142 @@ def test_delta_drain_agrees_with_a_full_rescan(program, mode):
     assert delta.status is full.status
     assert render_witness(delta.failure_witness) == render_witness(full.failure_witness)
     assert delta.instance.atoms() == full.instance.atoms()
+
+
+# ---------------------------------------------------------------------------
+# in-place merges against the whole-instance merge path
+# ---------------------------------------------------------------------------
+
+class CopyRewriteEngine(_Engine):
+    """The merge path that in-place merging replaced: each merge copies
+    the instance and walks every forest node and applied key, every EGD
+    search after a merge scans the whole instance, and a drain that
+    merged rediscovers every trigger."""
+
+    def _drain_egds(self, new_atom=None):
+        merged_any = False
+        pins = None if new_atom is None else [new_atom]
+        while self.egds:
+            found = self._first_egd_trigger(pins)
+            pins = None
+            if found is None:
+                break
+            rule, trigger = found
+            outcome = chase.apply_egd(rule, trigger, self.instance)
+            if self._ends_run(outcome):
+                self.failure_witness = (rule, trigger)
+                return Status.FAILED
+            if len(self.steps) >= self.opts.max_steps:
+                return Status.BUDGET_EXHAUSTED
+            kept, replaced = outcome.kept, outcome.replaced
+            self.instance = copy_rewrite(self.instance, replaced, kept)
+            self._record(EgdStep(kept, replaced, rule, trigger.hom, outcome.innocuous))
+            sub = {replaced: kept}
+            for node in self.forest:
+                if replaced in node.atom.args:
+                    node.atom = node.atom.substitute(sub)
+            self.first_node_for = {}
+            for node in self.forest:
+                self.first_node_for.setdefault(node.atom, node.id)
+            self.applied = {(rid, tuple(sub.get(t, t) for t in key))
+                            for rid, key in self.applied}
+            merged_any = True
+        if merged_any:
+            self.queue.clear()
+            self.queued.clear()
+            self._discover()
+        elif new_atom is not None:
+            self._discover(new_atom)
+        return None
+
+
+class CopyRewriteBlockingEngine(CopyRewriteEngine, egdsep._BlockingEngine):
+    pass
+
+
+class LoopFlag:
+    """Notes when the engine's main loop, after the start-of-run drain
+    and discovery, begins."""
+
+    looping = False
+
+    def _loop(self):
+        self.looping = True
+        return super()._loop()
+
+
+class Spied(LoopFlag, _Engine):
+    pass
+
+
+class SpiedCopyRewrite(LoopFlag, CopyRewriteEngine):
+    pass
+
+
+def run_spied(engine_cls, facts, rules, constraints, opts):
+    """(engine, result, whole-instance `rule_triggers` calls made by the
+    main loop): TGD discovery and EGD searches both go through it."""
+    engine = engine_cls(facts, rules, constraints, opts)
+    scans = []
+    original = chase.rule_triggers
+
+    def spy(plans, instance, new_atom=None):
+        if new_atom is None and engine.looping:
+            scans.append(len(engine.steps))
+        return original(plans, instance, new_atom)
+
+    with mock.patch.object(chase, "rule_triggers", spy):
+        result = engine.run()
+    return engine, result, scans
+
+
+def forest_of(result):
+    return [(node.atom, node.parent, node.depth) for node in result.forest]
+
+
+def blocking_parts(res):
+    return (res.unblocked.atoms(), res.blocked.atoms(), res.survivors.atoms(), res.status,
+            render_witness(res.aborted_on))
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(programs(), st.sampled_from(list(Mode)))
+def test_in_place_merges_agree_with_the_copy_rewrite(program, mode):
+    facts, rules, constraints = program
+    opts = ChaseOptions(mode=mode, max_steps=40, max_depth=8)
+    engine, got, scans = run_spied(Spied, facts, rules, constraints, opts)
+    reference = CopyRewriteEngine(facts, rules, constraints, opts)
+    want = reference.run()
+    assert got.step_log() == want.step_log()
+    assert got.status is want.status
+    assert render_witness(got.failure_witness) == render_witness(want.failure_witness)
+    assert got.instance.atoms() == want.instance.atoms()
+    assert engine.first_node_for == reference.first_node_for
+    assert forest_of(got) == forest_of(want)
+    assert scans == []
+    if mode is Mode.OBLIVIOUS:
+        blocked = egdsep.blocking_chase(facts, rules, constraints, max_steps=40)
+        with mock.patch.object(egdsep, "_BlockingEngine", CopyRewriteBlockingEngine):
+            blocked_want = egdsep.blocking_chase(facts, rules, constraints, max_steps=40)
+        assert blocking_parts(blocked) == blocking_parts(blocked_want)
+
+
+def test_merges_after_a_step_scan_no_whole_instance():
+    # the spy sees the whole-instance path: the copy-rewrite engine
+    # rediscovers after merges in the loop, the engine never does.  The
+    # restricted chase of these programs merges nothing.
+    opts = ChaseOptions(mode=Mode.OBLIVIOUS)
+    merged_in_loop = 0
+    for p in fll_cases(seed=5, count=40):
+        _, got, scans = run_spied(Spied, p.facts, p.tgds, p.egds, opts)
+        _, want, old_scans = run_spied(SpiedCopyRewrite, p.facts, p.tgds, p.egds, opts)
+        assert scans == []
+        assert got.step_log() == want.step_log()
+        kinds = [type(step) for step in got.steps]
+        if chase.TgdStep in kinds and EgdStep in kinds[kinds.index(chase.TgdStep):]:
+            merged_in_loop += 1
+            assert old_scans
+    assert merged_in_loop >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from helpers import copy_rewrite
+
 from chasekit.model import (
     Atom,
     Constant,
@@ -86,23 +88,24 @@ def test_instance_rejects_variables():
         inst.add(Atom(r, (a, Variable("X"))))
 
 
-def test_position_index_round_trips():
-    rng = random.Random(3)
-    preds = [Predicate("p%d" % i, 2) for i in range(3)] + [Predicate("u", 1)]
-    atoms = []
-    for _ in range(40):
-        p = rng.choice(preds)
-        atoms.append(Atom(p, tuple(rng.choice([a, b, n1, n2]) for _ in range(p.arity))))
-    inst = Instance(atoms)
+def assert_index_round_trips(inst, preds, terms):
+    """Every position list, `by_predicate` and `distinct` as rebuilt
+    from iteration order, and positions increasing along it."""
+    atoms = inst.atoms()
+    assert list(inst) == atoms and len(inst) == len(atoms)
+    assert [inst.position(atom) for atom in atoms] == sorted(map(inst.position, atoms))
+    assert len(set(map(inst.position, atoms))) == len(atoms)
     rebuilt = {}
-    for atom in inst:
+    for atom in atoms:
         for i, t in enumerate(atom.args):
             rebuilt.setdefault((atom.predicate, i, t), []).append(atom)
+    assert inst.domain() == {t for atom in atoms for t in atom.args}
     for p in preds:
+        assert inst.by_predicate(p) == [atom for atom in atoms if atom.predicate == p]
         assert inst.probe(p, (), ()) == inst.by_predicate(p)
         for i in range(p.arity):
             assert inst.distinct(p, i) == len({atom.args[i] for atom in inst.by_predicate(p)})
-            for t in (a, b, n1, n2, zzz):
+            for t in terms:
                 want = rebuilt.get((p, i, t), [])
                 assert inst.probe(p, (i,), (t,)) == want
                 if p.arity == 2:
@@ -114,10 +117,89 @@ def test_position_index_round_trips():
                         assert got == []
 
 
+def test_position_index_round_trips():
+    rng = random.Random(3)
+    preds = [Predicate("p%d" % i, 2) for i in range(3)] + [Predicate("u", 1)]
+    atoms = []
+    for _ in range(40):
+        p = rng.choice(preds)
+        atoms.append(Atom(p, tuple(rng.choice([a, b, n1, n2]) for _ in range(p.arity))))
+    assert_index_round_trips(Instance(atoms), preds, (a, b, n1, n2, zzz))
+
+
+s_, u = Predicate("s", 1), Predicate("u", 1)
+c = Constant("c")
+
+
 def test_rewrite_replaces_everywhere():
     inst = Instance([Atom(r, (a, n1)), Atom(r, (n1, n1)), Atom(r, (a, b))])
-    out = inst.rewrite(n1, a)
-    assert out.atom_set() == {Atom(r, (a, a)), Atom(r, (a, b))}
+    added = inst.rewrite(n1, a)
+    assert inst.atom_set() == {Atom(r, (a, a)), Atom(r, (a, b))}
+    assert added == [Atom(r, (a, a))]
+    assert n1 not in inst.domain()
+    assert inst.rewrite(a, Constant("a")) == []
+    assert inst.atoms() == [Atom(r, (a, a)), Atom(r, (a, b))]
+
+
+def test_rewrite_onto_an_earlier_atom_drops_the_preimage():
+    inst = Instance([Atom(r, (a, b)), Atom(s_, (c,)), Atom(r, (a, n1))])
+    assert inst.rewrite(n1, b) == []
+    assert inst.atoms() == [Atom(r, (a, b)), Atom(s_, (c,))]
+    assert inst.probe(r, (1,), (b,)) == [Atom(r, (a, b))]
+    assert inst.probe(r, (1,), (n1,)) == [] and inst.distinct(r, 1) == 1
+    assert n1 not in inst.domain()
+
+
+def test_rewrite_onto_a_later_atom_moves_it_up():
+    later = Atom(r, (a, b))
+    inst = Instance([Atom(s_, (c,)), Atom(r, (a, n1)), Atom(u, (c,)), later])
+    assert inst.rewrite(n1, b) == []
+    assert inst.atoms() == [Atom(s_, (c,)), later, Atom(u, (c,))]
+    assert inst.position(Atom(s_, (c,))) < inst.position(later) < inst.position(Atom(u, (c,)))
+    assert inst.by_predicate(r) == [later]
+    assert inst.probe(r, (0,), (a,)) == [later] == inst.probe(r, (1,), (b,))
+
+
+def test_two_preimages_take_the_first_place():
+    inst = Instance([Atom(s_, (c,)), Atom(r, (n1, b)), Atom(u, (a,)),
+                     Atom(r, (n1, n1)), Atom(r, (a, n1))])
+    added = inst.rewrite(n1, b)
+    assert added == [Atom(r, (b, b)), Atom(r, (a, b))]
+    assert inst.atoms() == [Atom(s_, (c,)), Atom(r, (b, b)), Atom(u, (a,)), Atom(r, (a, b))]
+    assert inst.probe(r, (1,), (b,)) == [Atom(r, (b, b)), Atom(r, (a, b))]
+    assert inst.probe(r, (0,), (b,)) == [Atom(r, (b, b))]
+    assert_index_round_trips(inst, [r, s_, u], (a, b, c, n1))
+
+
+def test_rewrite_keeps_the_order_of_a_whole_instance_copy():
+    rng = random.Random(11)
+    preds = [Predicate("p%d" % i, 2) for i in range(3)] + [u]
+    terms = [a, b, c] + [LabeledNull(i) for i in range(1, 9)]
+    for _ in range(60):
+        atoms = [Atom(p, tuple(rng.choice(terms) for _ in range(p.arity)))
+                 for p in rng.choices(preds, k=rng.randint(1, 30))]
+        inst = Instance(atoms)
+        for _ in range(rng.randint(1, 5)):
+            nulls = sorted((t for t in inst.domain() if isinstance(t, LabeledNull)),
+                           key=lambda t: t.index)
+            if not nulls:
+                break
+            old = rng.choice(nulls)
+            new = rng.choice(sorted(inst.domain() - {old}, key=repr) or [a])
+            # equal to the instance's term, but another object
+            new = Constant(new.name) if isinstance(new, Constant) else LabeledNull(new.index)
+            want = copy_rewrite(inst, old, new)
+            before = inst.atom_set()
+            added = inst.rewrite(old, new)
+            assert inst.atoms() == want.atoms()
+            assert added == [atom for atom in want if atom not in before]
+            assert old not in inst.domain()
+            assert_index_round_trips(inst, preds, terms)
+            # atoms added after merges go last
+            extra = Atom(u, (rng.choice(terms),))
+            if inst.add(extra):
+                assert inst.atoms()[-1] == extra
+                assert_index_round_trips(inst, preds, terms)
 
 
 def test_arity_zero_atoms_render_bare():

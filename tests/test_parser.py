@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import run_optimized
+from helpers import programs_equal, run_optimized
 
 from chasekit.model import Constant, Variable
 from chasekit.parser import (
@@ -10,7 +10,6 @@ from chasekit.parser import (
     answer_json,
     parse_instance,
     parse_program,
-    programs_equal,
     render_program,
 )
 from chasekit.rulesets import FLL_TEXT

@@ -160,7 +160,8 @@ def test_builtin_lookup():
 
 
 def test_builtin_programs_render_round_trip():
-    from chasekit.parser import parse_program as pp, programs_equal
+    from chasekit.parser import parse_program as pp
+    from helpers import programs_equal
 
     for name in ("fll", "grid", "3col-k3", "3col-k4", "3col-c5"):
         p = builtin_program(name)
