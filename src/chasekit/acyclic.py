@@ -30,7 +30,6 @@ from .model import (
     atoms_domain,
     atoms_variables,
 )
-from .parser import render_atom
 from .query import holds, homomorphisms
 
 
@@ -456,31 +455,3 @@ def verify_squid_lemma(
     return SquidLemmaReport(holds=(entailed == found), entailed=entailed,
                             witness=witness)
 
-
-# ---------------------------------------------------------------------------
-# DOT export
-# ---------------------------------------------------------------------------
-
-def join_forest_dot(forest: JoinForest) -> str:
-    lines = ["graph join_forest {"]
-    for i, atom in enumerate(forest.atoms):
-        lines.append('  n%d [label="%s"];' % (i, render_atom(atom)))
-    for i, p in enumerate(forest.parents):
-        if p is not None:
-            lines.append("  n%d -- n%d;" % (p, i))
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def squid_dot(squid: SquidDecomposition) -> str:
-    lines = ["graph squid {"]
-    atoms = sorted(squid.head_part, key=repr) + sorted(squid.tentacles, key=repr)
-    ids = {a: i for i, a in enumerate(atoms)}
-    for a, i in ids.items():
-        shape = "box" if a in squid.head_part else "ellipse"
-        lines.append('  n%d [label="%s", shape=%s];' % (i, render_atom(a), shape))
-    for a, b in combinations_with_replacement(atoms, 2):
-        if a != b and a.variables() & b.variables():
-            lines.append("  n%d -- n%d;" % (ids[a], ids[b]))
-    lines.append("}")
-    return "\n".join(lines)

@@ -45,6 +45,8 @@ def _load_program(args) -> Program:
             text = fh.read()
     except OSError as e:
         raise UsageError(str(e))
+    except UnicodeDecodeError as e:
+        raise UsageError("%s is not UTF-8 text: %s" % (args.file, e))
     return parse_program(text)
 
 

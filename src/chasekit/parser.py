@@ -7,18 +7,21 @@ The grammar, one statement per `.`:
     egd data(O,A,V), data(O,A,W), funct(A,O) -> V = W.
     query q(X) :- r1(X,Y), r2(Y).
 
-Identifiers starting with a lowercase letter or digit are constants or
-predicates, identifiers starting uppercase are variables, `_:n<k>` is a
-labeled null (only legal in instances loaded for inspection, never in
+The tokens, as the pattern `_TOKEN` reads them.  Whitespace and `%` line
+comments separate tokens.  `_:n<k>`, with k one or more decimal digits, is
+a labeled null (only legal in instances loaded for inspection, never in
 chase-input facts; k must stay below CANONICAL_NULL_BASE, whose range
-belongs to the canonical cloud nulls).  `%` starts a line comment.  Whitespace is free.
+belongs to the canonical cloud nulls).  A word is a run of letters,
+digits and `_`: a variable if it starts with an uppercase letter, else a
+constant or predicate.  The punctuation is `-> :- ( ) , . : =`, and any
+other character is an error.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+import re
+from typing import Callable, Dict, List, NoReturn, Optional, Tuple, TypeVar
 
 from .model import (
     CANONICAL_NULL_BASE,
@@ -36,6 +39,9 @@ from .model import (
     Variable,
 )
 
+T = TypeVar("T")
+R = TypeVar("R", TGD, EGD, CQ)
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, column: int):
@@ -44,69 +50,38 @@ class ParseError(Exception):
         self.column = column
 
 
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at `offset`, with its line and column counted from 1."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Token:
-    kind: str   # ident, var, null, punct, end
-    text: str
-    line: int
-    column: int
+_TOKEN = re.compile(r"""(?:\s|%[^\n]*)*(?:
+    (?P<null>_:n\d*) | (?P<word>\w+) | (?P<punct>->|:-|[(),.:=])
+    | (?P<end>\Z) | (?P<other>.))""", re.VERBOSE)
 
-
-_PUNCT = ("->", ":-", "(", ")", ",", ".", ":", "=")
+Token = Tuple[str, str, int]   # kind (ident, var, null, punct, end), text, offset
 
 
 def _tokenize(text: str) -> List[Token]:
     toks: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if text.startswith("_:n", i):
-            j = i + 3
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 3:
-                raise ParseError("malformed null, expected digits after _:n", line, col)
-            toks.append(Token("null", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalnum() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word = m.group(kind)
+        at = m.start(kind)
+        if kind == "word":
             kind = "var" if word[0].isupper() else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError("unexpected character %r" % c, line, col)
-    toks.append(Token("end", "", line, col))
+        elif kind == "null" and len(word) == 3:
+            raise _error(text, at, "malformed null, expected digits after _:n")
+        elif kind == "other":
+            raise _error(text, at, "unexpected character %r" % word)
+        toks.append((kind, word, at))
+        if kind == "end":
+            break
     return toks
 
 
@@ -116,6 +91,7 @@ def _tokenize(text: str) -> List[Token]:
 
 class _Parser:
     def __init__(self, text: str, allow_nulls: bool):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.allow_nulls = allow_nulls
@@ -124,166 +100,120 @@ class _Parser:
     def peek(self) -> Token:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
+    def fail(self, message: str, at: Optional[int] = None) -> NoReturn:
+        """Raise at offset `at`, by default at the next token."""
+        raise _error(self.text, self.peek()[2] if at is None else at, message)
+
+    def expect(self, want: str, what: str = "") -> Token:
+        """Take the next token if its text is `want`, or its kind when `what` names it."""
+        t = self.peek()
+        if t[0 if what else 1] != want:
+            self.fail("expected %s, found %r" % (what or repr(want), t[1] or "end of input"))
         self.pos += 1
         return t
 
-    def fail(self, message: str) -> None:
-        t = self.peek()
-        raise ParseError(message, t.line, t.column)
+    def comma_list(self, item: Callable[[], T], stop: Optional[str] = None) -> List[T]:
+        """`item {, item}`, or no items when the next token is `stop`."""
+        out: List[T] = []
+        if self.peek()[1] != stop:
+            out.append(item())
+            while self.peek()[1] == ",":
+                self.pos += 1
+                out.append(item())
+        return out
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text:
-            self.fail("expected %r, found %r" % (text, t.text or "end of input"))
-        return self.next()
-
-    def expect_kind(self, kind: str, what: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            self.fail("expected %s, found %r" % (what, t.text or "end of input"))
-        return self.next()
+    def checked(self, rule: R, at: int) -> R:
+        """`rule` if its safety check passes, else a ParseError at offset `at`."""
+        try:
+            rule.check_safety()
+        except UsageError as e:
+            self.fail(str(e), at)
+        return rule
 
     # -- terms and atoms ----------------------------------------------------
 
     def term(self) -> Term:
-        t = self.peek()
-        if t.kind == "ident":
-            self.next()
-            return Constant(t.text)
-        if t.kind == "var":
-            self.next()
-            return Variable(t.text)
-        if t.kind == "null":
+        kind, word, _ = self.peek()
+        if kind == "ident":
+            self.pos += 1
+            return Constant(word)
+        if kind == "var":
+            self.pos += 1
+            return Variable(word)
+        if kind == "null":
             if not self.allow_nulls:
                 self.fail("labeled nulls are not allowed here")
-            index = int(t.text[3:])
+            index = int(word[3:])
             if index >= CANONICAL_NULL_BASE:
                 self.fail("null index %d is reserved for canonical nulls" % index)
-            self.next()
+            self.pos += 1
             return LabeledNull(index)
         self.fail("expected a term")
 
     def atom(self) -> Atom:
-        name_tok = self.expect_kind("ident", "a predicate name")
+        _, name, at = self.expect("ident", "a predicate name")
         args: List[Term] = []
-        if self.peek().text == "(":
-            self.next()
-            if self.peek().text != ")":
-                args.append(self.term())
-                while self.peek().text == ",":
-                    self.next()
-                    args.append(self.term())
+        if self.peek()[1] == "(":
+            self.pos += 1
+            args = self.comma_list(self.term, ")")
             self.expect(")")
-        arity = self.arities.get(name_tok.text)
-        if arity is None:
-            self.arities[name_tok.text] = len(args)
-        elif arity != len(args):
-            raise ParseError(
-                "predicate %s used with arity %d, declared with %d"
-                % (name_tok.text, len(args), arity),
-                name_tok.line,
-                name_tok.column,
-            )
-        return Atom(Predicate(name_tok.text, len(args)), tuple(args))
+        arity = self.arities.setdefault(name, len(args))
+        if arity != len(args):
+            self.fail("predicate %s used with arity %d, declared with %d"
+                      % (name, len(args), arity), at)
+        return Atom(Predicate(name, len(args)), tuple(args))
 
-    def atom_list(self) -> List[Atom]:
-        out = [self.atom()]
-        while self.peek().text == ",":
-            self.next()
-            out.append(self.atom())
-        return out
+    def variable(self) -> Variable:
+        return Variable(self.expect("var", "a variable")[1])
 
     # -- statements ----------------------------------------------------------
 
     def statement(self, program: Program) -> None:
-        t = self.peek()
-        if t.kind != "ident" or t.text not in ("fact", "tgd", "egd", "query"):
+        kind, kw, _ = self.peek()
+        if kind != "ident" or kw not in ("fact", "tgd", "egd", "query"):
             self.fail("expected fact, tgd, egd or query")
-        kw = self.next().text
+        self.pos += 1
+        at = self.peek()[2]
         if kw == "fact":
-            tok = self.peek()
             atom = self.atom()
             if not atom.is_ground():
-                raise ParseError("facts must be ground", tok.line, tok.column)
+                self.fail("facts must be ground", at)
             program.facts.add(atom)
         elif kw == "tgd":
-            self.tgd(program)
+            body = self.comma_list(self.atom)
+            self.expect("->")
+            existentials: List[Variable] = []
+            if self.peek()[1] == "exists":
+                self.pos += 1
+                existentials = self.comma_list(self.variable)
+                self.expect(":")
+            head = self.comma_list(self.atom)
+            rule = TGD(tuple(body), tuple(head), frozenset(existentials),
+                       label="tgd%d" % (len(program.tgds) + 1))
+            program.tgds.append(self.checked(rule, at))
         elif kw == "egd":
-            self.egd(program)
+            body = self.comma_list(self.atom)
+            self.expect("->")
+            lhs = self.variable()
+            self.expect("=")
+            egd = EGD(tuple(body), lhs, self.variable(),
+                      label="egd%d" % (len(program.egds) + 1))
+            program.egds.append(self.checked(egd, at))
         else:
-            self.query(program)
+            name = self.expect("ident", "a query name")[1]
+            head_vars: List[Variable] = []
+            if self.peek()[1] == "(":
+                self.pos += 1
+                head_vars = self.comma_list(self.variable, ")")
+                self.expect(")")
+            self.expect(":-")
+            q = CQ(name, tuple(head_vars), tuple(self.comma_list(self.atom, ".")))
+            program.queries.append(self.checked(q, at))
         self.expect(".")
-
-    def tgd(self, program: Program) -> None:
-        tok = self.peek()
-        body = self.atom_list()
-        self.expect("->")
-        existentials: List[Variable] = []
-        if self.peek().text == "exists":
-            self.next()
-            existentials.append(self._variable())
-            while self.peek().text == ",":
-                self.next()
-                existentials.append(self._variable())
-            self.expect(":")
-        head = self.atom_list()
-        rule = TGD(
-            tuple(body),
-            tuple(head),
-            frozenset(existentials),
-            label="tgd%d" % (len(program.tgds) + 1),
-        )
-        try:
-            rule.check_safety()
-        except Exception as e:
-            raise ParseError(str(e), tok.line, tok.column)
-        program.tgds.append(rule)
-
-    def egd(self, program: Program) -> None:
-        tok = self.peek()
-        body = self.atom_list()
-        self.expect("->")
-        lhs = self._variable()
-        self.expect("=")
-        rhs = self._variable()
-        rule = EGD(tuple(body), lhs, rhs, label="egd%d" % (len(program.egds) + 1))
-        try:
-            rule.check_safety()
-        except Exception as e:
-            raise ParseError(str(e), tok.line, tok.column)
-        program.egds.append(rule)
-
-    def _variable(self) -> Variable:
-        return Variable(self.expect_kind("var", "a variable").text)
-
-    def query(self, program: Program) -> None:
-        tok = self.peek()
-        name = self.expect_kind("ident", "a query name").text
-        head_vars: List[Variable] = []
-        if self.peek().text == "(":
-            self.next()
-            if self.peek().text != ")":
-                head_vars.append(self._variable())
-                while self.peek().text == ",":
-                    self.next()
-                    head_vars.append(self._variable())
-            self.expect(")")
-        self.expect(":-")
-        body: List[Atom] = []
-        if self.peek().text != ".":
-            body = self.atom_list()
-        q = CQ(name, tuple(head_vars), tuple(body))
-        try:
-            q.check_safety()
-        except Exception as e:
-            raise ParseError(str(e), tok.line, tok.column)
-        program.queries.append(q)
 
     def program(self) -> Program:
         p = Program()
-        while self.peek().kind != "end":
+        while self.peek()[0] != "end":
             self.statement(p)
         return p
 
@@ -301,16 +231,19 @@ def parse_instance(text: str) -> Instance:
     """
     p = _Parser(text, allow_nulls=True)
     inst = Instance()
-    while p.peek().kind != "end":
+    while p.peek()[0] != "end":
         inst.add(p.atom())
-        if p.peek().text in (",", "."):
-            p.next()
+        if p.peek()[1] in (",", "."):
+            p.pos += 1
     return inst
 
 
 def parse_atom(text: str) -> Atom:
-    """Parse a single atom; variables and nulls allowed."""
-    return _Parser(text, allow_nulls=True).atom()
+    """Parse a single atom and nothing after it; variables and nulls allowed."""
+    p = _Parser(text, allow_nulls=True)
+    atom = p.atom()
+    p.expect("end", "end of input")
+    return atom
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,8 @@ from chasekit.acyclic import (
     SquidLimits,
     enumerate_squids,
     is_s_acyclic,
-    join_forest_dot,
     make_squid,
     s_join_forest,
-    squid_dot,
     squids_from_witnesses,
     validate_squid,
     verify_squid_lemma,
@@ -290,15 +288,6 @@ def test_squid_streams_match_the_golden_digests():
                 "%s->%r" % (v.name, t) for v, t in theta.items()))
             digests["witnesses"].update(line.encode())
     assert {k: h.hexdigest() for k, h in digests.items()} == SQUID_GOLDEN
-
-
-def test_dot_exports_are_well_formed():
-    query, q_plus, h, v_delta = squid_example()
-    squid = make_squid(query, q_plus, h, v_delta)
-    text = squid_dot(squid)
-    assert text.startswith("graph squid {") and text.endswith("}")
-    out = s_join_forest(atoms("r(X,Y)", "r(Y,Z)"), set())
-    assert "--" in join_forest_dot(out[0])
 
 
 # ---------------------------------------------------------------------------

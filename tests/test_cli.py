@@ -74,6 +74,14 @@ def test_chase_missing_file(capsys):
     assert "error" in err
 
 
+def test_classify_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.dlp"
+    path.write_bytes("fact r(caf\u00e9).".encode("latin-1"))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s is not UTF-8 text" % path)
+
+
 def test_chase_requires_some_input(capsys):
     code, _, err = run_cli(capsys, "chase")
     assert code == 2

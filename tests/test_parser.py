@@ -8,6 +8,7 @@ from chasekit.model import Constant, Variable
 from chasekit.parser import (
     ParseError,
     answer_json,
+    parse_atom,
     parse_instance,
     parse_program,
     render_program,
@@ -86,6 +87,65 @@ def test_syntax_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_program("fact r(a,b)")
     assert "1:" in str(err.value)
+
+
+# Every error the parser raises: the parsing function, the text, and the
+# message, line and column of the ParseError.
+PARSE_ERRORS = [
+    (parse_program, "fact r(a$).", "unexpected character '$'", 1, 9),
+    (parse_instance, "r(a,\n  _:nx).", "malformed null, expected digits after _:n", 2, 3),
+    (parse_instance, "r(_:n\u00b2).", "malformed null, expected digits after _:n", 1, 3),
+    (parse_program, "fact r(a).\nfact s(_:n1).", "labeled nulls are not allowed here", 2, 8),
+    (parse_instance, "r(a,_:n7).\nr(b,_:n1000000001).",
+     "null index 1000000001 is reserved for canonical nulls", 2, 5),
+    (parse_program, "fact r(,a).", "expected a term", 1, 8),
+    (parse_program, "fact r(a,", "expected a term", 1, 10),
+    (parse_program, "tgd r(X) -> S(X).", "expected a predicate name, found 'S'", 1, 13),
+    (parse_program, "egd r(X,Y) -> X = a.", "expected a variable, found 'a'", 1, 19),
+    (parse_program, "tgd r(X) -> exists 1: s(X).", "expected a variable, found '1'", 1, 20),
+    (parse_program, "query q(a) :- r(a).", "expected a variable, found 'a'", 1, 9),
+    (parse_program, "query Q(X) :- r(X).", "expected a query name, found 'Q'", 1, 7),
+    (parse_program, "rule r(a).", "expected fact, tgd, egd or query", 1, 1),
+    (parse_program, "fact r(a) fact s(b).", "expected '.', found 'fact'", 1, 11),
+    (parse_program, "fact r(a,b)", "expected '.', found 'end of input'", 1, 12),
+    (parse_program, "fact r(a) % c", "expected '.', found 'end of input'", 1, 14),
+    (parse_program, "tgd r(X) s(X).", "expected '->', found 's'", 1, 10),
+    (parse_program, "query q(X) r(X).", "expected ':-', found 'r'", 1, 12),
+    (parse_program, "fact r(a b).", "expected ')', found 'b'", 1, 10),
+    (parse_program, "tgd r(X) -> exists Z s(X,Z).", "expected ':', found 's'", 1, 22),
+    (parse_program, "egd r(X,Y) -> X Y.", "expected '=', found 'Y'", 1, 17),
+    (parse_program, "  fact r(a).\n\tfact r(a,b).",
+     "predicate r used with arity 2, declared with 1", 2, 7),
+    (parse_program, "fact r(a).\nfact r(X).", "facts must be ground", 2, 6),
+    (parse_program, "% unsafe\ntgd r(X) -> s(Y).",
+     "unsafe TGD tgd1: head variable Y neither in body nor existential", 2, 5),
+    (parse_program, "egd r(X,Y) -> X = Z.",
+     "EGD egd1 equates variable Z absent from its body", 1, 5),
+    (parse_program, "fact r(a).\n  query q(Y) :- r(X).",
+     "query q: head variable Y not in body", 2, 9),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, line, column", PARSE_ERRORS)
+def test_parse_errors_give_message_line_and_column(parse, text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == "%d:%d: %s" % (line, column, message)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_superscript_digits_do_not_make_a_null():
+    # "\u00b2".isdigit() holds, but int() rejects it
+    for parse in (parse_instance, parse_atom):
+        with pytest.raises(ParseError, match="malformed null"):
+            parse("r(_:n\u00b2)")
+
+
+def test_parse_atom_rejects_trailing_text():
+    with pytest.raises(ParseError) as err:
+        parse_atom("r(a) s(b)")
+    assert str(err.value) == "1:6: expected end of input, found 's'"
+    assert parse_atom(" r(a) % a comment\n") == parse_atom("r(a)")
 
 
 def test_query_forms():
