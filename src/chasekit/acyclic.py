@@ -17,7 +17,8 @@ from collections import deque
 from itertools import combinations_with_replacement, product
 from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .chase import ChaseOptions, Mode, Status, run_chase, split_ground
+from .chase import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions, Mode, Status,
+                    run_chase, split_ground)
 from .model import (
     CQ,
     TGD,
@@ -224,27 +225,20 @@ def validate_squid(query: CQ, squid: SquidDecomposition) -> bool:
 
 @dataclass
 class SquidLimits:
-    max_cover_atoms: Optional[int] = None   # default 2|Q|
     max_candidates: int = 1_000_000
     truncated: bool = False
-
-
-def _canonical_partition(rep: VarMap) -> FrozenSet[FrozenSet[str]]:
-    classes: Dict[Variable, Set[str]] = {}
-    for v, r in rep.items():
-        classes.setdefault(r, set()).add(v.name)
-    return frozenset(frozenset(c) for c in classes.values())
 
 
 def _fold_closure(atoms: Sequence[Atom], budget: int) -> Iterator[VarMap]:
     """All variable foldings reachable by repeatedly unifying two atoms.
 
     Breadth-first over partitions; each class is represented by its
-    name-least variable.  The identity fold comes first.
+    name-least variable, so a fold's items name its partition.  The
+    identity fold comes first.
     """
     variables = sorted(atoms_variables(atoms), key=lambda v: v.name)
     identity: VarMap = {v: v for v in variables}
-    seen = {_canonical_partition(identity)}
+    seen = {frozenset(identity.items())}
     queue = deque([identity])
     emitted = 0
     while queue:
@@ -261,14 +255,15 @@ def _fold_closure(atoms: Sequence[Atom], budget: int) -> Iterator[VarMap]:
             merged = _unify_fold(rep, a, b)
             if merged is None:
                 continue
-            key = _canonical_partition(merged)
+            key = frozenset(merged.items())
             if key not in seen:
                 seen.add(key)
                 queue.append(merged)
 
 
 def _unify_fold(rep: VarMap, a: Atom, b: Atom) -> Optional[VarMap]:
-    """Merge the variable classes forced by unifying two folded atoms."""
+    """Merge the variable classes forced by unifying two folded atoms;
+    `rep` is already a union-find forest of depth one."""
     parent: Dict[Variable, Variable] = dict(rep)
 
     def find(v: Variable) -> Variable:
@@ -277,9 +272,6 @@ def _unify_fold(rep: VarMap, a: Atom, b: Atom) -> Optional[VarMap]:
             v = parent[v]
         return v
 
-    # rep is a representative map (not a union-find tree); normalize.
-    for v in list(parent):
-        parent.setdefault(parent[v], parent[v])
     for x, y in zip(a.args, b.args):
         if isinstance(x, Variable) and isinstance(y, Variable):
             rx, ry = find(x), find(y)
@@ -302,34 +294,25 @@ def _cover(query: CQ, preds: Sequence[Predicate]) -> Tuple[Atom, ...]:
 
 
 def enumerate_squids(
-    query: CQ,
-    limits: Optional[SquidLimits] = None,
-    predicates: Optional[Sequence[Predicate]] = None,
+    query: CQ, limits: Optional[SquidLimits] = None
 ) -> Iterator[SquidDecomposition]:
     """Stream squid decompositions of a query, smallest covers first.
 
     Covers extend the query with up to |Q| fresh-variable atoms over the
-    given predicates (the query's own by default); foldings come from
-    iterated pairwise atom unification, fresh cover variables may
-    additionally be sent to any folded variable, and every subset of the
-    folded variables is tried as the ground split.  Only candidates
-    passing validate_squid are yielded.  When the candidate budget runs
-    out the stream stops with limits.truncated set; the limits
-    themselves are left as given.
+    query's own predicates; foldings come from iterated pairwise atom
+    unification, fresh cover variables may additionally be sent to any
+    folded variable, and every subset of the folded variables is tried
+    as the ground split.  Only candidates passing validate_squid are
+    yielded.  When the candidate budget runs out the stream stops with
+    limits.truncated set; the limits themselves are left as given.
     """
     limits = limits or SquidLimits()
     limits.truncated = False
-    max_cover = limits.max_cover_atoms
-    if max_cover is None:
-        max_cover = 2 * len(query.body)
-    preds = list(predicates) if predicates else sorted(
-        {a.predicate for a in query.body}, key=lambda p: (p.name, p.arity)
-    )
-    max_extra = min(len(query.body), max(max_cover - len(query.body), 0))
+    preds = sorted({a.predicate for a in query.body}, key=lambda p: (p.name, p.arity))
     budget = limits.max_candidates
     spent = 0
 
-    for extra in range(0, max_extra + 1):
+    for extra in range(0, len(query.body) + 1):
         for combo in combinations_with_replacement(preds, extra):
             q_plus = _cover(query, combo)
             fresh_vars = [v for a in q_plus[len(query.body):] for v in a.args]
@@ -414,8 +397,8 @@ def verify_squid_lemma(
     database: Instance,
     tgds: Sequence[TGD],
     query: CQ,
-    max_steps: int = 10_000,
-    max_depth: int = 64,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> SquidLemmaReport:
     """Check, on one terminating instance, that the chase entails the
     query exactly when some squid decomposition splits into ground head

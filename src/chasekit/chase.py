@@ -56,7 +56,9 @@ class Status(Enum):
 
 
 Hom = Dict[Variable, Term]
-HomKey = Tuple[Tuple[Variable, Term], ...]
+# the default budgets of every chase a command or a library call runs
+DEFAULT_MAX_STEPS = 10_000
+DEFAULT_MAX_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -69,16 +71,12 @@ class Trigger:
     plan: RulePlan = field(compare=False, repr=False)
 
     @classmethod
-    def of(cls, rule, hom: Union[Hom, Key], plan: Optional[RulePlan] = None) -> "Trigger":
-        """The trigger of `rule` under `hom`, a homomorphism of its body;
-        given `plan`, the rule's plan, `hom` is that plan's key."""
-        if plan is None:
-            plan = RulePlan(rule)
-            hom = tuple(hom[v] for v in plan.vars)
-        return cls(rule, hom, plan)
+    def of(cls, rule, key: Key, plan: RulePlan) -> "Trigger":
+        """The trigger of `rule`, planned as `plan`, under a key of it."""
+        return cls(rule, key, plan)
 
     @property
-    def hom(self) -> HomKey:
+    def hom(self) -> Tuple[Tuple[Variable, Term], ...]:
         """The (variable, value) pairs, sorted by variable name."""
         return tuple(zip(self.plan.vars, self.key))
 
@@ -149,22 +147,19 @@ def body_homomorphisms(
     body: Sequence[Atom],
     instance: Instance,
     seed: Optional[Hom] = None,
-    pinned: Optional[Tuple[int, Atom]] = None,
 ) -> Iterator[Hom]:
-    """All homomorphisms mapping body into the instance, in a fixed order.
+    """All homomorphisms mapping body into the instance that extend the
+    seed, in a fixed order.
 
-    The body is compiled into a `Plan` that matches its atoms in
-    declaration order, each against the position-index list its known
+    The body is compiled into a `Plan` that matches its atoms in the
+    given order, each against the position-index list its known
     arguments select.  Those lists keep insertion order, so the order is
-    that of a nested loop over `by_predicate`.  With `pinned`, the body
-    atom at the given index must map to the given fact (incremental
-    trigger discovery); it is matched first and seeds the rest.
+    that of a nested loop over `by_predicate`.
     """
     seed = seed or {}
-    plan = Plan(body, tuple(seed), None if pinned is None else pinned[0])
+    plan = Plan(body, tuple(seed))
     names, width = plan.vars, plan.width
-    for match in plan.matches(instance, tuple(seed.values()),
-                              None if pinned is None else pinned[1]):
+    for match in plan.matches(instance, tuple(seed.values())):
         yield dict(zip(names, match[width:]))
 
 
@@ -199,14 +194,10 @@ def egd_violations(
             yield idx, key
 
 
-def head_satisfied(rule: TGD, hom: Union[Hom, Key], instance: Instance,
-                   plan: Optional[RulePlan] = None) -> bool:
-    """Is there an extension of hom (on the frontier) mapping the head into
-    B?  Given `plan`, the rule's plan, `hom` is that plan's key."""
-    if plan is None:
-        plan = RulePlan(rule)
-        hom = tuple(hom[v] for v in plan.vars)
-    return plan.head_holds(hom, instance)
+def head_satisfied(plan: RulePlan, key: Key, instance: Instance) -> bool:
+    """Is there an extension of a trigger key of the planned rule, on
+    the frontier, mapping the head into the instance?"""
+    return plan.head_holds(key, instance)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +307,8 @@ def memory_guard() -> Optional[Callable[[], None]]:
 @dataclass
 class ChaseOptions:
     mode: Mode = Mode.RESTRICTED
-    max_steps: int = 10_000
-    max_depth: int = 64
+    max_steps: int = DEFAULT_MAX_STEPS
+    max_depth: int = DEFAULT_MAX_DEPTH
 
 
 def _index(by_term: Dict[Term, list], terms: Sequence[Term], item) -> None:
@@ -534,7 +525,7 @@ class _Engine:
             idx, key = entry
             plan = self.plans[idx]
             rule = plan.rule
-            if restricted and head_satisfied(rule, key, self.instance, plan):
+            if restricted and head_satisfied(plan, key, self.instance):
                 self._mark_applied(entry)
                 continue
             will_add = bool(rule.existentials) or (

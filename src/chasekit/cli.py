@@ -15,12 +15,12 @@ from typing import List, Optional, Sequence
 
 from . import clouds, egdsep, rulesets
 from .analysis import classify
-from .chase import (ChaseOptions, ChaseResult, MemoryBudgetExceeded, Mode, Status,
-                    memory_guard, restricted_gcf, run_chase)
+from .chase import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions, ChaseResult,
+                    MemoryBudgetExceeded, Mode, Status, memory_guard, restricted_gcf,
+                    run_chase)
 from .model import Program, UsageError
 from .parser import ParseError, answer_json, parse_program, render_atom, render_term
 from .query import (
-    AnswerStatus,
     Bounded,
     BlockedAtomic,
     Terminate,
@@ -152,14 +152,7 @@ def cmd_answer(args) -> int:
         report = certain_answers(
             program.facts, program.tgds, query, strategy, egds=program.egds,
         )
-    if report.status is AnswerStatus.FAILED:
-        status = "failed"
-    elif report.answers:
-        status = "sat"
-    elif report.status is AnswerStatus.EXACT:
-        status = "unsat"
-    else:
-        status = "unknown"
+    status = report.verdict
     if args.format == "json":
         print(answer_json(query.name, status, report.answers, report.budget_exhausted))
     else:
@@ -273,8 +266,8 @@ def _add_common(sub, budgets=False, mode=False, egd=False):
     sub.add_argument("--builtin", help="built-in program: fll, grid, 3col[-k3|-k4|-c5]")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     if budgets:
-        sub.add_argument("--max-steps", type=int, default=10_000)
-        sub.add_argument("--max-depth", type=int, default=64)
+        sub.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+        sub.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     if mode:
         sub.add_argument(
             "--mode", choices=("oblivious", "restricted"), default="restricted"
@@ -316,7 +309,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("--q1", required=True)
     sub.add_argument("--q2", required=True)
-    sub.add_argument("--budget", type=int, default=10_000)
+    sub.add_argument("--budget", type=int, default=DEFAULT_MAX_STEPS)
     sub.set_defaults(func=cmd_contain)
 
     sub = subs.add_parser("egd-check", help="would the chase fail?")

@@ -74,10 +74,8 @@ def cloud_size_bound(num_predicates: int, dom_size: int, max_arity: int) -> int:
     return num_predicates * (dom_size + max_arity) ** max(max_arity, 1)
 
 
-CanonicalPair = Tuple[Atom, FrozenSet[Atom]]
-
-
-def canonicalize(anchor: Atom, atoms: Set[Atom], database: Instance) -> CanonicalPair:
+def canonicalize(anchor: Atom, atoms: Set[Atom], database: Instance
+                 ) -> Tuple[Atom, FrozenSet[Atom]]:
     """Rename the anchor's nulls to xi_1, xi_2, ... in first-occurrence order.
 
     Constants map to themselves.  Every null occurring in the atom set

@@ -18,6 +18,8 @@ from enum import Enum
 from typing import Optional, Sequence, Tuple
 
 from .chase import (
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_MAX_STEPS,
     ChaseOptions,
     ChaseResult,
     EgdOutcome,
@@ -47,8 +49,8 @@ def monitor_innocuousness(
     database: Instance,
     tgds: Sequence[TGD],
     egds: Sequence[EGD],
-    max_steps: int = 10_000,
-    max_depth: int = 64,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Tuple[SeparationVerdict, ChaseResult]:
     """Run the interleaved chase and record what the EGDs did."""
     result = run_chase(
@@ -85,8 +87,8 @@ def egd_failure_check(
     database: Instance,
     tgds: Sequence[TGD],
     egds: Sequence[EGD],
-    max_steps: int = 10_000,
-    max_depth: int = 64,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> FailureCheck:
     """Would the interleaved chase fail?  Decided under the TGDs alone.
 
@@ -117,8 +119,8 @@ def separated_answer(
     tgds: Sequence[TGD],
     egds: Sequence[EGD],
     query: CQ,
-    max_steps: int = 10_000,
-    max_depth: int = 64,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> AnswerReport:
     """Answer a query under TGDs plus innocuous EGDs without merging.
 
@@ -162,7 +164,7 @@ def blocking_chase(
     database: Instance,
     tgds: Sequence[TGD],
     egds: Sequence[EGD],
-    max_steps: int = 10_000,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> BlockingChaseResult:
     """Chase variant that bans atoms instead of rewriting them.
 

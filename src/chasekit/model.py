@@ -115,9 +115,6 @@ class Atom:
     def variables(self) -> Set[Variable]:
         return {t for t in self.args if isinstance(t, Variable)}
 
-    def nulls(self) -> Set[LabeledNull]:
-        return {t for t in self.args if isinstance(t, LabeledNull)}
-
     def is_ground(self) -> bool:
         return all(isinstance(t, Constant) for t in self.args)
 
@@ -223,9 +220,6 @@ class Instance:
 
     def by_predicate(self, p: Predicate) -> List[Atom]:
         return self._by_predicate.get(p, [])
-
-    def predicates(self) -> List[Predicate]:
-        return list(self._by_predicate)
 
     def probe(self, p: Predicate, columns: Sequence[int],
               values: Sequence[Term]) -> List[Atom]:
@@ -367,13 +361,14 @@ class TGD:
 
     def check_safety(self) -> None:
         body_vars = self.universal_variables()
-        for v in self.head_variables():
+        # the first offender in head order, then by name: not in set order
+        for v in (t for a in self.head for t in a.args if isinstance(t, Variable)):
             if v not in self.existentials and v not in body_vars:
                 raise UsageError(
                     "unsafe TGD %s: head variable %s neither in body nor existential"
                     % (self.label or repr(self), v.name)
                 )
-        for x in self.existentials:
+        for x in sorted(self.existentials, key=lambda v: v.name):
             if x in body_vars:
                 raise UsageError(
                     "TGD %s: existential %s also occurs in the body"

@@ -1,14 +1,14 @@
 """Conjunctive query evaluation, certain answers, and containment.
 
 Evaluation is backtracking homomorphism search over a compiled
-`plan.Plan`; the body order only changes the search, never the answer
-set.  A query with answer variables enumerates every homomorphism, its
-atoms most-constrained-first (fewest atoms of their predicate), and
-projects it.  A Boolean query is one existence check that stops at its
-first witness, its atoms in a connected order; containment asks one
-such check too, seeded with the frozen head.  Certain answers keep
-all-constant tuples only; whether they are exact or a sound lower bound
-depends on whether the underlying chase reached a fixpoint.
+`plan.Plan`, its atoms in one connected join order (`connected_order`);
+the body order only changes the search, never the answer set.  A query
+with answer variables enumerates every homomorphism and projects it.  A
+Boolean query is one existence check that stops at its first witness;
+containment asks one such check too, seeded with the frozen head.
+Certain answers keep all-constant tuples only; whether they are exact
+or a sound lower bound depends on whether the underlying chase reached
+a fixpoint.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from enum import Enum
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from . import clouds
-from .chase import ChaseOptions, ChaseResult, Mode, Status, body_homomorphisms, run_chase
+from .chase import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions, ChaseResult, Mode,
+                    Status, body_homomorphisms, run_chase)
 from .model import (
     CQ,
     EGD,
@@ -44,22 +45,11 @@ def homomorphisms(
     """All homomorphisms from the body into the instance.
 
     Constants map to themselves; instance nulls are plain values and may
-    be shared by several variables.  The body atoms are put in a static
-    fewest-candidates-first order (by the number of atoms of their
-    predicate) and handed to `chase.body_homomorphisms`, which compiles
-    them into a `plan.Plan`, the one matcher.
+    be shared by several variables.  The body atoms are put in
+    `connected_order` and handed to `chase.body_homomorphisms`, which
+    compiles them into a `plan.Plan`, the one matcher.
     """
-    order = sorted(body, key=lambda a: len(instance.by_predicate(a.predicate)))
-    yield from body_homomorphisms(order, instance, seed)
-
-
-def _extends(body: Sequence[Atom], instance: Instance,
-             seed: Optional[Dict[Variable, Term]] = None) -> bool:
-    """Does some homomorphism of the body into the instance extend the
-    seed?  The search stops at the first one."""
-    for _ in homomorphisms(body, instance, seed):
-        return True
-    return False
+    yield from body_homomorphisms(connected_order(body, instance), instance, seed)
 
 
 def eval_cq(instance: Instance, query: CQ) -> Set[Tuple[Term, ...]]:
@@ -149,25 +139,32 @@ class AnswerStatus(Enum):
 class AnswerReport:
     answers: List[Tuple[Term, ...]]
     status: AnswerStatus
-    budget_exhausted: bool = False
     note: str = ""
     chase: Optional[ChaseResult] = None
 
+    @property
+    def budget_exhausted(self) -> bool:
+        """Did a budget stop the run, leaving a sound lower bound?"""
+        return self.status is AnswerStatus.SOUND_LOWER_BOUND
+
+    @property
+    def verdict(self) -> str:
+        """failed, sat (some answer), unsat (exactly none) or unknown."""
+        if self.status is AnswerStatus.FAILED:
+            return "failed"
+        if self.answers:
+            return "sat"
+        return "unsat" if self.status is AnswerStatus.EXACT else "unknown"
+
     def boolean(self) -> Optional[bool]:
         """Truth value for Boolean queries; None when undetermined."""
-        if self.status is AnswerStatus.FAILED:
-            return True
-        if self.answers:
-            return True
-        if self.status is AnswerStatus.EXACT:
-            return False
-        return None
+        return {"failed": True, "sat": True, "unsat": False}.get(self.verdict)
 
 
 @dataclass(frozen=True)
 class Terminate:
-    max_steps: int = 10_000
-    max_depth: int = 64
+    max_steps: int = DEFAULT_MAX_STEPS
+    max_depth: int = DEFAULT_MAX_DEPTH
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,7 @@ class BlockedAtomic:
 @dataclass(frozen=True)
 class Bounded:
     depth: int = 16
-    max_steps: int = 10_000
+    max_steps: int = DEFAULT_MAX_STEPS
 
 
 Strategy = Union[Terminate, BlockedAtomic, Bounded]
@@ -218,7 +215,7 @@ def certain_answers(
         rows = _constant_rows(eval_cq(facts, query))
         if sat.status is clouds.SaturateStatus.STABILIZED:
             return AnswerReport(rows, AnswerStatus.EXACT)
-        return AnswerReport(rows, AnswerStatus.SOUND_LOWER_BOUND, budget_exhausted=True)
+        return AnswerReport(rows, AnswerStatus.SOUND_LOWER_BOUND)
 
     if isinstance(strategy, Terminate):
         opts = ChaseOptions(
@@ -246,9 +243,7 @@ def answers_from_chase(result: ChaseResult, query: CQ) -> AnswerReport:
     rows = _constant_rows(eval_cq(result.instance, query))
     if result.status is Status.SATURATED:
         return AnswerReport(rows, AnswerStatus.EXACT, chase=result)
-    return AnswerReport(
-        rows, AnswerStatus.SOUND_LOWER_BOUND, budget_exhausted=True, chase=result,
-    )
+    return AnswerReport(rows, AnswerStatus.SOUND_LOWER_BOUND, chase=result)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +280,8 @@ def check_containment(
     q1: CQ,
     q2: CQ,
     tgds: Sequence[TGD],
-    max_steps: int = 10_000,
-    max_depth: int = 64,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Containment:
     """Containment of q1 in q2 under a TGD set, by freezing and chasing.
 
@@ -314,7 +309,8 @@ def check_containment(
     result = run_chase(frozen_body, tgds, (), opts)
     seed: Dict[Variable, Term] = {}
     consistent = all(seed.setdefault(v, t) == t for v, t in zip(q2.head_vars, frozen_head))
-    if consistent and _extends(q2.body, result.instance, seed):
+    # the search stops at the first homomorphism that extends the seed
+    if consistent and next(homomorphisms(q2.body, result.instance, seed), None) is not None:
         return Containment("yes", witness=frozen_head)
     if result.status is Status.SATURATED:
         return Containment("no")

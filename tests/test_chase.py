@@ -79,8 +79,8 @@ def test_restricted_blocks_satisfied_head():
     sigma2 = p.tgds[1]
     inst = parse_instance("r1(a,b), r3(b,_:n9).")
     (trigger,) = triggers_of(sigma2, inst)
-    assert head_satisfied(sigma2, dict(trigger.hom), inst)
-    assert not head_satisfied(sigma2, dict(trigger.hom), parse_instance("r1(a,b)."))
+    assert head_satisfied(trigger.plan, trigger.key, inst)
+    assert not head_satisfied(trigger.plan, trigger.key, parse_instance("r1(a,b)."))
 
 
 def test_unmatched_body_no_triggers():

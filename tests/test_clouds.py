@@ -463,8 +463,9 @@ def reference_triggers(tgds, instance, new_atom):
             continue
         for i, atom in enumerate(rule.body):
             if atom.predicate == new_atom.predicate:
-                for hom in body_homomorphisms(rule.body, instance, pinned=(i, new_atom)):
-                    yield idx, hom
+                for hom in body_homomorphisms(rule.body, instance):
+                    if atom.substitute(hom) == new_atom:
+                        yield idx, hom
 
 
 def reference_head_image(rule, hom, alloc):

@@ -1,6 +1,6 @@
 import hashlib
 
-from helpers import find_homomorphism
+from helpers import find_homomorphism, fll_cases
 
 from chasekit.chase import ChaseOptions, EgdStep, Mode, Status, run_chase
 from chasekit.egdsep import (
@@ -13,6 +13,7 @@ from chasekit.egdsep import (
 from chasekit.cli import main
 from chasekit.model import CQ, EGD, TGD, Constant, Instance, Predicate, Variable
 from chasekit.parser import parse_atom, parse_program, render_atom
+from chasekit.plan import RulePlan
 from chasekit.query import AnswerStatus, Terminate, certain_answers, eval_cq
 from chasekit.rulesets import fll_rules
 
@@ -253,8 +254,10 @@ def test_blocking_chase_survivors_model_the_dependencies():
     from chasekit.chase import body_homomorphisms, head_satisfied
 
     for rule in p.tgds:
+        plan = RulePlan(rule)
         for hom in body_homomorphisms(rule.body, survivors):
-            assert head_satisfied(rule, hom, survivors), rule
+            key = tuple(hom[v] for v in plan.vars)
+            assert head_satisfied(plan, key, survivors), rule
     for egd in p.egds:
         for hom in body_homomorphisms(egd.body, survivors):
             assert hom[egd.lhs] == hom[egd.rhs], egd
@@ -284,21 +287,38 @@ INNOCUOUS_DBS = [
 ]
 
 
+def assert_blocking_agrees_with_interleaved(p, what):
+    """The blocking chase fails exactly when the oblivious interleaved
+    chase does.  Otherwise it saturates, its survivors are the oblivious
+    interleaved instance, and they map into the restricted interleaved
+    instance and back.  Returns the blocking chase and the oblivious run."""
+    inter = run_chase(p.facts, p.tgds, p.egds, ChaseOptions(mode=Mode.OBLIVIOUS))
+    out = blocking_chase(p.facts, p.tgds, p.egds)
+    assert (out.status is Status.FAILED) == (inter.status is Status.FAILED), what
+    if inter.status is Status.FAILED:
+        return out, inter
+    assert out.status is Status.SATURATED, what
+    assert out.survivors.atom_set() == inter.instance.atom_set(), what
+    assert out.blocked.atom_set() == out.unblocked.atom_set() - out.survivors.atom_set()
+    _, restricted = monitor_innocuousness(p.facts, p.tgds, p.egds)
+    assert restricted.status is Status.SATURATED, what
+    assert find_homomorphism(out.survivors.atoms(), restricted.instance) is not None, what
+    assert find_homomorphism(restricted.instance.atoms(), out.survivors) is not None, what
+    return out, inter
+
+
 def test_blocking_chase_agrees_with_interleaved_on_innocuous_runs():
     for facts, status, count, digest in INNOCUOUS_DBS:
-        p = fll_with(facts)
-        inter = run_chase(p.facts, p.tgds, p.egds, ChaseOptions(mode=Mode.OBLIVIOUS))
+        out, inter = assert_blocking_agrees_with_interleaved(fll_with(facts), facts)
         merges = [s for s in inter.steps if isinstance(s, EgdStep)]
         assert merges and all(s.innocuous for s in merges), facts
-        out = blocking_chase(p.facts, p.tgds, p.egds)
         assert out.status.value == status, facts
         assert len(out.survivors) == count, facts
         ground = sorted(render_atom(a) for a in out.survivors if a.is_ground())
         assert hashlib.sha256("\n".join(ground).encode()).hexdigest() == digest, facts
-        assert out.survivors.atom_set() == inter.instance.atom_set(), facts
-        assert out.blocked.atom_set() == out.unblocked.atom_set() - out.survivors.atom_set()
-        # and homomorphically equivalent to the restricted interleaved chase
-        _, restricted = monitor_innocuousness(p.facts, p.tgds, p.egds)
-        assert restricted.status is Status.SATURATED
-        assert find_homomorphism(out.survivors.atoms(), restricted.instance) is not None
-        assert find_homomorphism(restricted.instance.atoms(), out.survivors) is not None
+    failing = 0
+    for seed in (3, 11):
+        for i, p in enumerate(fll_cases(seed, 60)):
+            out, _ = assert_blocking_agrees_with_interleaved(p, (seed, i))
+            failing += out.status is Status.FAILED
+    assert failing == 30  # every fourth case is built to fail

@@ -25,7 +25,7 @@ from chasekit.chase import (
     run_chase,
 )
 from chasekit.model import CQ, TGD, Atom, Constant, Instance, LabeledNull, Predicate, Variable
-from chasekit.plan import RulePlan
+from chasekit.plan import Plan, RulePlan
 from chasekit.query import connected_order, holds, homomorphisms
 
 PREDS = [Predicate("p", 2), Predicate("q", 2), Predicate("s", 1), Predicate("t", 3)]
@@ -97,7 +97,12 @@ def test_indexed_matcher_yields_the_nested_loop_order(data):
         pool = instance.by_predicate(body[i].predicate) or instance.atoms()
         pinned = (i, data.draw(st.sampled_from(pool)))
     want = list(nested_loop(body, instance, seed, pinned))
-    assert list(body_homomorphisms(body, instance, seed, pinned)) == want
+    if pinned is None:
+        assert list(body_homomorphisms(body, instance, seed)) == want
+    else:
+        plan = Plan(body, tuple(seed), pinned[0])
+        assert [dict(zip(plan.vars, match[plan.width:]))
+                for match in plan.matches(instance, tuple(seed.values()), pinned[1])] == want
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -180,8 +185,9 @@ def test_plan_keys_are_the_nested_loop_homomorphisms(data):
                 for h in nested_loop(body, instance, {}, (i, fact))]
         assert keys(fact) == want
     for key in keys(None):
-        trigger = Trigger.of(plan.rule, dict(key))
-        assert trigger == Trigger.of(plan.rule, trigger.key, plan) and trigger.hom == key
+        trigger = Trigger.of(plan.rule, tuple(t for _, t in key), plan)
+        assert trigger == Trigger.of(plan.rule, trigger.key, RulePlan(plan.rule)) and \
+            trigger.hom == key
         assert plan.body_images(trigger.key) == [a.substitute(dict(key)) for a in body]
 
 

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import programs_equal, run_optimized
 
+import chasekit
 from chasekit.model import Constant, Variable
 from chasekit.parser import (
     ParseError,
@@ -40,6 +45,27 @@ def test_empty_program():
 def test_unsafe_tgd_rejected():
     with pytest.raises(ParseError):
         parse_program("tgd r(X) -> s(Y).")
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_safety_errors_do_not_follow_string_hashing(hash_seed):
+    # the first unsafe head variable in head order, the first existential
+    # by name; at seeds 1 and 2 set order named A, D and Y instead
+    code = ("from chasekit.parser import ParseError, parse_program\n"
+            "for text in ('tgd r(X) -> s(O,A,B,C,D,E).',\n"
+            "             'tgd r(X,Y) -> exists X,Y: s(X,Y).'):\n"
+            "    try:\n"
+            "        parse_program(text)\n"
+            "    except ParseError as e:\n"
+            "        print(e)\n")
+    src = str(Path(chasekit.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines() == [
+        "1:5: unsafe TGD tgd1: head variable O neither in body nor existential",
+        "1:5: TGD tgd1: existential X also occurs in the body",
+    ], proc.stderr
 
 
 def test_head_constant_must_occur_in_body():
