@@ -10,9 +10,9 @@ ever running the merging chase.
 """
 
 from chasekit import certain_answers, egd_failure_check, separated_answer
+from chasekit.chase import ChaseOptions, Mode
 from chasekit.egdsep import monitor_innocuousness
 from chasekit.parser import parse_program
-from chasekit.query import Terminate
 from chasekit.rulesets import complete_graph, cycle_graph, three_col_program
 
 
@@ -20,7 +20,7 @@ def coloring(name, graph):
     program = three_col_program(graph)
     report = certain_answers(
         program.facts, program.tgds, program.query("color"),
-        Terminate(), egds=program.egds,
+        ChaseOptions(Mode.RESTRICTED), egds=program.egds,
     )
     print("%-4s 3-colorable: %s" % (name, report.boolean()))
 

@@ -40,9 +40,7 @@ from .clouds import blocked_saturate, canonicalize, cloud_of
 from .query import (
     AnswerReport,
     AnswerStatus,
-    Bounded,
     BlockedAtomic,
-    Terminate,
     certain_answers,
     check_containment,
     cq_to_bcq,

@@ -40,7 +40,6 @@ from .model import (
     Variable,
     compare_terms,
 )
-from .parser import render_atom, render_term
 from .plan import Key, Plan, RulePlan
 
 
@@ -59,6 +58,8 @@ Hom = Dict[Variable, Term]
 # the default budgets of every chase a command or a library call runs
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_DEPTH = 64
+# the depth of the oblivious prefix a bounded answer reads
+BOUNDED_DEPTH = 16
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,8 @@ class TgdStep:
     hom: Tuple[Tuple[Variable, Term], ...]
 
     def render(self) -> str:
-        binding = ",".join(
-            "%s->%s" % (v.name, render_term(t)) for v, t in self.hom
-        )
-        return "+ %s BY %s WITH {%s}" % (render_atom(self.atom), self.rule.label, binding)
+        binding = ",".join("%s->%r" % (v.name, t) for v, t in self.hom)
+        return "+ %r BY %s WITH {%s}" % (self.atom, self.rule.label, binding)
 
 
 @dataclass
@@ -114,12 +113,7 @@ class EgdStep:
 
     def render(self) -> str:
         tag = " [innocuous]" if self.innocuous else ""
-        return "= %s<-%s BY %s%s" % (
-            render_term(self.kept),
-            render_term(self.replaced),
-            self.rule.label,
-            tag,
-        )
+        return "= %r<-%r BY %s%s" % (self.kept, self.replaced, self.rule.label, tag)
 
 
 Step = Union[TgdStep, EgdStep]
@@ -304,7 +298,7 @@ def memory_guard() -> Optional[Callable[[], None]]:
     return check
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChaseOptions:
     mode: Mode = Mode.RESTRICTED
     max_steps: int = DEFAULT_MAX_STEPS

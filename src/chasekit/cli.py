@@ -15,18 +15,12 @@ from typing import List, Optional, Sequence
 
 from . import clouds, egdsep, rulesets
 from .analysis import classify
-from .chase import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions, ChaseResult,
-                    MemoryBudgetExceeded, Mode, Status, memory_guard, restricted_gcf,
-                    run_chase)
+from .chase import (BOUNDED_DEPTH, DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions,
+                    ChaseResult, MemoryBudgetExceeded, Mode, Status, memory_guard,
+                    restricted_gcf, run_chase)
 from .model import Program, UsageError
-from .parser import ParseError, answer_json, parse_program, render_atom, render_term
-from .query import (
-    Bounded,
-    BlockedAtomic,
-    Terminate,
-    certain_answers,
-    check_containment,
-)
+from .parser import ParseError, answer_json, parse_program, render_atom
+from .query import BlockedAtomic, certain_answers, check_containment
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -97,11 +91,7 @@ def _run_chase(args, program: Program) -> ChaseResult:
     """The chase the `chase` and `forest` flags ask for; `--egd separate`
     chases under the TGDs alone."""
     egds = program.egds if args.egd == "interleave" else []
-    opts = ChaseOptions(
-        mode=Mode(args.mode),
-        max_steps=args.max_steps,
-        max_depth=args.max_depth,
-    )
+    opts = ChaseOptions(Mode(args.mode), args.max_steps, args.max_depth)
     return run_chase(program.facts, program.tgds, egds, opts)
 
 
@@ -123,19 +113,21 @@ def cmd_chase(args) -> int:
 
 
 def _parse_strategy(args):
+    """`terminate` is the restricted chase under the budget flags,
+    `bounded:N` the oblivious chase cut at depth N."""
     text = args.strategy
     if text == "terminate":
-        return Terminate(max_steps=args.max_steps, max_depth=args.max_depth)
+        return ChaseOptions(Mode.RESTRICTED, args.max_steps, args.max_depth)
     if text == "blocked-atomic":
         return BlockedAtomic()
     if text == "bounded" or text.startswith("bounded:"):
-        depth = 16
+        depth = BOUNDED_DEPTH
         if ":" in text:
             try:
                 depth = int(text.split(":", 1)[1])
             except ValueError:
                 raise UsageError("bad bounded depth in %r" % text)
-        return Bounded(depth=depth, max_steps=args.max_steps)
+        return ChaseOptions(Mode.OBLIVIOUS, args.max_steps, depth)
     raise UsageError("unknown strategy %r" % text)
 
 
@@ -158,7 +150,7 @@ def cmd_answer(args) -> int:
     else:
         print("query %s: %s" % (query.name, status))
         for row in report.answers:
-            print("  (%s)" % ", ".join(render_term(t) for t in row))
+            print("  (%s)" % ", ".join(map(repr, row)))
         if report.note:
             print("note: %s" % report.note)
     return EXIT_FAILED if status == "failed" else EXIT_OK
@@ -300,8 +292,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(sub, budgets=True, egd=True)
     sub.add_argument("--query", required=True)
     sub.add_argument(
-        "--strategy", default="bounded:16",
-        help="terminate | blocked-atomic | bounded:N (default bounded:16)",
+        "--strategy", default="bounded:%d" % BOUNDED_DEPTH,
+        help="terminate | blocked-atomic | bounded:N (default %(default)s)",
     )
     sub.set_defaults(func=cmd_answer)
 

@@ -47,17 +47,10 @@ from .model import (
 from .plan import RulePlan
 
 
-@dataclass(frozen=True)
-class Cloud:
-    anchor: Atom
-    atoms: FrozenSet[Atom]
-
-    def __len__(self):
-        return len(self.atoms)
-
-
-def cloud_of(instance: Collection[Atom], database: Instance, anchor: Atom) -> Cloud:
-    """Atoms of the instance whose values lie in dom(anchor) + dom(database).
+def cloud_of(instance: Collection[Atom], database: Instance, anchor: Atom
+             ) -> FrozenSet[Atom]:
+    """The cloud of the anchor: the atoms of the instance whose values
+    lie in dom(anchor) + dom(database), the anchor among them.
 
     Against a chase prefix this is a lower approximation of the true
     cloud; callers re-run when the instance grows.
@@ -65,8 +58,7 @@ def cloud_of(instance: Collection[Atom], database: Instance, anchor: Atom) -> Cl
     if anchor not in instance:
         raise UsageError("anchor %r not in the instance" % (anchor,))
     allowed = anchor.domain() | database.domain()
-    members = frozenset(a for a in instance if a.domain() <= allowed)
-    return Cloud(anchor, members)
+    return frozenset(a for a in instance if a.domain() <= allowed)
 
 
 def cloud_size_bound(num_predicates: int, dom_size: int, max_arity: int) -> int:
@@ -234,7 +226,7 @@ def _expand_round(
         else:
             count = len(ground)
             near = {a for t in atom.args if t not in dom for a in by_term[t]}
-        part = cloud_of(near, database, atom).atoms if near else frozenset()
+        part = cloud_of(near, database, atom) if near else frozenset()
         if count + len(part) > bound:
             raise RuntimeError("cloud of %r has %d atoms, above the bound %d"
                                % (atom, count + len(part), bound))

@@ -128,8 +128,9 @@ def separated_answer(
     the failure check: a failing theory entails every Boolean query,
     reported as status Failed rather than by enumerating the trivial
     answer set.  Otherwise the EGDs are dropped and the query is
-    answered over that chase, as the Terminate strategy would: exact
-    when it saturated, which is also when the check is conclusive.
+    answered over that chase, as `certain_answers` with restricted
+    `ChaseOptions` would: exact when it saturated, which is also when
+    the check is conclusive.
     """
     result = _tgd_chase(database, tgds, max_steps, max_depth)
     if egds and _failure_in(result, egds) is FailureCheck.FAILED:

@@ -250,18 +250,9 @@ def parse_atom(text: str) -> Atom:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def render_term(t: Term) -> str:
-    if isinstance(t, Constant):
-        return t.name
-    if isinstance(t, LabeledNull):
-        return "_:n%d" % t.index
-    return t.name
-
-
 def render_atom(a: Atom) -> str:
-    if not a.args:
-        return a.predicate.name
-    return "%s(%s)" % (a.predicate.name, ",".join(render_term(t) for t in a.args))
+    """The atom in program syntax, which is its `repr` (so is a term's)."""
+    return repr(a)
 
 
 def _existentials_in_head_order(rule: TGD) -> List[Variable]:
@@ -328,7 +319,7 @@ def answer_json(
     payload = {
         "query": query_name,
         "status": status,
-        "answers": [[render_term(t) for t in row] for row in answers],
+        "answers": [[repr(t) for t in row] for row in answers],
         "budget_exhausted": budget_exhausted,
     }
     return json.dumps(payload)

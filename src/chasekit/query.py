@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from . import clouds
-from .chase import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions, ChaseResult, Mode,
-                    Status, body_homomorphisms, run_chase)
+from .chase import (BOUNDED_DEPTH, DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions,
+                    ChaseResult, Mode, Status, body_homomorphisms, run_chase)
 from .model import (
     CQ,
     EGD,
@@ -46,10 +46,12 @@ def homomorphisms(
 
     Constants map to themselves; instance nulls are plain values and may
     be shared by several variables.  The body atoms are put in
-    `connected_order` and handed to `chase.body_homomorphisms`, which
-    compiles them into a `plan.Plan`, the one matcher.
+    `connected_order`, the seeded variables counting as bound, and
+    handed to `chase.body_homomorphisms`, which compiles them into a
+    `plan.Plan`, the one matcher.
     """
-    yield from body_homomorphisms(connected_order(body, instance), instance, seed)
+    order = connected_order(body, instance, seed or ())
+    yield from body_homomorphisms(order, instance, seed)
 
 
 def eval_cq(instance: Instance, query: CQ) -> Set[Tuple[Term, ...]]:
@@ -67,14 +69,16 @@ def eval_cq(instance: Instance, query: CQ) -> Set[Tuple[Term, ...]]:
     return out
 
 
-def connected_order(body: Sequence[Atom], instance: Instance) -> List[Atom]:
+def connected_order(body: Sequence[Atom], instance: Instance,
+                    seeded: Collection[Variable] = ()) -> List[Atom]:
     """The body in a connected join order.  Each next atom shares a
-    variable with the atoms already placed, or has no variable, when
-    one such is left; otherwise (the first atom, or a new component) any
-    atom may come.  Among those that may come, the one with the fewest
-    expected candidates comes, ties going to declaration order: the
-    atoms its constants select, divided by the number of distinct terms
-    at each position of a variable already bound."""
+    variable with the atoms already placed or with the seeded variables,
+    or has no variable, when one such is left; otherwise (the first
+    atom, or a new component) any atom may come.  Among those that may
+    come, the one with the fewest expected candidates comes, ties going
+    to declaration order: the atoms its constants select, divided by
+    the number of distinct terms at each position of a variable already
+    bound, by an atom placed before it or by the seed."""
     expected: List[float] = []
     ground: Set[int] = set()
     # variable name -> (atom index, distinct terms at its position)
@@ -92,20 +96,24 @@ def connected_order(body: Sequence[Atom], instance: Instance) -> List[Atom]:
                 if at not in distinct:
                     distinct[at] = instance.distinct(a.predicate, c)
                 occurs.setdefault(t.name, []).append((i, distinct[at]))
-    left = list(range(len(body)))
     joined = set(ground)
+
+    def bind(names) -> None:
+        for name in names:
+            for i, terms in occurs.pop(name, ()):
+                joined.add(i)
+                if expected[i]:
+                    expected[i] /= terms
+
+    bind(v.name for v in seeded)
+    left = list(range(len(body)))
     order: List[Atom] = []
     while left:
         # the first least in declaration order
         best = min([i for i in left if i in joined] or left, key=expected.__getitem__)
         left.remove(best)
         order.append(body[best])
-        for t in body[best].args:
-            if isinstance(t, Variable) and t.name in occurs:
-                for i, terms in occurs.pop(t.name):
-                    joined.add(i)
-                    if expected[i]:
-                        expected[i] /= terms
+        bind(t.name for t in body[best].args if isinstance(t, Variable))
     return order
 
 
@@ -119,10 +127,6 @@ def holds(instance: Instance, query: CQ) -> bool:
     for _ in plan.matches(instance):
         return True
     return False
-
-
-def sort_answers(answers: Set[Tuple[Term, ...]]) -> List[Tuple[Term, ...]]:
-    return sorted(answers, key=lambda row: tuple(term_sort_key(t) for t in row))
 
 
 # ---------------------------------------------------------------------------
@@ -162,45 +166,35 @@ class AnswerReport:
 
 
 @dataclass(frozen=True)
-class Terminate:
-    max_steps: int = DEFAULT_MAX_STEPS
-    max_depth: int = DEFAULT_MAX_DEPTH
-
-
-@dataclass(frozen=True)
 class BlockedAtomic:
     """Answer atomic queries from the cloud-store saturation."""
 
 
-@dataclass(frozen=True)
-class Bounded:
-    depth: int = 16
-    max_steps: int = DEFAULT_MAX_STEPS
-
-
-Strategy = Union[Terminate, BlockedAtomic, Bounded]
+# a chase to run and answer over, or the cloud-store saturation
+Strategy = Union[ChaseOptions, BlockedAtomic]
 
 
 def _constant_rows(raw: Set[Tuple[Term, ...]]) -> List[Tuple[Term, ...]]:
-    return sort_answers(
-        {row for row in raw if all(isinstance(t, Constant) for t in row)}
-    )
+    rows = {row for row in raw if all(isinstance(t, Constant) for t in row)}
+    return sorted(rows, key=lambda row: tuple(term_sort_key(t) for t in row))
 
 
 def certain_answers(
     database: Instance,
     tgds: Sequence[TGD],
     query: CQ,
-    strategy: Strategy = Bounded(),
+    strategy: Strategy = ChaseOptions(Mode.OBLIVIOUS, max_depth=BOUNDED_DEPTH),
     egds: Sequence[EGD] = (),
 ) -> AnswerReport:
     """Certain answers of a query over a database under dependencies.
 
-    Terminate runs the restricted chase and is exact when it saturates;
-    Bounded runs the oblivious chase to a depth and reports a sound
-    lower bound; BlockedAtomic answers atomic queries from the
-    cloud-store saturation of a weakly guarded set: from its null-free
-    atoms and its canonical anchors.
+    ChaseOptions run that chase and answer over it (`answers_from_chase`):
+    exact when it saturates, else a sound lower bound.  The default, an
+    oblivious chase cut at depth `chase.BOUNDED_DEPTH`, is the CLI's
+    `bounded`, and the restricted chase is its `terminate`.
+    BlockedAtomic answers atomic queries from the cloud-store
+    saturation of a weakly guarded set: from its null-free atoms and
+    its canonical anchors.
     """
     if isinstance(strategy, BlockedAtomic):
         if len(query.body) != 1:
@@ -216,20 +210,7 @@ def certain_answers(
         if sat.status is clouds.SaturateStatus.STABILIZED:
             return AnswerReport(rows, AnswerStatus.EXACT)
         return AnswerReport(rows, AnswerStatus.SOUND_LOWER_BOUND)
-
-    if isinstance(strategy, Terminate):
-        opts = ChaseOptions(
-            mode=Mode.RESTRICTED,
-            max_steps=strategy.max_steps,
-            max_depth=strategy.max_depth,
-        )
-    else:
-        opts = ChaseOptions(
-            mode=Mode.OBLIVIOUS,
-            max_steps=strategy.max_steps,
-            max_depth=strategy.depth,
-        )
-    return answers_from_chase(run_chase(database, tgds, egds, opts), query)
+    return answers_from_chase(run_chase(database, tgds, egds, strategy), query)
 
 
 def answers_from_chase(result: ChaseResult, query: CQ) -> AnswerReport:

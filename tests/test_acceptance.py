@@ -33,7 +33,7 @@ from chasekit.parser import (
     parse_program,
     render_program,
 )
-from chasekit.query import AnswerStatus, Terminate, certain_answers
+from chasekit.query import AnswerStatus, certain_answers
 from chasekit.egdsep import FailureCheck, egd_failure_check, separated_answer
 from chasekit.rulesets import (
     builtin_program,
@@ -297,7 +297,7 @@ def test_criterion_10_three_colorability_gadget():
             start = time.monotonic()
             p = three_col_program(graph)
             report = certain_answers(
-                p.facts, p.tgds, p.query("color"), Terminate(), egds=p.egds
+                p.facts, p.tgds, p.query("color"), ChaseOptions(Mode.RESTRICTED), egds=p.egds
             )
             elapsed = time.monotonic() - start
             assert report.boolean() is want

@@ -487,6 +487,18 @@ def test_answer_honours_the_budget_flags(tmp_path, capsys, strategy, budget):
     assert code == 0 and json.loads(out)["budget_exhausted"] is True
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_answer_bounded_depth_defaults_to_16(tmp_path, capsys, fmt):
+    path = tmp_path / "chain.dlp"
+    path.write_text(CHAIN)
+    argv = ["answer", str(path), "--query", "qp", "--format", fmt]
+    outs = {run_cli(capsys, *argv, *strategy)
+            for strategy in ([], ["--strategy", "bounded"], ["--strategy", "bounded:16"])}
+    assert len(outs) == 1
+    (code, out, _), = outs
+    assert code == 0 and "d" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--max-steps", "5"],
     ["classify", "--max-depth", "5"],

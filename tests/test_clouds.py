@@ -185,21 +185,21 @@ def test_cloud_of_ground_anchor_is_ground_part():
     db = parse_instance("r1(a,b).")
     inst = parse_instance("r1(a,b), r3(b,_:n1), r2(b).")
     cloud = cloud_of(inst, db, parse_atom("r2(b)"))
-    assert set(cloud.atoms) == {parse_atom("r1(a,b)"), parse_atom("r2(b)")}
+    assert cloud == {parse_atom("r1(a,b)"), parse_atom("r2(b)")}
 
 
 def test_cloud_of_running_example_prefix():
     db = parse_instance("r1(a,b).")
     inst = parse_instance("r1(a,b), r3(b,_:n1), r2(b).")
     cloud = cloud_of(inst, db, parse_atom("r3(b,_:n1)"))
-    assert set(cloud.atoms) == inst.atom_set()
+    assert cloud == inst.atom_set()
 
 
 def test_database_contained_in_every_cloud():
     for db, rules, ob, _ in terminating_cases(seed=301, count=10):
         for anchor in list(ob.instance)[:10]:
             cloud = cloud_of(ob.instance, db, anchor)
-            assert db.atom_set() <= set(cloud.atoms)
+            assert db.atom_set() <= cloud
 
 
 def test_cloud_requires_member_anchor():
@@ -244,8 +244,8 @@ def test_subtree_determination_on_terminating_wg_runs():
         for anchor_node in ob.forest:
             anchor = anchor_node.atom
             cloud = cloud_of(ob.instance, db, anchor)
-            got = subtree_closure(ob, anchor, set(cloud.atoms))
-            want = subtree_atoms(ob, anchor) | set(cloud.atoms)
+            got = subtree_closure(ob, anchor, set(cloud))
+            want = subtree_atoms(ob, anchor) | cloud
             assert got == want, (anchor, rules)
             checked += 1
     assert checked > 20
@@ -284,10 +284,10 @@ def test_isomorphism_coherence_of_subtrees():
             for b in atoms[i + 1:]:
                 ca = cloud_of(ob.instance, db, a)
                 cb = cloud_of(ob.instance, db, b)
-                if not d_isomorphic((a, set(ca.atoms)), (b, set(cb.atoms)), db):
+                if not d_isomorphic((a, set(ca)), (b, set(cb)), db):
                     continue
-                nabla_a = sorted(subtree_atoms(ob, a) | set(ca.atoms), key=repr)
-                nabla_b = sorted(subtree_atoms(ob, b) | set(cb.atoms), key=repr)
+                nabla_a = sorted(subtree_atoms(ob, a) | ca, key=repr)
+                nabla_b = sorted(subtree_atoms(ob, b) | cb, key=repr)
                 assert find_homomorphism(nabla_a, Instance(nabla_b)) is not None
                 assert find_homomorphism(nabla_b, Instance(nabla_a)) is not None
 
@@ -495,7 +495,7 @@ def reference_saturate(database, rules):
         alloc = NullAllocator.after(instance)
 
         def register(atom):
-            key = canonicalize(atom, set(cloud_of(instance, database, atom).atoms),
+            key = canonicalize(atom, set(cloud_of(instance, database, atom)),
                                database)
             decisions.append((atom, key in keys))
             if key in keys:

@@ -14,7 +14,7 @@ from chasekit.cli import main
 from chasekit.model import CQ, EGD, TGD, Constant, Instance, Predicate, Variable
 from chasekit.parser import parse_atom, parse_program, render_atom
 from chasekit.plan import RulePlan
-from chasekit.query import AnswerStatus, Terminate, certain_answers, eval_cq
+from chasekit.query import AnswerStatus, certain_answers, eval_cq
 from chasekit.rulesets import fll_rules
 
 FAILING_DB = "fact data(o,a,c1). fact data(o,a,c2). fact funct(a,o)."
@@ -144,7 +144,7 @@ def test_separated_equals_plain_when_no_egds():
         "query q(X) :- s(X)."
     )
     lhs = separated_answer(p.facts, p.tgds, [], p.queries[0])
-    rhs = certain_answers(p.facts, p.tgds, p.queries[0], Terminate())
+    rhs = certain_answers(p.facts, p.tgds, p.queries[0], ChaseOptions(Mode.RESTRICTED))
     assert lhs.answers == rhs.answers and lhs.status == rhs.status
 
 

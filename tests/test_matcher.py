@@ -225,6 +225,22 @@ def test_connected_order_joins_each_atom_to_the_ones_before(data):
     assert holds(instance, query) == bool(exhaustive_eval(instance, query))
 
 
+def test_connected_order_counts_the_seeded_variables_as_bound():
+    r, s = Predicate("r", 2), Predicate("s", 2)
+    c = [Constant("c%d" % i) for i in range(50)]
+    d = [Constant("d%d" % i) for i in range(50)]
+    instance = Instance([Atom(r, (c[i], d[i])) for i in range(50)]
+                        + [Atom(s, (Constant("a"), c[i])) for i in range(50)])
+    W, X, Y = Variable("W"), Variable("X"), Variable("Y")
+    body = [Atom(s, (W, X)), Atom(r, (X, Y))]
+    # unseeded, both atoms expect 50 candidates and declaration order wins
+    assert connected_order(body, instance) == body
+    # a seeded Y selects one r atom, so r comes first
+    assert connected_order(body, instance, {Y}) == body[::-1]
+    seed = {Y: d[7]}
+    assert list(homomorphisms(body, instance, seed)) == [{W: Constant("a"), X: c[7], Y: d[7]}]
+
+
 # sha256 over "<step log>\n<status>\n" of each case, recorded with the
 # declaration-order nested-loop matcher before the position index
 GOLDEN = {

@@ -31,8 +31,6 @@ from chasekit.rulesets import cycle_graph, encode_three_colorability
 from chasekit.query import (
     AnswerStatus,
     BlockedAtomic,
-    Bounded,
-    Terminate,
     certain_answers,
     check_containment,
     cq_to_bcq,
@@ -190,7 +188,8 @@ def test_find_homomorphism_treats_nulls_as_variables():
 
 def test_bounded_certain_answers_exclude_nulls():
     p = parse_program(EXAMPLE_CHASE + "query qq(X) :- r2(X).")
-    report = certain_answers(p.facts, p.tgds, p.queries[0], Bounded(depth=4))
+    report = certain_answers(p.facts, p.tgds, p.queries[0],
+                             ChaseOptions(Mode.OBLIVIOUS, max_depth=4))
     assert report.answers == [(Constant("b"),)]
     assert report.status is AnswerStatus.SOUND_LOWER_BOUND
     assert report.budget_exhausted
@@ -198,13 +197,14 @@ def test_bounded_certain_answers_exclude_nulls():
 
 def test_boolean_query_entailed_on_running_example():
     p = parse_program(EXAMPLE_CHASE + "query bq() :- r3(X,Y).")
-    report = certain_answers(p.facts, p.tgds, p.queries[0], Bounded(depth=3))
+    report = certain_answers(p.facts, p.tgds, p.queries[0],
+                             ChaseOptions(Mode.OBLIVIOUS, max_depth=3))
     assert report.boolean() is True
 
 
 def test_no_dependencies_matches_plain_eval():
     p = parse_program("fact r(a,b). fact r(b,c). query qq(X) :- r(X,Y).")
-    report = certain_answers(p.facts, [], p.queries[0], Terminate())
+    report = certain_answers(p.facts, [], p.queries[0], ChaseOptions(Mode.RESTRICTED))
     assert report.status is AnswerStatus.EXACT
     assert set(report.answers) == eval_cq(p.facts, p.queries[0])
 
@@ -216,7 +216,7 @@ def test_terminate_exact_on_saturating_sets():
         pred = preds[0]
         vars_ = tuple(Variable("H%d" % i) for i in range(pred.arity))
         query = CQ("q", vars_, (Atom(pred, vars_),))
-        report = certain_answers(db, rules, query, Terminate())
+        report = certain_answers(db, rules, query, ChaseOptions(Mode.RESTRICTED))
         assert report.status is AnswerStatus.EXACT
         want = {row for row in eval_cq(re.instance, query)
                 if all(isinstance(t, Constant) for t in row)}
@@ -225,8 +225,10 @@ def test_terminate_exact_on_saturating_sets():
 
 def test_sound_lower_bound_is_subset_of_exact():
     p = parse_program(EXAMPLE_CHASE + "query qq(X) :- r2(X).")
-    shallow = certain_answers(p.facts, p.tgds, p.queries[0], Bounded(depth=2))
-    deeper = certain_answers(p.facts, p.tgds, p.queries[0], Bounded(depth=6))
+    shallow = certain_answers(p.facts, p.tgds, p.queries[0],
+                              ChaseOptions(Mode.OBLIVIOUS, max_depth=2))
+    deeper = certain_answers(p.facts, p.tgds, p.queries[0],
+                             ChaseOptions(Mode.OBLIVIOUS, max_depth=6))
     assert set(shallow.answers) <= set(deeper.answers)
 
 
@@ -239,7 +241,7 @@ def test_blocked_atomic_keeps_answers_reached_through_invented_values():
     report = certain_answers(p.facts, p.tgds, query, BlockedAtomic())
     assert report.status is AnswerStatus.EXACT
     assert report.answers == [(Constant("a"),), (Constant("b"),)]
-    bounded = certain_answers(p.facts, p.tgds, query, Bounded(depth=3))
+    bounded = certain_answers(p.facts, p.tgds, query, ChaseOptions(Mode.OBLIVIOUS, max_depth=3))
     assert bounded.answers == report.answers
     oracle = {row for row in exhaustive_eval(bounded.chase.instance, query)
               if all(isinstance(t, Constant) for t in row)}
@@ -273,7 +275,7 @@ def test_blocked_atomic_agrees_with_the_terminating_chase():
 
 def test_answers_sorted_lexicographically():
     p = parse_program("fact r(b). fact r(a). query qq(X) :- r(X).")
-    report = certain_answers(p.facts, [], p.queries[0], Terminate())
+    report = certain_answers(p.facts, [], p.queries[0], ChaseOptions(Mode.RESTRICTED))
     assert report.answers == [(Constant("a"),), (Constant("b"),)]
 
 
@@ -308,7 +310,7 @@ def test_cq_to_bcq_equivalence_on_random_instances():
         pred = preds[-1]
         vars_ = tuple(Variable("H%d" % i) for i in range(pred.arity))
         query = CQ("q", vars_, (Atom(pred, vars_),))
-        report = certain_answers(db, rules, query, Terminate())
+        report = certain_answers(db, rules, query, ChaseOptions(Mode.RESTRICTED))
         domain = sorted(
             (t for t in db.domain() if isinstance(t, Constant)),
             key=lambda c: c.name,
@@ -321,7 +323,7 @@ def test_cq_to_bcq_equivalence_on_random_instances():
             bcq, fact = cq_to_bcq(query, tup)
             extended = db.copy()
             extended.add(fact)
-            bres = certain_answers(extended, rules, bcq, Terminate())
+            bres = certain_answers(extended, rules, bcq, ChaseOptions(Mode.RESTRICTED))
             assert (bres.boolean() is True) == (tup in set(report.answers))
 
 

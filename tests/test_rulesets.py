@@ -9,7 +9,7 @@ from chasekit.chase import ChaseOptions, Mode, Status, run_chase
 from chasekit.egdsep import monitor_innocuousness
 from chasekit.model import UsageError
 from chasekit.parser import parse_atom, parse_program, render_program
-from chasekit.query import Terminate, certain_answers
+from chasekit.query import certain_answers
 from chasekit.rulesets import (
     GraphSpec,
     builtin_program,
@@ -114,14 +114,14 @@ def test_self_loop_rejected():
 
 def test_triangle_is_three_colorable():
     p = three_col_program(complete_graph(3))
-    report = certain_answers(p.facts, p.tgds, p.query("color"), Terminate(),
+    report = certain_answers(p.facts, p.tgds, p.query("color"), ChaseOptions(Mode.RESTRICTED),
                              egds=p.egds)
     assert report.boolean() is True
 
 
 def test_k4_is_not_three_colorable():
     p = three_col_program(complete_graph(4))
-    report = certain_answers(p.facts, p.tgds, p.query("color"), Terminate(),
+    report = certain_answers(p.facts, p.tgds, p.query("color"), ChaseOptions(Mode.RESTRICTED),
                              egds=p.egds)
     assert report.boolean() is False
 
@@ -129,7 +129,7 @@ def test_k4_is_not_three_colorable():
 def test_empty_edge_set_trivially_colorable():
     g = GraphSpec(("v1", "v2"), ())
     facts, q = encode_three_colorability(g)
-    report = certain_answers(facts, [], q, Terminate())
+    report = certain_answers(facts, [], q, ChaseOptions(Mode.RESTRICTED))
     assert report.boolean() is True
 
 
@@ -146,7 +146,7 @@ def test_encoder_agrees_with_coloring_oracle_on_small_graphs():
                     edges.append((vertices[i], vertices[j]))
         g = GraphSpec(vertices, tuple(edges))
         facts, q = encode_three_colorability(g)
-        report = certain_answers(facts, fll.tgds, q, Terminate(), egds=fll.egds)
+        report = certain_answers(facts, fll.tgds, q, ChaseOptions(Mode.RESTRICTED), egds=fll.egds)
         want = three_colorable_oracle(vertices, edges)
         assert report.boolean() is want, edges
 
