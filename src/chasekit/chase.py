@@ -512,7 +512,10 @@ class _Engine:
         )
 
     def _loop(self) -> Status:
+        """Drain the queue.  A trigger deeper than max_depth is skipped,
+        not applied, and makes the run budget-exhausted at the end."""
         restricted = self.opts.mode is Mode.RESTRICTED
+        skipped = False
         while self.queue:
             entry = self.queue.popleft()
             self.queued.discard(entry)
@@ -530,7 +533,8 @@ class _Engine:
             parent = self._guard_parent(idx, key)
             depth = 0 if parent is None else self.forest[parent].depth + 1
             if depth > self.opts.max_depth:
-                return Status.BUDGET_EXHAUSTED
+                skipped = True
+                continue
             self._mark_applied(entry)
             trigger = Trigger.of(rule, key, plan)
             # apply_tgd checks that the trigger still matches
@@ -541,7 +545,7 @@ class _Engine:
                 status = self._drain_egds(new_atom)
                 if status is not None:
                     return status
-        return Status.SATURATED
+        return Status.BUDGET_EXHAUSTED if skipped else Status.SATURATED
 
 
 def run_chase(

@@ -57,8 +57,8 @@ def cloud_of(instance: Collection[Atom], database: Instance, anchor: Atom
     """
     if anchor not in instance:
         raise UsageError("anchor %r not in the instance" % (anchor,))
-    allowed = anchor.domain() | database.domain()
-    return frozenset(a for a in instance if a.domain() <= allowed)
+    allowed = database.domain_view().union(anchor.args)
+    return frozenset(a for a in instance if allowed.issuperset(a.args))
 
 
 def cloud_size_bound(num_predicates: int, dom_size: int, max_arity: int) -> int:
@@ -80,10 +80,10 @@ def canonicalize(anchor: Atom, atoms: Set[Atom], database: Instance
         if isinstance(t, LabeledNull) and t not in mapping:
             counter += 1
             mapping[t] = canonical_null(counter)
-    allowed = set(mapping) | database.domain()
+    dom = database.domain_view()
     for atom in atoms:
         for t in atom.args:
-            if isinstance(t, LabeledNull) and t not in allowed:
+            if isinstance(t, LabeledNull) and t not in mapping and t not in dom:
                 raise UsageError(
                     "atom set carries null %r absent from anchor and database" % (t,)
                 )

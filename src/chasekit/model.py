@@ -6,6 +6,13 @@ variables, and variables only ever appear inside rules and queries.
 Constants and nulls share a total order in which every null follows
 every constant; that order decides which value survives an equality
 merge.
+
+Terms and atoms fix their hash at construction.  They key every dict
+and set of the chase, and a frozen dataclass would rebuild and hash the
+tuple of its fields on each lookup.  A term hashes its one field, so
+`Constant("X")` and `Variable("X")` hash alike and stay apart through
+equality, which compares class and fields.  An atom hashes its
+predicate's name and its arguments once, when it is built.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import count
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
 
 class UsageError(Exception):
@@ -29,6 +36,9 @@ class UsageError(Exception):
 class Constant:
     name: str
 
+    def __hash__(self):
+        return hash(self.name)
+
     def __repr__(self):
         return self.name
 
@@ -37,6 +47,9 @@ class Constant:
 class LabeledNull:
     index: int
 
+    def __hash__(self):
+        return hash(self.index)
+
     def __repr__(self):
         return "_:n%d" % self.index
 
@@ -44,6 +57,9 @@ class LabeledNull:
 @dataclass(frozen=True)
 class Variable:
     name: str
+
+    def __hash__(self):
+        return hash(self.name)
 
     def __repr__(self):
         return self.name
@@ -90,6 +106,9 @@ class Predicate:
     name: str
     arity: int
 
+    def __hash__(self):
+        return hash(self.name)
+
     def __repr__(self):
         return "%s/%d" % (self.name, self.arity)
 
@@ -101,6 +120,7 @@ class Predicate:
 class Atom:
     predicate: Predicate
     args: Tuple[Term, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.args) != self.predicate.arity:
@@ -108,6 +128,10 @@ class Atom:
                 "%s expects %d arguments, got %d"
                 % (self.predicate.name, self.predicate.arity, len(self.args))
             )
+        object.__setattr__(self, "_hash", hash((self.predicate.name, self.args)))
+
+    def __hash__(self):
+        return self._hash
 
     def domain(self) -> Set[Term]:
         return set(self.args)
@@ -251,6 +275,10 @@ class Instance:
 
     def domain(self) -> Set[Term]:
         return set(self._domain)
+
+    def domain_view(self) -> AbstractSet[Term]:
+        """dom(I) itself, where `domain` copies it: read it, never mutate it."""
+        return self._domain
 
     def max_null_index(self) -> int:
         best = 0

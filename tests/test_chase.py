@@ -204,6 +204,18 @@ def test_running_example_step_log_prefix():
     ]
 
 
+def test_depth_budget_skips_deeper_triggers_and_keeps_chasing():
+    p = parse_program(
+        "fact r(a,b). tgd r(X,Y) -> exists Z: r(Y,Z). tgd r(X,Y) -> s(Y)."
+        "tgd s(Z) -> p3(Z). tgd r(Y,Z), p3(Z) -> p2(Y). tgd r(X,Y), p2(Y) -> goal(X)."
+    )
+    res = run_chase(p.facts, p.tgds, [], ChaseOptions(mode=Mode.OBLIVIOUS, max_depth=4))
+    assert res.status is Status.BUDGET_EXHAUSTED
+    assert max(node.depth for node in res.forest) == 4
+    # goal(a) sits at depth 1, behind triggers over the budget in the queue
+    assert {parse_atom("goal(a)"), parse_atom("goal(b)")} <= res.instance.atom_set()
+
+
 def test_single_step_saturation():
     p = parse_program("fact r(a,b). tgd r(X,Y) -> exists Z: s(Y,Z).")
     res = run_chase(p.facts, p.tgds, [], ChaseOptions(mode=Mode.OBLIVIOUS))

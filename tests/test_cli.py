@@ -396,15 +396,17 @@ def test_cloud_store_output_matches_the_golden_digests(tmp_path, capsys):
 
 
 # sha256 over "<exit code>\n<stdout>" of every run, recorded before
-# subtree_closure moved onto the trigger machinery
+# subtree_closure moved onto the trigger machinery; the oblivious digests
+# re-recorded when the depth budget began skipping a trigger over
+# max_depth instead of ending the run
 FOREST_GOLDEN = {
     "restricted": {
         "forest": "05962c6994e99f5d0b56462b090e65e9a7c8f74f3e0045f7c82e9ed1103ab25d",
         "forest --restricted": "05962c6994e99f5d0b56462b090e65e9a7c8f74f3e0045f7c82e9ed1103ab25d",
     },
     "oblivious": {
-        "forest": "d9aabc27ada652fea36985670df5728a7e33e18d8ebdd775422ce40efa26695c",
-        "forest --restricted": "e207fb2e743c10e4d8eefad2c4b884f626b4af78fdd39659582007ef2547196c",
+        "forest": "cb1791e1cde5ef94d6fe2a142d3a92980899334a267844aa99bfcf46df172f85",
+        "forest --restricted": "96fb2a52c6dd18c995f27d58328154ec4730c755a8886d89ddc523785400fc95",
     },
 }
 
@@ -485,6 +487,28 @@ def test_answer_honours_the_budget_flags(tmp_path, capsys, strategy, budget):
     assert code == 0 and json.loads(out)["budget_exhausted"] is False
     code, out, _ = run_cli(capsys, *argv, *budget)
     assert code == 0 and json.loads(out)["budget_exhausted"] is True
+
+
+DEEP_CHAIN = """
+fact r(a,b).
+tgd r(X,Y) -> exists Z: r(Y,Z).
+tgd r(X,Y) -> s(Y).
+tgd s(Z) -> p3(Z).
+tgd r(Y,Z), p3(Z) -> p2(Y).
+tgd r(X,Y), p2(Y) -> goal(X).
+query g(X) :- goal(X).
+"""
+
+
+def test_answer_bounded_applies_every_trigger_within_the_depth(tmp_path, capsys):
+    # goal(a) sits at depth 1; the chain's deeper triggers must not end the run
+    path = tmp_path / "deep.dlp"
+    path.write_text(DEEP_CHAIN)
+    code, out, _ = run_cli(capsys, "answer", str(path), "--query", "g",
+                           "--strategy", "bounded:4", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"query": "g", "status": "sat", "answers": [["a"], ["b"]],
+                               "budget_exhausted": True}
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

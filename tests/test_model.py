@@ -4,6 +4,7 @@ import pytest
 
 from helpers import copy_rewrite
 
+from chasekit.clouds import CloudStore, canonicalize
 from chasekit.model import (
     Atom,
     Constant,
@@ -13,8 +14,10 @@ from chasekit.model import (
     Predicate,
     UsageError,
     Variable,
+    canonical_null,
     compare_terms,
 )
+from chasekit.parser import parse_atom
 
 a, b, zzz = Constant("a"), Constant("b"), Constant("zzz")
 n1, n2 = LabeledNull(1), LabeledNull(2)
@@ -205,3 +208,69 @@ def test_rewrite_keeps_the_order_of_a_whole_instance_copy():
 def test_arity_zero_atoms_render_bare():
     stop = Predicate("stop", 0)
     assert repr(Atom(stop, ())) == "stop"
+
+
+# ---------------------------------------------------------------------------
+# Hash and equality: hashes are fixed at construction and must agree with ==
+# ---------------------------------------------------------------------------
+
+def assert_one_key(*atoms):
+    """All equal, all hash alike, and one set entry between them."""
+    assert all(atom == atoms[0] for atom in atoms)
+    assert len({hash(atom) for atom in atoms}) == 1 and len(set(atoms)) == 1
+
+
+def test_equal_atoms_hash_equal_however_built():
+    X = Variable("X")
+    built = [
+        Atom(r, (a, n1)),
+        r(a, n1),
+        parse_atom("r(a,_:n1)"),
+        Atom(r, (X, n1)).substitute({X: a}),
+        Atom(Predicate("r", 2), (Constant("a"), LabeledNull(1))),
+    ]
+    inst = Instance([Atom(r, (b, n1))])
+    image, = inst.rewrite(b, a)
+    assert_one_key(image, *built)
+    assert inst.atoms()[0] is image and image in inst
+
+
+def test_canonical_output_hashes_like_a_built_atom():
+    database = Instance([Atom(r, (a, b))])
+    anchor, cloud = Atom(r, (a, LabeledNull(7))), {Atom(s_, (LabeledNull(7),))}
+    can_anchor, can_cloud = canonicalize(anchor, cloud, database)
+    assert_one_key(can_anchor, r(a, canonical_null(1)))
+    assert_one_key(*can_cloud, s_(canonical_null(1)))
+
+
+def test_a_constant_and_a_variable_of_one_name_stay_apart():
+    terms = {Constant("X"), Variable("X")}
+    assert len(terms) == 2 and Constant("X") != Variable("X")
+    p = Predicate("p", 1)
+    assert len({p(Constant("X")), p(Variable("X"))}) == 2
+
+
+def test_predicates_of_one_name_and_two_arities_stay_apart():
+    p1, p2 = Predicate("p", 1), Predicate("p", 2)
+    assert p1 != p2 and len({p1, p2}) == 2 and len({p1(a), p2(a, a)}) == 2
+
+
+def test_canonical_nulls_and_chase_nulls_are_distinct_store_keys():
+    assert canonical_null(1) != LabeledNull(1) and len({canonical_null(1), LabeledNull(1)}) == 2
+    database = Instance([Atom(r, (a, b))])
+    can_anchor, can_cloud = canonicalize(Atom(r, (a, n1)), {Atom(r, (a, n1))}, database)
+    store = CloudStore()
+    store.put((can_anchor, 1, can_cloud))
+    raw = Atom(r, (a, n1))
+    assert (raw, 1, frozenset({raw})) not in store
+    store.put((raw, 1, frozenset({raw})))
+    assert len(store) == 2
+
+
+def test_instance_domain_is_a_copy_the_caller_may_mutate():
+    inst = Instance([Atom(r, (a, n1))])
+    dom = inst.domain()
+    dom.add(zzz)
+    dom.discard(a)
+    assert inst.domain() == {a, n1} == inst.domain_view()
+    assert inst.domain() is not inst.domain()
