@@ -7,17 +7,21 @@ Constants and nulls share a total order in which every null follows
 every constant; that order decides which value survives an equality
 merge.
 
-Terms and atoms fix their hash at construction.  They key every dict
-and set of the chase, and a frozen dataclass would rebuild and hash the
-tuple of its fields on each lookup.  A term hashes its one field, so
-`Constant("X")` and `Variable("X")` hash alike and stay apart through
-equality, which compares class and fields.  An atom hashes its
-predicate's name and its arguments once, when it is built.
+Terms, predicates and atoms are immutable tagged tuples: a constant is
+`(0, name)`, a labeled null `(1, index)`, a variable `(2, name)`, a
+predicate `(name, arity)` and an atom `(predicate, args)`.  They key
+every dict and set of the chase, so hashing and equality are tuple's
+own C slots, with no Python frame per lookup; each class subclasses a
+namedtuple, whose fields are read in C too.  The kind tag keeps
+`Constant("X")` and `Variable("X")` apart.  Being tuples, they also
+order, iterate and serialize as tuples, and each equals the plain
+tuple it holds: `Constant("a") == (0, "a")`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import count
 from operator import itemgetter
@@ -32,37 +36,49 @@ class UsageError(Exception):
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Constant:
-    name: str
+class Constant(namedtuple("Constant", "kind name")):
+    """A database value: the tuple (0, name)."""
 
-    def __hash__(self):
-        return hash(self.name)
+    __slots__ = ()
 
-    def __repr__(self):
-        return self.name
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (0, name))
 
-
-@dataclass(frozen=True)
-class LabeledNull:
-    index: int
-
-    def __hash__(self):
-        return hash(self.index)
+    def __getnewargs__(self):
+        return (self[1],)
 
     def __repr__(self):
-        return "_:n%d" % self.index
+        return self[1]
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class LabeledNull(namedtuple("LabeledNull", "kind index")):
+    """A null invented by the chase: the tuple (1, index)."""
 
-    def __hash__(self):
-        return hash(self.name)
+    __slots__ = ()
+
+    def __new__(cls, index: int):
+        return tuple.__new__(cls, (1, index))
+
+    def __getnewargs__(self):
+        return (self[1],)
 
     def __repr__(self):
-        return self.name
+        return "_:n%d" % self[1]
+
+
+class Variable(namedtuple("Variable", "kind name")):
+    """A rule or query variable: the tuple (2, name)."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (2, name))
+
+    def __getnewargs__(self):
+        return (self[1],)
+
+    def __repr__(self):
+        return self[1]
 
 
 Term = Union[Constant, LabeledNull, Variable]
@@ -101,37 +117,26 @@ def compare_terms(a: Term, b: Term) -> int:
 # Predicates and atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Predicate:
-    name: str
-    arity: int
-
-    def __hash__(self):
-        return hash(self.name)
+class Predicate(namedtuple("Predicate", "name arity")):
+    __slots__ = ()
 
     def __repr__(self):
-        return "%s/%d" % (self.name, self.arity)
+        return "%s/%d" % self
 
     def __call__(self, *args: Term) -> "Atom":
-        return Atom(self, tuple(args))
+        return Atom(self, args)
 
 
-@dataclass(frozen=True)
-class Atom:
-    predicate: Predicate
-    args: Tuple[Term, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+class Atom(namedtuple("Atom", "predicate args")):
+    """args is a tuple of terms, as many as the predicate's arity."""
 
-    def __post_init__(self):
-        if len(self.args) != self.predicate.arity:
-            raise UsageError(
-                "%s expects %d arguments, got %d"
-                % (self.predicate.name, self.predicate.arity, len(self.args))
-            )
-        object.__setattr__(self, "_hash", hash((self.predicate.name, self.args)))
+    __slots__ = ()
 
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, predicate: Predicate, args: Tuple[Term, ...]):
+        if len(args) != predicate.arity:
+            raise UsageError("%s expects %d arguments, got %d"
+                             % (predicate.name, predicate.arity, len(args)))
+        return tuple.__new__(cls, (predicate, args))
 
     def domain(self) -> Set[Term]:
         return set(self.args)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -265,6 +267,47 @@ def test_canonical_nulls_and_chase_nulls_are_distinct_store_keys():
     assert (raw, 1, frozenset({raw})) not in store
     store.put((raw, 1, frozenset({raw})))
     assert len(store) == 2
+
+
+# ---------------------------------------------------------------------------
+# Terms, predicates and atoms are tuples: hashing and equality stay tuple's C slots
+# ---------------------------------------------------------------------------
+
+MODEL_VALUES = [a, n1, Variable("X"), r, Atom(r, (a, n1))]
+
+
+@pytest.mark.parametrize("value", MODEL_VALUES, ids=lambda v: type(v).__name__)
+def test_hash_and_equality_are_tuples_own(value):
+    cls = type(value)
+    assert isinstance(value, tuple)
+    assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
+
+
+@pytest.mark.parametrize("value", MODEL_VALUES, ids=lambda v: type(v).__name__)
+def test_copies_and_pickles_rebuild_the_same_class(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("value, field", [
+    (a, "name"), (n1, "index"), (Variable("X"), "name"),
+    (r, "name"), (r, "arity"), (Atom(r, (a, n1)), "predicate"), (Atom(r, (a, n1)), "args"),
+])
+def test_fields_are_read_only(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+
+
+def test_wrong_arity_raises_usage_error_either_way():
+    for args in ((), (a,), (a, b, a)):
+        with pytest.raises(UsageError):
+            Atom(r, args)
+        with pytest.raises(UsageError):
+            r(*args)
+
+
+def test_kind_tags_keep_three_terms_of_one_field_apart():
+    assert len({Constant("X"), Variable("X"), LabeledNull(1)}) == 3
 
 
 def test_instance_domain_is_a_copy_the_caller_may_mutate():
