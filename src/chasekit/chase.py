@@ -166,9 +166,14 @@ def rule_triggers(
 
     With `new_atom`, only the triggers whose body image uses it: each
     body atom of its predicate is pinned to it in turn, so a trigger
-    that uses it twice comes up twice and callers deduplicate.
+    that uses it twice comes up twice and callers deduplicate.  A rule
+    whose body lacks that predicate is skipped before its plans are
+    asked for.
     """
+    which = None if new_atom is None else new_atom.predicate
     for idx, rule_plan in enumerate(plans):
+        if which is not None and which not in rule_plan.body_predicates:
+            continue
         for plan, key in rule_plan.plans(instance, new_atom):
             for match in plan.matches(instance, (), new_atom):
                 yield idx, key(match)

@@ -16,6 +16,13 @@ namedtuple, whose fields are read in C too.  The kind tag keeps
 `Constant("X")` and `Variable("X")` apart.  Being tuples, they also
 order, iterate and serialize as tuples, and each equals the plain
 tuple it holds: `Constant("a") == (0, "a")`.
+
+`Atom(...)` and `Predicate.__call__` check the arity, for the parser
+and library callers.  The chase's own constructions skip that check,
+building the tuple with `tuple.__new__`, because their arity is right by
+construction: a plan template (`plan.py`) has one position per argument
+of its atom, and `Atom.substitute` and `Instance.rewrite` map an atom's
+arguments one for one.
 """
 
 from __future__ import annotations
@@ -82,6 +89,7 @@ class Variable(namedtuple("Variable", "kind name")):
 
 
 Term = Union[Constant, LabeledNull, Variable]
+_kind = itemgetter(0)
 
 # Canonical nulls (used for cloud canonicalization) live in a reserved
 # index range so they can never collide with chase-allocated nulls.
@@ -147,11 +155,9 @@ class Atom(namedtuple("Atom", "predicate args")):
     def is_ground(self) -> bool:
         return all(isinstance(t, Constant) for t in self.args)
 
-    def has_variables(self) -> bool:
-        return any(isinstance(t, Variable) for t in self.args)
-
     def substitute(self, mapping: Dict[Term, Term]) -> "Atom":
-        return Atom(self.predicate, tuple(mapping.get(t, t) for t in self.args))
+        args = self.args
+        return tuple.__new__(Atom, (self.predicate, tuple(map(mapping.get, args, args))))
 
     def __repr__(self):
         if not self.args:
@@ -203,11 +209,13 @@ class Instance:
             self.add(a)
 
     def add(self, atom: Atom) -> bool:
-        """Add an atom; returns True when it was new."""
-        if atom.has_variables():
-            raise UsageError("instances hold no variables: %r" % (atom,))
+        """Add an atom; returns True when it was new.  Membership is
+        tested first: an atom holding a variable is never in the
+        instance, so only a new atom has its kind tags scanned."""
         if atom in self._atoms:
             return False
+        if 2 in map(_kind, atom.args):  # a variable is (2, name)
+            raise UsageError("instances hold no variables: %r" % (atom,))
         self._atoms[atom] = next(self._positions)
         self._by_predicate.setdefault(atom.predicate, []).append(atom)
         columns = self._by_position.get(atom.predicate)
@@ -306,10 +314,12 @@ class Instance:
             return []
         positions = self._atoms
         key = positions.__getitem__
+        swap = {old: new}.get
         added = []
         for atom in self.holders(old):
             at = positions[atom]
-            image = Atom(atom.predicate, tuple(new if t == old else t for t in atom.args))
+            args = atom.args
+            image = tuple.__new__(Atom, (atom.predicate, tuple(map(swap, args, args))))
             was = positions.get(image)
             place = at if was is None else min(at, was)
             columns = self._by_position[atom.predicate]

@@ -16,7 +16,11 @@ the tuple of the body variables' values in name order.  The plans of
 the body, in declaration order and with each body position pinned first
 to a new fact (`chase.rule_triggers` runs them), are compiled on first
 use.  Templates build the body images, the head image (existentials
-drawn in name order) and the equated values of an EGD from a key.
+drawn in name order) and the equated values of an EGD from a key; an
+image template has one position per argument of its atom, so it builds
+the `Atom` tuple directly, without `Atom`'s arity check.  `rule_triggers`
+runs a rule for a new fact only when the fact's predicate is among the
+rule's `body_predicates`.
 """
 
 from __future__ import annotations
@@ -132,9 +136,10 @@ def _template(atom: Atom, layout: Dict[str, int]) -> Callable[[tuple], Atom]:
             kept.append(t)
         positions.append(at)
     pick, predicate, extra = _picker(tuple(positions)), atom.predicate, tuple(kept)
+    new = tuple.__new__  # one position per argument: no arity check needed
     if extra:
-        return lambda values: Atom(predicate, pick(values + extra))
-    return lambda values: Atom(predicate, pick(values))
+        return lambda values: new(Atom, (predicate, pick(values + extra)))
+    return lambda values: new(Atom, (predicate, pick(values)))
 
 
 class RulePlan:
@@ -146,6 +151,7 @@ class RulePlan:
 
     def __init__(self, rule):
         self.rule = rule
+        self.body_predicates = frozenset(atom.predicate for atom in rule.body)
         named = {t.name: t for atom in rule.body for t in atom.args if isinstance(t, Variable)}
         # the body variables in name order: the layout of a trigger key
         self.vars: Tuple[Variable, ...] = tuple(named[n] for n in sorted(named))

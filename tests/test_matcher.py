@@ -9,6 +9,7 @@ the nested-loop matcher the position index and the plans replaced.
 """
 
 import hashlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,38 @@ def test_plan_keys_are_the_nested_loop_homomorphisms(data):
         assert trigger == Trigger.of(plan.rule, trigger.key, RulePlan(plan.rule)) and \
             trigger.hom == key
         assert plan.body_images(trigger.key) == [a.substitute(dict(key)) for a in body]
+
+
+def test_rule_triggers_over_several_rules_runs_only_rules_reading_the_fact():
+    p, q, s, t = PREDS
+    X, Y, Z = VARS[:3]
+    a, b, c, n1 = VALUES[:4]
+    rules = [
+        TGD((p(X, Y), q(Y, Z)), (s(X),)),
+        TGD((q(X, Y),), (s(Y),)),
+        TGD((p(X, Y), p(Y, Z)), (s(Z),)),
+        TGD((q(X, X), s(X)), (p(X, X),)),
+    ]
+    instance = Instance([p(a, b), p(b, c), q(b, b), q(c, n1), s(b), t(a, b, c)])
+    plans = [RulePlan(rule) for rule in rules]
+    original = RulePlan.plans
+    asked = []
+
+    def spy(rule_plan, inst, new_atom=None):
+        asked.append(rule_plan)
+        return original(rule_plan, inst, new_atom)
+
+    # t is read by no rule; p(c, a) is not in the instance
+    for fact in instance.atoms() + [p(c, a)]:
+        want = [(idx, key) for idx, plan in enumerate(plans)
+                for _, key in rule_triggers([plan], instance, fact)]
+        asked.clear()
+        with mock.patch.object(RulePlan, "plans", spy):
+            got = list(rule_triggers(plans, instance, fact))
+        assert got == want
+        assert asked == [plan for plan in plans
+                         if fact.predicate in {atom.predicate for atom in plan.rule.body}]
+        assert len(asked) < len(plans)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

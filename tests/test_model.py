@@ -8,6 +8,7 @@ from helpers import copy_rewrite
 
 from chasekit.clouds import CloudStore, canonicalize
 from chasekit.model import (
+    TGD,
     Atom,
     Constant,
     Instance,
@@ -20,6 +21,7 @@ from chasekit.model import (
     compare_terms,
 )
 from chasekit.parser import parse_atom
+from chasekit.plan import RulePlan
 
 a, b, zzz = Constant("a"), Constant("b"), Constant("zzz")
 n1, n2 = LabeledNull(1), LabeledNull(2)
@@ -91,6 +93,18 @@ def test_instance_rejects_variables():
     inst = Instance()
     with pytest.raises(UsageError):
         inst.add(Atom(r, (a, Variable("X"))))
+    # with atoms of the predicate indexed already, the rejected atom
+    # leaves no trace in the instance
+    inst = Instance([Atom(r, (a, b))])
+    with pytest.raises(UsageError):
+        inst.add(Atom(r, (a, Variable("X"))))
+    assert inst.atoms() == [Atom(r, (a, b))] and inst.domain() == {a, b}
+    assert inst.probe(r, (1,), (Variable("X"),)) == []
+    # the kind tag decides, not the name
+    assert inst.add(r(a, Constant("X")))
+    with pytest.raises(UsageError):
+        inst.add(r(a, Variable("X")))
+    assert inst.atoms() == [Atom(r, (a, b)), r(a, Constant("X"))]
 
 
 def assert_index_round_trips(inst, preds, terms):
@@ -223,18 +237,26 @@ def assert_one_key(*atoms):
 
 
 def test_equal_atoms_hash_equal_however_built():
-    X = Variable("X")
+    X, Y = Variable("X"), Variable("Y")
+    # plan templates, one with only variables and one keeping a constant
+    copy_rule = RulePlan(TGD((Atom(r, (X, Y)),), (Atom(r, (X, Y)),)))
+    const_rule = RulePlan(TGD((Atom(r, (a, Y)),), (Atom(r, (a, Y)),)))
     built = [
         Atom(r, (a, n1)),
         r(a, n1),
         parse_atom("r(a,_:n1)"),
         Atom(r, (X, n1)).substitute({X: a}),
         Atom(Predicate("r", 2), (Constant("a"), LabeledNull(1))),
+        copy_rule.head_image((a, n1), None),
+        *copy_rule.body_images((a, n1)),
+        const_rule.head_image((n1,), None),
+        *const_rule.body_images((n1,)),
     ]
     inst = Instance([Atom(r, (b, n1))])
     image, = inst.rewrite(b, a)
     assert_one_key(image, *built)
     assert inst.atoms()[0] is image and image in inst
+    assert all(type(atom) is Atom for atom in [image, *built])
 
 
 def test_canonical_output_hashes_like_a_built_atom():

@@ -1,0 +1,49 @@
+#!/usr/bin/env python3
+"""cProfile of one pass over a benchmark workload's jobs, after a warm-up pass.
+
+    python3 tools/profile_pass.py --workload wg-saturate --seed 3 --top 25
+
+Builds the workload from the seed with the benchmark's set-up
+(bench/run.py), runs every job once to warm up and once more under
+cProfile, and prints the total function calls, the jobs whose output
+failed its check, and the top functions by self time.  Program files go
+to a temporary directory; nothing under bench/ is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import pstats
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+import run  # noqa: E402  (bench/run.py, which also puts bench/ on the path)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--workload", required=True, choices=run.WORKLOADS)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--top", type=int, default=25, help="functions to list")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        chasekit, built = run.setup(args.workload, args.seed, Path(tmp))
+        runner = run.Runner(chasekit, Path(tmp))
+        tally = run.Tally(run.verify.Expectations(built))
+        run.one_pass(runner, built.jobs, tally)
+        profile = cProfile.Profile()
+        profile.runcall(run.one_pass, runner, built.jobs, tally)
+    stats = pstats.Stats(profile)
+    print("%d function calls in the profiled pass; %d of %d jobs failed their check"
+          % (stats.total_calls, tally.failed, tally.attempted))
+    stats.sort_stats("tottime").print_stats(args.top)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
