@@ -5,26 +5,30 @@ there: either an existential head variable sits at it, or a head
 variable sits at it whose body occurrences are all at affected
 positions.  Guards cover all universal variables of a rule; weak guards
 only need to cover the variables that can ever bind a null, i.e. those
-whose body occurrences are all at affected positions.
+whose body occurrences are all at affected positions.  Each rule's
+body is read once, into a map from its variables to their positions,
+and the fixpoint is a worklist, linear in the size of the rules.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .model import TGD, Atom, Predicate, Variable
 
 
-@dataclass(frozen=True)
-class Position:
-    predicate: Predicate
-    slot: int  # 1-based
+class Position(namedtuple("Position", "predicate slot")):
+    """Argument place p[k], k 1-based: the tuple (predicate, slot)."""
 
-    def __post_init__(self):
-        if not (1 <= self.slot <= max(self.predicate.arity, 1)):
-            raise ValueError("slot %d out of range for %r" % (self.slot, self.predicate))
+    __slots__ = ()
+
+    def __new__(cls, predicate: Predicate, slot: int):
+        if not (1 <= slot <= max(predicate.arity, 1)):
+            raise ValueError("slot %d out of range for %r" % (slot, predicate))
+        return tuple.__new__(cls, (predicate, slot))
 
     def __repr__(self):
         return "%s[%d]" % (self.predicate.name, self.slot)
@@ -66,70 +70,73 @@ class Classification:
         return self.overall is not RuleClass.UNGUARDED
 
 
-def _body_positions(rule: TGD, var: Variable) -> List[Position]:
-    out = []
+# positions are plain (predicate, slot) tuples inside, Positions outside
+Occurrences = Dict[Variable, List[Tuple[Predicate, int]]]
+
+
+def _occurrences(rule: TGD) -> Occurrences:
+    """Each body variable's body positions."""
+    occ: Occurrences = {}
     for atom in rule.body:
-        for i, t in enumerate(atom.args):
-            if t == var:
-                out.append(Position(atom.predicate, i + 1))
-    return out
+        for slot, t in enumerate(atom.args, 1):
+            if isinstance(t, Variable):
+                occ.setdefault(t, []).append((atom.predicate, slot))
+    return occ
+
+
+def _affected(rules: Sequence[TGD], occurrences: Sequence[Occurrences]) -> Set[Position]:
+    """Least fixpoint of the affected-position rules, by a worklist; each
+    head atom of a multi-atom head counts on its own."""
+    work = []
+    # body position -> [count of body occurrences not yet affected, head
+    # positions] of each variable occurring there, once per occurrence
+    waiting: Dict[tuple, List[list]] = {}
+    for rule, occ in zip(rules, occurrences):
+        heads: Occurrences = {}
+        for atom in rule.head:
+            for slot, t in enumerate(atom.args, 1):
+                pos = (atom.predicate, slot)
+                if t in rule.existentials:
+                    work.append(pos)
+                elif t in occ:
+                    heads.setdefault(t, []).append(pos)
+        for v, targets in heads.items():
+            waiter = [len(occ[v]), targets]
+            for pos in occ[v]:
+                waiting.setdefault(pos, []).append(waiter)
+    affected = set()
+    while work:
+        pos = work.pop()
+        affected.add(pos)
+        for waiter in waiting.pop(pos, ()):
+            waiter[0] -= 1
+            if not waiter[0]:
+                work.extend(waiter[1])
+    return {tuple.__new__(Position, pos) for pos in affected}
 
 
 def affected_positions(rules: Sequence[TGD]) -> Set[Position]:
-    """Least fixpoint of the affected-position rules over a TGD set.
-
-    Multi-atom heads are handled by treating each head atom on its own.
-    """
-    affected: Set[Position] = set()
-    for rule in rules:
-        for atom in rule.head:
-            for i, t in enumerate(atom.args):
-                if isinstance(t, Variable) and t in rule.existentials:
-                    affected.add(Position(atom.predicate, i + 1))
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            for atom in rule.head:
-                for i, t in enumerate(atom.args):
-                    if not isinstance(t, Variable) or t in rule.existentials:
-                        continue
-                    pos = Position(atom.predicate, i + 1)
-                    if pos in affected:
-                        continue
-                    occ = _body_positions(rule, t)
-                    if occ and all(p in affected for p in occ):
-                        affected.add(pos)
-                        changed = True
-    return affected
+    """Least fixpoint of the affected-position rules over a TGD set."""
+    return _affected(rules, [_occurrences(rule) for rule in rules])
 
 
-def variables_needing_cover(rule: TGD, affected: Set[Position]) -> Set[Variable]:
-    """Universal variables all of whose body occurrences are affected."""
-    out: Set[Variable] = set()
-    for v in rule.universal_variables():
-        occ = _body_positions(rule, v)
-        if occ and all(p in affected for p in occ):
-            out.add(v)
-    return out
-
-
-def guard_index(rule: TGD) -> Optional[int]:
-    """Index of the first body atom containing every universal variable."""
-    univ = rule.universal_variables()
-    for i, atom in enumerate(rule.body):
-        if univ <= atom.variables():
+def _first_cover(body: Sequence[Atom], need: Collection[Variable]) -> Optional[int]:
+    """Index of the first body atom holding every variable of `need`."""
+    for i, atom in enumerate(body):
+        if need <= set(atom.args):
             return i
     return None
+
+
+def _weak_guard(rule: TGD, occ: Occurrences, affected: Set[Position]) -> Optional[int]:
+    """Index of the first body atom holding every variable that can bind a null."""
+    need = {v for v, slots in occ.items() if affected.issuperset(slots)}
+    return _first_cover(rule.body, need)
 
 
 def weak_guard_index(rule: TGD, affected: Set[Position]) -> Optional[int]:
     """Index of the first body atom covering all null-capable variables."""
-    need = variables_needing_cover(rule, affected)
-    for i, atom in enumerate(rule.body):
-        if need <= atom.variables():
-            return i
-    return None
+    return _weak_guard(rule, _occurrences(rule), affected)
 
 
 def classify(rules: Sequence[TGD]) -> Classification:
@@ -142,15 +149,14 @@ def classify(rules: Sequence[TGD]) -> Classification:
     except that a set without any existential variable is reported as
     Full (its chase always terminates regardless of guards).
     """
-    affected = affected_positions(rules)
+    occurrences = [_occurrences(rule) for rule in rules]
+    affected = _affected(rules, occurrences)
     per_rule: Dict[TGD, RuleClass] = {}
     gidx: Dict[TGD, Optional[int]] = {}
     widx: Dict[TGD, Optional[int]] = {}
-    for rule in rules:
-        g = guard_index(rule)
-        w = weak_guard_index(rule, affected)
-        gidx[rule] = g
-        widx[rule] = w
+    for rule, occ in zip(rules, occurrences):
+        g = gidx[rule] = _first_cover(rule.body, occ.keys())
+        w = widx[rule] = _weak_guard(rule, occ, affected)
         if w is None:
             per_rule[rule] = RuleClass.UNGUARDED
         elif g is not None:
@@ -190,19 +196,18 @@ def _fresh_predicate_name(base: str, used: Set[str]) -> str:
     return name
 
 
-def normalize_heads(rules: Sequence[TGD]) -> List[TGD]:
+def normalize_heads(rules: Sequence[TGD], *reserved: Iterable[Atom]) -> List[TGD]:
     """Rewrite every multi-atom head into single-atom heads.
 
     Heads without existentials split into one rule per head atom over
     the same body.  Heads with existentials route through a fresh
     predicate v<i> collecting all head variables: body -> v(Y), then
     v(Y) -> head_i for each head atom.  Certain answers over the
-    original predicates are preserved.
+    original predicates are preserved.  The helper's name avoids the
+    predicate names of the rules and of the atoms in `reserved`, such as
+    the database and the queries that will read the normalized chase.
     """
     used: Set[str] = set()
-    for rule in rules:
-        for atom in rule.body + rule.head:
-            used.add(atom.predicate.name)
     out: List[TGD] = []
     for rule in rules:
         if len(rule.head) == 1:
@@ -215,6 +220,9 @@ def normalize_heads(rules: Sequence[TGD]) -> List[TGD]:
                         label="%s.%d" % (rule.label or "tgd", k + 1))
                 )
             continue
+        if not used:  # gathered when the first helper is made
+            for atoms in (*reserved, *(r.body + r.head for r in rules)):
+                used.update(a.predicate.name for a in atoms)
         head_vars = _head_variables_in_order(rule)
         aux = Predicate(_fresh_predicate_name("v", used), len(head_vars))
         aux_atom = Atom(aux, tuple(head_vars))

@@ -325,7 +325,7 @@ class _Engine:
             raise UsageError("chase budgets must be positive")
         self.opts = opts
         self.check_memory = memory_guard()
-        self.tgds = normalize_heads(tgds)
+        self.tgds = normalize_heads(tgds, database, *(egd.body for egd in egds))
         self.egds = list(egds)
         # compiled on first use, kept for the run
         self.plans = [RulePlan(rule) for rule in self.tgds]

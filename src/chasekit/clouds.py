@@ -165,7 +165,7 @@ def blocked_saturate(
     opts = opts or SaturateOptions()
     if opts.max_rounds <= 0:
         raise UsageError("the round budget must be positive")
-    tgds = normalize_heads(tgds)
+    tgds = normalize_heads(tgds, database)
     classification = classify(tgds)
     if not classification.is_weakly_guarded_set() and not opts.force:
         raise UsageError(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
+from .analysis import normalize_heads
 from .chase import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_MAX_STEPS,
@@ -32,7 +33,7 @@ from .chase import (
     egd_violations,
     run_chase,
 )
-from .model import CQ, EGD, TGD, Constant, Instance
+from .model import CQ, EGD, TGD, Atom, Constant, Instance
 from .plan import RulePlan
 from .query import AnswerReport, AnswerStatus, answers_from_chase
 
@@ -73,12 +74,13 @@ class FailureCheck(Enum):
     UNKNOWN = "unknown"
 
 
-def _tgd_chase(database: Instance, tgds: Sequence[TGD], max_steps: int,
-               max_depth: int) -> ChaseResult:
+def _tgd_chase(database: Instance, tgds: Sequence[TGD], reads: Sequence[Sequence[Atom]],
+               max_steps: int, max_depth: int) -> ChaseResult:
     """The restricted chase under the TGDs alone, which both the failure
-    check and separated answering read."""
+    check and separated answering read; the helper predicates of
+    multi-atom heads avoid the predicates of the atom lists in `reads`."""
     return run_chase(
-        database, tgds, (),
+        database, normalize_heads(tgds, database, *reads), (),
         ChaseOptions(mode=Mode.RESTRICTED, max_steps=max_steps, max_depth=max_depth),
     )
 
@@ -99,7 +101,8 @@ def egd_failure_check(
     """
     if not egds:
         return FailureCheck.NO_FAILURE
-    return _failure_in(_tgd_chase(database, tgds, max_steps, max_depth), egds)
+    reads = [egd.body for egd in egds]
+    return _failure_in(_tgd_chase(database, tgds, reads, max_steps, max_depth), egds)
 
 
 def _failure_in(result: ChaseResult, egds: Sequence[EGD]) -> FailureCheck:
@@ -132,7 +135,8 @@ def separated_answer(
     `ChaseOptions` would: exact when it saturated, which is also when
     the check is conclusive.
     """
-    result = _tgd_chase(database, tgds, max_steps, max_depth)
+    reads = [query.body] + [egd.body for egd in egds]
+    result = _tgd_chase(database, tgds, reads, max_steps, max_depth)
     if egds and _failure_in(result, egds) is FailureCheck.FAILED:
         return AnswerReport(
             [], AnswerStatus.FAILED,

@@ -18,6 +18,7 @@ from enum import Enum
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from . import clouds
+from .analysis import normalize_heads
 from .chase import (BOUNDED_DEPTH, DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions,
                     ChaseResult, Mode, Status, body_homomorphisms, run_chase)
 from .model import (
@@ -196,6 +197,8 @@ def certain_answers(
     saturation of a weakly guarded set: from its null-free atoms and
     its canonical anchors.
     """
+    # name the helper predicates of multi-atom heads apart from what the query reads
+    tgds = normalize_heads(tgds, database, query.body, *(egd.body for egd in egds))
     if isinstance(strategy, BlockedAtomic):
         if len(query.body) != 1:
             raise UsageError("the blocked-atomic strategy needs an atomic query")
@@ -287,7 +290,7 @@ def check_containment(
     frozen_body = Instance(a.substitute(freeze) for a in q1.body)
     frozen_head = tuple(freeze[v] for v in q1.head_vars)
     opts = ChaseOptions(mode=Mode.RESTRICTED, max_steps=max_steps, max_depth=max_depth)
-    result = run_chase(frozen_body, tgds, (), opts)
+    result = run_chase(frozen_body, normalize_heads(tgds, q1.body, q2.body), (), opts)
     seed: Dict[Variable, Term] = {}
     consistent = all(seed.setdefault(v, t) == t for v, t in zip(q2.head_vars, frozen_head))
     # the search stops at the first homomorphism that extends the seed

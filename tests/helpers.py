@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import chasekit
-from chasekit.analysis import Position, classify
+from chasekit.analysis import Position, RuleClass, classify
 from chasekit.chase import (
     ChaseOptions,
     ChaseResult,
@@ -425,6 +425,42 @@ def affected_oracle(rules: Sequence[TGD]) -> Set[Position]:
         if not new:
             return affected
         affected |= new
+
+
+def classify_oracle(rules: Sequence[TGD]):
+    """(per-rule class, guard index, weak guard index, overall class) of a
+    TGD set, read off the definitions over `affected_oracle`'s positions."""
+    affected = affected_oracle(rules)
+    per_rule: Dict[TGD, RuleClass] = {}
+    guard: Dict[TGD, Optional[int]] = {}
+    weak: Dict[TGD, Optional[int]] = {}
+    for rule in rules:
+        universal = {t for a in rule.body for t in a.args if isinstance(t, Variable)}
+        can_bind_null = {
+            v for v in universal
+            if all(Position(a.predicate, i + 1) in affected
+                   for a in rule.body for i, t in enumerate(a.args) if t == v)
+        }
+        covering = [i for i, a in enumerate(rule.body) if universal <= set(a.args)]
+        weakly_covering = [i for i, a in enumerate(rule.body) if can_bind_null <= set(a.args)]
+        guard[rule] = covering[0] if covering else None
+        weak[rule] = weakly_covering[0] if weakly_covering else None
+        if not weakly_covering:
+            per_rule[rule] = RuleClass.UNGUARDED
+        elif not covering:
+            per_rule[rule] = RuleClass.WEAKLY_GUARDED
+        elif len(rule.body) == 1:
+            per_rule[rule] = RuleClass.LINEAR
+        else:
+            per_rule[rule] = RuleClass.GUARDED
+    weakest_first = [RuleClass.UNGUARDED, RuleClass.WEAKLY_GUARDED, RuleClass.GUARDED,
+                     RuleClass.LINEAR]
+    classes = set(per_rule.values())
+    if RuleClass.UNGUARDED not in classes and not any(r.existentials for r in rules):
+        overall = RuleClass.FULL
+    else:
+        overall = next(c for c in weakest_first if c in classes)
+    return per_rule, guard, weak, overall
 
 
 def gyo_acyclic_oracle(edges: Sequence[Set]) -> bool:

@@ -1,6 +1,15 @@
 import random
 
-from helpers import affected_oracle, random_stratified_program, terminating_cases
+import pytest
+
+from helpers import (
+    affected_oracle,
+    classify_oracle,
+    random_stratified_program,
+    random_wg_program,
+    terminating_cases,
+    wg_cases,
+)
 
 from chasekit.analysis import (
     Position,
@@ -11,7 +20,7 @@ from chasekit.analysis import (
     weak_guard_index,
 )
 from chasekit.chase import ChaseOptions, Mode, run_chase
-from chasekit.model import Atom, LabeledNull, Predicate, Variable
+from chasekit.model import TGD, Atom, LabeledNull, Predicate, Variable
 from chasekit.parser import parse_atom, parse_program
 from chasekit.query import eval_cq
 from chasekit.rulesets import fll_rules, grid_rules
@@ -33,6 +42,13 @@ def test_affected_positions_worked_example():
     assert affected_positions(rules) == {pos(p2, 2), pos(p1, 1)}
 
 
+def test_affected_through_a_variable_repeated_at_one_position():
+    # Y sits at r[2] twice, and r[2] becoming affected covers both
+    rules = parse_program("tgd s(X) -> exists Z: r(X,Z). tgd r(X,Y), r(W,Y) -> t(Y).").tgds
+    want = {pos(Predicate("r", 2), 2), pos(Predicate("t", 1), 1)}
+    assert affected_positions(rules) == affected_oracle(rules) == want
+
+
 def test_affected_positions_fll():
     program = fll_rules()
     got = {repr(p) for p in affected_positions(program.tgds)}
@@ -50,6 +66,30 @@ def test_affected_matches_oracle_on_random_sets():
     for _ in range(120):
         _, rules = random_stratified_program(rng, n_rules=rng.randint(1, 6))
         assert affected_positions(rules) == affected_oracle(rules)
+    for seed in (1, 2):
+        for _, rules in wg_cases(seed, 60):
+            assert affected_positions(rules) == affected_oracle(rules)
+
+
+def test_affected_worklist_on_a_long_chain_listed_against_its_flow():
+    # nulls enter at p2000[2] and flow down to p0[2], one rule per step;
+    # the rules are listed from p1 -> p0 up, against that flow
+    X, Y = Variable("X"), Variable("Y")
+    p = [Predicate("p%d" % i, 2) for i in range(2001)]
+    rules = [TGD((p[i + 1](X, Y),), (p[i](X, Y),)) for i in range(2000)]
+    rules.append(TGD((Predicate("s", 1)(X),), (p[2000](X, Y),), frozenset({Y})))
+    assert affected_positions(rules) == {Position(q, 2) for q in p}
+    cls = classify(rules)
+    assert cls.affected == {Position(q, 2) for q in p}
+    assert set(cls.per_rule.values()) == {RuleClass.LINEAR}
+
+
+def test_position_keeps_its_slot_check_and_repr():
+    assert repr(Position(p1, 2)) == "p1[2]"
+    assert Position(Predicate("b", 0), 1) == (Predicate("b", 0), 1)
+    for slot in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            Position(p1, slot)
 
 
 def test_affected_soundness_on_chased_instances():
@@ -112,6 +152,34 @@ def test_guarded_rules_are_weakly_guarded():
                 assert weak_guard_index(rule, affected) is not None
 
 
+def test_classify_matches_the_definitions():
+    def rule_sets():
+        rng = random.Random(19)
+        for _ in range(150):
+            yield random_stratified_program(rng, n_rules=rng.randint(1, 8))[1]
+        for _ in range(150):
+            yield random_wg_program(rng)[1]  # unguarded sets too
+        for seed in (1, 2):
+            for _, rules in wg_cases(seed, 60):
+                yield rules
+        for _, rules, _, _ in terminating_cases(seed=23, count=20):
+            yield rules
+
+    seen = set()
+    for rules in rule_sets():
+        cls = classify(rules)
+        per_rule, guard, weak, overall = classify_oracle(rules)
+        assert cls.per_rule == per_rule
+        assert cls.guard_index == guard
+        assert cls.weak_guard_index == weak
+        assert cls.overall is overall
+        for rule in rules:
+            assert weak_guard_index(rule, cls.affected) == weak[rule]
+        seen.add(overall)
+        seen.update(per_rule.values())
+    assert seen == set(RuleClass)
+
+
 def test_guard_tie_break_is_first_qualifying_atom():
     rules = parse_program("tgd r(X,Y), s(X,Y), t(X,Y) -> u(X).").tgds
     cls = classify(rules)
@@ -151,6 +219,9 @@ def test_aux_predicate_name_avoids_clashes():
     rules = parse_program("tgd v1(X) -> exists Z: p(X,Z), q(Z).").tgds
     out = normalize_heads(rules)
     assert out[0].head[0].predicate.name == "v2"
+    # names of further atoms, a database or a query body, are avoided too
+    out = normalize_heads(rules, [parse_atom("v2(a,b)")], [parse_atom("v3(X)")])
+    assert out[0].head[0].predicate.name == "v4"
 
 
 def test_normalization_preserves_certain_answers():

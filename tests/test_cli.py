@@ -566,3 +566,63 @@ def test_answer_multi_atom_heads_as_normalized(tmp_path, capsys, strategy):
             outs.append(json.loads(out))
         assert outs[0] == outs[1]
         assert outs[0]["status"] == "sat"
+
+
+# normalize_heads names the helper of the multi-atom head v1, unless a
+# database fact, an EGD or a query already uses that name
+HELPER_CLASH = """
+fact v1(a,b). fact p(c).
+tgd p(X) -> exists Y: q(X,Y), r(Y).
+query qq(X) :- r(X).
+query qv(X,Y) :- q(X,Y).
+"""
+HELPER_READ = """
+fact p(c).
+tgd p(X) -> exists Y: q(X,Y), r(Y).
+query pp(X) :- p(X).
+query qp(X) :- q(X,Y).
+query z(X) :- v1(X,Y).
+"""
+HELPER_EGD = """
+fact p(c,d).
+tgd p(X,W) -> exists Y: q(X,W,Y), r(Y).
+egd v1(X,W,Y) -> X = W.
+query z(X) :- q(X,W,Y).
+query pp(X) :- p(X,W).
+query v(X) :- v1(X,W,Y).
+"""
+
+
+@pytest.mark.parametrize("strategy", ["terminate", "bounded:4", "blocked-atomic"])
+def test_answer_helper_predicate_avoids_database_and_query_names(tmp_path, capsys,
+                                                                 strategy):
+    unsat = {"status": "unsat", "answers": [], "budget_exhausted": False}
+    for text, query, want in [
+        (HELPER_CLASH, "qq", unsat),
+        (HELPER_CLASH, "qv", unsat),
+        (HELPER_READ, "z", unsat),
+        (HELPER_READ, "qp", {"status": "sat", "answers": [["c"]],
+                             "budget_exhausted": False}),
+    ]:
+        path = tmp_path / "helper.dlp"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "answer", str(path), "--query", query,
+                                 "--strategy", strategy, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out) == dict(query=query, **want), (query, strategy)
+
+
+def test_helper_predicate_avoids_egd_and_contained_query_names(tmp_path, capsys):
+    read, egd = tmp_path / "read.dlp", tmp_path / "egd.dlp"
+    read.write_text(HELPER_READ)
+    egd.write_text(HELPER_EGD)
+    expected = [
+        (["contain", str(read), "--q1", "pp", "--q2", "z"], "pp in z: no\n"),
+        (["contain", str(egd), "--q1", "pp", "--q2", "v"], "pp in v: no\n"),
+        (["egd-check", str(egd)], "egd failure check: no-failure\n"),
+    ]
+    for strategy in (["--egd", "separate"], ["--strategy", "terminate"]):
+        expected.append((["answer", str(egd), "--query", "z", *strategy],
+                         "query z: sat\n  (c)\n"))
+    for argv, want in expected:
+        assert run_cli(capsys, *argv) == (0, want, ""), argv

@@ -2,12 +2,16 @@
 """cProfile of one pass over a benchmark workload's jobs, after a warm-up pass.
 
     python3 tools/profile_pass.py --workload wg-saturate --seed 3 --top 25
+    python3 tools/profile_pass.py --workload cq-3col --seed 3 --sort cumulative
 
 Builds the workload from the seed with the benchmark's set-up
 (bench/run.py), runs every job once to warm up and once more under
 cProfile, and prints the total function calls, the jobs whose output
-failed its check, and the top functions by self time.  Program files go
-to a temporary directory; nothing under bench/ is changed.
+failed its check, and the top functions by self time (`--sort tottime`,
+the default) or by time including callees (`--sort cumulative`).  A
+cost spread over many small callees, such as `analysis.classify`'s,
+shows only in the cumulative view.  Program files go to a temporary
+directory; nothing under bench/ is changed.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=run.WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--top", type=int, default=25, help="functions to list")
+    ap.add_argument("--sort", choices=("tottime", "cumulative"), default="tottime",
+                    help="order of the list: self time or time including callees")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         chasekit, built = run.setup(args.workload, args.seed, Path(tmp))
@@ -41,7 +47,7 @@ def main(argv=None) -> int:
     stats = pstats.Stats(profile)
     print("%d function calls in the profiled pass; %d of %d jobs failed their check"
           % (stats.total_calls, tally.failed, tally.attempted))
-    stats.sort_stats("tottime").print_stats(args.top)
+    stats.sort_stats(args.sort).print_stats(args.top)
     return 0
 
 
