@@ -17,6 +17,7 @@ from collections import deque
 from itertools import combinations_with_replacement, product
 from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .analysis import normalize_heads
 from .chase import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions, Mode, Status,
                     run_chase, split_ground)
 from .model import (
@@ -405,8 +406,9 @@ def verify_squid_lemma(
     and null-part tentacles under a homomorphism."""
     if query.head_vars:
         raise UsageError("the squid harness works on Boolean queries")
+    # helper predicates avoid the query's names, so it reads none of their atoms
     result = run_chase(
-        database, tgds, (),
+        database, normalize_heads(tgds, database, query.body), (),
         ChaseOptions(mode=Mode.OBLIVIOUS, max_steps=max_steps, max_depth=max_depth),
     )
     if result.status is not Status.SATURATED:

@@ -98,17 +98,19 @@ def _run_chase(args, program: Program) -> ChaseResult:
 def cmd_chase(args) -> int:
     program = _load_program(args)
     result = _run_chase(args, program)
-    payload = {
-        "status": result.status.value,
-        "steps": [s.render() for s in result.steps],
-        "atom_count": len(result.instance),
-        "atoms": sorted(render_atom(a) for a in result.instance),
-        "forest_complete": result.forest_complete,
-    }
-    lines = [s.render() for s in result.steps]
-    lines.append("status: %s" % result.status.value)
-    lines.append("atoms: %d" % len(result.instance))
-    _emit(args, payload, lines)
+    steps = [s.render() for s in result.steps]
+    if args.format == "json":
+        print(json.dumps({
+            "status": result.status.value,
+            "steps": steps,
+            "atom_count": len(result.instance),
+            "atoms": sorted(render_atom(a) for a in result.instance),
+            "forest_complete": result.forest_complete,
+        }))
+    else:
+        steps.append("status: %s" % result.status.value)
+        steps.append("atoms: %d" % len(result.instance))
+        print("\n".join(steps))
     return EXIT_FAILED if result.status is Status.FAILED else EXIT_OK
 
 
@@ -194,30 +196,30 @@ def cmd_forest(args) -> int:
         lines.append("}")
         print("\n".join(lines))
         return EXIT_OK
-    payload = {
-        "status": result.status.value,
-        "nodes": [
-            {
-                "id": n.id,
-                "atom": render_atom(n.atom),
-                "parent": n.parent,
-                "rule": n.rule.label if n.rule else None,
-                "depth": n.depth,
-            }
-            for n in nodes
-        ],
-        "forest_complete": result.forest_complete,
-    }
-    lines = []
-    for n in nodes:
-        rule = n.rule.label if n.rule else "db"
-        lines.append(
-            "#%d depth=%d parent=%s %s [%s]"
-            % (n.id, n.depth, n.parent if n.parent is not None else "-",
-               render_atom(n.atom), rule)
-        )
+    if args.format == "json":
+        print(json.dumps({
+            "status": result.status.value,
+            "nodes": [
+                {
+                    "id": n.id,
+                    "atom": render_atom(n.atom),
+                    "parent": n.parent,
+                    "rule": n.rule.label if n.rule else None,
+                    "depth": n.depth,
+                }
+                for n in nodes
+            ],
+            "forest_complete": result.forest_complete,
+        }))
+        return EXIT_OK
+    lines = [
+        "#%d depth=%d parent=%s %s [%s]"
+        % (n.id, n.depth, n.parent if n.parent is not None else "-",
+           render_atom(n.atom), n.rule.label if n.rule else "db")
+        for n in nodes
+    ]
     lines.append("status: %s" % result.status.value)
-    _emit(args, payload, lines)
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -17,11 +17,12 @@ namedtuple, whose fields are read in C too.  The kind tag keeps
 order, iterate and serialize as tuples, and each equals the plain
 tuple it holds: `Constant("a") == (0, "a")`.
 
-`Atom(...)` and `Predicate.__call__` check the arity, for the parser
-and library callers.  The chase's own constructions skip that check,
+`Atom(...)` and `Predicate.__call__` check the arity, for library
+callers.  The parser and the chase's own constructions skip that check,
 building the tuple with `tuple.__new__`, because their arity is right by
-construction: a plan template (`plan.py`) has one position per argument
-of its atom, and `Atom.substitute` and `Instance.rewrite` map an atom's
+construction: the parser makes an atom's predicate from the arguments
+it read, a plan template (`plan.py`) has one position per argument of
+its atom, and `Atom.substitute` and `Instance.rewrite` map an atom's
 arguments one for one.
 """
 

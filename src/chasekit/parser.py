@@ -15,13 +15,22 @@ belongs to the canonical cloud nulls).  A word is a run of letters,
 digits and `_`: a variable if it starts with an uppercase letter, else a
 constant or predicate.  The punctuation is `-> :- ( ) , . : =`, and any
 other character is an error.
+
+The tokens are the strings one `findall` of `_TOKEN` returns, up to the
+first empty one, which is the end; no offsets are kept.  The distinct
+tokens are checked once for malformed nulls and other characters, and
+mapped once to the terms they denote, so an atom's arguments are read
+by slicing the token list and looking each one up.  A ParseError names
+a token by its index; only then is the text scanned again, to find the
+token's offset and so its line and column.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Callable, Dict, List, NoReturn, Optional, Tuple, TypeVar
+from itertools import islice
+from typing import Dict, List, NoReturn, Optional, Set, Tuple, TypeVar
 
 from .model import (
     CANONICAL_NULL_BASE,
@@ -39,7 +48,6 @@ from .model import (
     Variable,
 )
 
-T = TypeVar("T")
 R = TypeVar("R", TGD, EGD, CQ)
 
 
@@ -57,32 +65,18 @@ def _error(text: str, offset: int, message: str) -> ParseError:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokens
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"""(?:\s|%[^\n]*)*(?:
-    (?P<null>_:n\d*) | (?P<word>\w+) | (?P<punct>->|:-|[(),.:=])
-    | (?P<end>\Z) | (?P<other>.))""", re.VERBOSE)
+_TOKEN = re.compile(r"""\s*(?:%[^\n]*\s*)*(
+    _:n\d* | \w+ | -> | :- | [(),.:=] | \Z | .)""", re.VERBOSE)
 
-Token = Tuple[str, str, int]   # kind (ident, var, null, punct, end), text, offset
+_PUNCT = frozenset(("->", ":-", "(", ")", ",", ".", ":", "="))
 
 
-def _tokenize(text: str) -> List[Token]:
-    toks: List[Token] = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        word = m.group(kind)
-        at = m.start(kind)
-        if kind == "word":
-            kind = "var" if word[0].isupper() else "ident"
-        elif kind == "null" and len(word) == 3:
-            raise _error(text, at, "malformed null, expected digits after _:n")
-        elif kind == "other":
-            raise _error(text, at, "unexpected character %r" % word)
-        toks.append((kind, word, at))
-        if kind == "end":
-            break
-    return toks
+def _offset(text: str, index: int) -> int:
+    """The offset of token `index`, found again by rescanning the text."""
+    return next(islice(_TOKEN.finditer(text), index, None)).start(1)
 
 
 # ---------------------------------------------------------------------------
@@ -90,131 +84,195 @@ def _tokenize(text: str) -> List[Token]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
+    """The tokens of one text, the terms they denote, and the predicates seen.
+
+    The methods take token indexes; `atoms` and `variables` return what
+    they read with the index after it.
+    """
+
     def __init__(self, text: str, allow_nulls: bool):
         self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
+        toks = _TOKEN.findall(text)
+        del toks[toks.index("") + 1:]
+        self.toks = toks
         self.allow_nulls = allow_nulls
-        self.arities: Dict[str, int] = {}
+        self.preds: Dict[str, Predicate] = {}
+        # token -> the term it denotes; names are the words that are not variables
+        self.terms: Dict[str, Term] = {}
+        self.names: Set[str] = set()
+        bad = set()
+        for tok in set(toks):
+            if tok.startswith("_:n"):
+                if len(tok) == 3:
+                    bad.add(tok)
+                elif allow_nulls and int(tok[3:]) < CANONICAL_NULL_BASE:
+                    self.terms[tok] = LabeledNull(int(tok[3:]))
+            elif tok in _PUNCT or not tok:
+                pass
+            elif len(tok) == 1 and not (tok.isalnum() or tok == "_"):
+                bad.add(tok)   # a character no other alternative of _TOKEN reads
+            elif tok[0].isupper():
+                self.terms[tok] = Variable(tok)
+            else:
+                self.terms[tok] = Constant(tok)
+                self.names.add(tok)
+        if bad:
+            i = next(i for i, tok in enumerate(toks) if tok in bad)
+            if toks[i].startswith("_:n"):
+                self.fail(i, "malformed null, expected digits after _:n")
+            self.fail(i, "unexpected character %r" % toks[i])
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    # -- errors ---------------------------------------------------------------
 
-    def fail(self, message: str, at: Optional[int] = None) -> NoReturn:
-        """Raise at offset `at`, by default at the next token."""
-        raise _error(self.text, self.peek()[2] if at is None else at, message)
+    def fail(self, i: int, message: str) -> NoReturn:
+        raise _error(self.text, _offset(self.text, i), message)
 
-    def expect(self, want: str, what: str = "") -> Token:
-        """Take the next token if its text is `want`, or its kind when `what` names it."""
-        t = self.peek()
-        if t[0 if what else 1] != want:
-            self.fail("expected %s, found %r" % (what or repr(want), t[1] or "end of input"))
-        self.pos += 1
-        return t
+    def found(self, i: int, what: str) -> NoReturn:
+        self.fail(i, "expected %s, found %r" % (what, self.toks[i] or "end of input"))
 
-    def comma_list(self, item: Callable[[], T], stop: Optional[str] = None) -> List[T]:
-        """`item {, item}`, or no items when the next token is `stop`."""
-        out: List[T] = []
-        if self.peek()[1] != stop:
-            out.append(item())
-            while self.peek()[1] == ",":
-                self.pos += 1
-                out.append(item())
-        return out
+    def expect(self, i: int, want: str) -> int:
+        if self.toks[i] != want:
+            self.found(i, repr(want))
+        return i + 1
 
-    def checked(self, rule: R, at: int) -> R:
-        """`rule` if its safety check passes, else a ParseError at offset `at`."""
+    def bad_arguments(self, i: int) -> NoReturn:
+        """Raise at the first irregular token of the arguments from token i.
+
+        The caller found them irregular, so the walk meets a token that is
+        not a term where a term belongs, or one that is neither ',' nor ')'
+        after a term.
+        """
+        toks = self.toks
+        while True:
+            tok = toks[i]
+            if tok not in self.terms:
+                if not tok.startswith("_:n"):
+                    self.fail(i, "expected a term")
+                if not self.allow_nulls:
+                    self.fail(i, "labeled nulls are not allowed here")
+                self.fail(i, "null index %d is reserved for canonical nulls" % int(tok[3:]))
+            if toks[i + 1] != ",":
+                self.found(i + 1, "')'")
+            i += 2
+
+    def checked(self, rule: R, i: int) -> R:
+        """`rule` if its safety check passes, else a ParseError at token i."""
         try:
             rule.check_safety()
         except UsageError as e:
-            self.fail(str(e), at)
+            self.fail(i, str(e))
         return rule
 
-    # -- terms and atoms ----------------------------------------------------
+    # -- atoms and variables --------------------------------------------------
 
-    def term(self) -> Term:
-        kind, word, _ = self.peek()
-        if kind == "ident":
-            self.pos += 1
-            return Constant(word)
-        if kind == "var":
-            self.pos += 1
-            return Variable(word)
-        if kind == "null":
-            if not self.allow_nulls:
-                self.fail("labeled nulls are not allowed here")
-            index = int(word[3:])
-            if index >= CANONICAL_NULL_BASE:
-                self.fail("null index %d is reserved for canonical nulls" % index)
-            self.pos += 1
-            return LabeledNull(index)
-        self.fail("expected a term")
+    def atoms(self, i: int, one: bool = False) -> Tuple[List[Atom], int]:
+        """`atom {, atom}`, or a single atom if `one`.
 
-    def atom(self) -> Atom:
-        _, name, at = self.expect("ident", "a predicate name")
-        args: List[Term] = []
-        if self.peek()[1] == "(":
-            self.pos += 1
-            args = self.comma_list(self.term, ")")
-            self.expect(")")
-        arity = self.arities.setdefault(name, len(args))
-        if arity != len(args):
-            self.fail("predicate %s used with arity %d, declared with %d"
-                      % (name, len(args), arity), at)
-        return Atom(Predicate(name, len(args)), tuple(args))
+        An atom `name(t, ..., t)` is read by slices: its arguments are
+        every other token up to the first ')', and the tokens between them
+        must all be ','.  Its arity is the number of arguments by
+        construction, so it is built with `tuple.__new__`.
+        """
+        toks, terms, preds = self.toks, self.terms, self.preds
+        out: List[Atom] = []
+        while True:
+            name = toks[i]
+            if name not in self.names:
+                self.found(i, "a predicate name")
+            k = i + 1
+            if toks[k] == "(":
+                try:
+                    j = toks.index(")", k)
+                    inner = toks[k + 1:j]
+                    args = tuple(map(terms.__getitem__, inner[::2]))
+                except (ValueError, KeyError):
+                    self.bad_arguments(k + 1)
+                # no argument is a ',', so the separators are all ',' when
+                # they are as many as the commas
+                if inner and len(inner) != 2 * inner.count(",") + 1:
+                    self.bad_arguments(k + 1)
+                k = j + 1
+            else:
+                args = ()
+            pred = preds.get(name)
+            if pred is None:
+                pred = preds[name] = Predicate(name, len(args))
+            elif pred[1] != len(args):
+                self.fail(i, "predicate %s used with arity %d, declared with %d"
+                          % (name, len(args), pred[1]))
+            out.append(tuple.__new__(Atom, (pred, args)))
+            if one or toks[k] != ",":
+                return out, k
+            i = k + 1
 
-    def variable(self) -> Variable:
-        return Variable(self.expect("var", "a variable")[1])
+    def variable(self, i: int) -> Variable:
+        v = self.terms.get(self.toks[i])
+        if v.__class__ is not Variable:
+            self.found(i, "a variable")
+        return v
 
-    # -- statements ----------------------------------------------------------
+    def variables(self, i: int, stop: Optional[str] = None) -> Tuple[List[Variable], int]:
+        """`var {, var}`, or no variables when token i is `stop`."""
+        out: List[Variable] = []
+        if self.toks[i] != stop:
+            out.append(self.variable(i))
+            while self.toks[i + 1] == ",":
+                i += 2
+                out.append(self.variable(i))
+            i += 1
+        return out, i
 
-    def statement(self, program: Program) -> None:
-        kind, kw, _ = self.peek()
-        if kind != "ident" or kw not in ("fact", "tgd", "egd", "query"):
-            self.fail("expected fact, tgd, egd or query")
-        self.pos += 1
-        at = self.peek()[2]
-        if kw == "fact":
-            atom = self.atom()
-            if not atom.is_ground():
-                self.fail("facts must be ground", at)
-            program.facts.add(atom)
-        elif kw == "tgd":
-            body = self.comma_list(self.atom)
-            self.expect("->")
-            existentials: List[Variable] = []
-            if self.peek()[1] == "exists":
-                self.pos += 1
-                existentials = self.comma_list(self.variable)
-                self.expect(":")
-            head = self.comma_list(self.atom)
-            rule = TGD(tuple(body), tuple(head), frozenset(existentials),
-                       label="tgd%d" % (len(program.tgds) + 1))
-            program.tgds.append(self.checked(rule, at))
-        elif kw == "egd":
-            body = self.comma_list(self.atom)
-            self.expect("->")
-            lhs = self.variable()
-            self.expect("=")
-            egd = EGD(tuple(body), lhs, self.variable(),
-                      label="egd%d" % (len(program.egds) + 1))
-            program.egds.append(self.checked(egd, at))
-        else:
-            name = self.expect("ident", "a query name")[1]
-            head_vars: List[Variable] = []
-            if self.peek()[1] == "(":
-                self.pos += 1
-                head_vars = self.comma_list(self.variable, ")")
-                self.expect(")")
-            self.expect(":-")
-            q = CQ(name, tuple(head_vars), tuple(self.comma_list(self.atom, ".")))
-            program.queries.append(self.checked(q, at))
-        self.expect(".")
+    # -- statements -----------------------------------------------------------
 
     def program(self) -> Program:
+        toks = self.toks
         p = Program()
-        while self.peek()[0] != "end":
-            self.statement(p)
+        i = 0
+        while toks[i]:
+            kw = toks[i]
+            at = i + 1
+            if kw == "fact":
+                (atom,), i = self.atoms(at, one=True)
+                if not atom.is_ground():
+                    self.fail(at, "facts must be ground")
+                p.facts.add(atom)
+            elif kw == "tgd":
+                body, i = self.atoms(at)
+                i = self.expect(i, "->")
+                existentials: List[Variable] = []
+                if toks[i] == "exists":
+                    existentials, i = self.variables(i + 1)
+                    i = self.expect(i, ":")
+                head, i = self.atoms(i)
+                rule = TGD(tuple(body), tuple(head), frozenset(existentials),
+                           label="tgd%d" % (len(p.tgds) + 1))
+                p.tgds.append(self.checked(rule, at))
+            elif kw == "egd":
+                body, i = self.atoms(at)
+                i = self.expect(i, "->")
+                lhs = self.variable(i)
+                i = self.expect(i + 1, "=")
+                rhs = self.variable(i)
+                egd = EGD(tuple(body), lhs, rhs, label="egd%d" % (len(p.egds) + 1))
+                p.egds.append(self.checked(egd, at))
+                i += 1
+            elif kw == "query":
+                if toks[at] not in self.names:
+                    self.found(at, "a query name")
+                i = at + 1
+                head_vars: List[Variable] = []
+                if toks[i] == "(":
+                    head_vars, i = self.variables(i + 1, ")")
+                    i = self.expect(i, ")")
+                i = self.expect(i, ":-")
+                body = []
+                if toks[i] != ".":
+                    body, i = self.atoms(i)
+                q = CQ(toks[at], tuple(head_vars), tuple(body))
+                p.queries.append(self.checked(q, at))
+            else:
+                self.fail(i, "expected fact, tgd, egd or query")
+            i = self.expect(i, ".")
         return p
 
 
@@ -230,19 +288,23 @@ def parse_instance(text: str) -> Instance:
     input facts.
     """
     p = _Parser(text, allow_nulls=True)
+    toks = p.toks
     inst = Instance()
-    while p.peek()[0] != "end":
-        inst.add(p.atom())
-        if p.peek()[1] in (",", "."):
-            p.pos += 1
+    i = 0
+    while toks[i]:
+        (atom,), i = p.atoms(i, one=True)
+        inst.add(atom)
+        if toks[i] in (",", "."):
+            i += 1
     return inst
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a single atom and nothing after it; variables and nulls allowed."""
     p = _Parser(text, allow_nulls=True)
-    atom = p.atom()
-    p.expect("end", "end of input")
+    (atom,), i = p.atoms(0, one=True)
+    if p.toks[i]:
+        p.found(i, "end of input")
     return atom
 
 

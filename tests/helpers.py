@@ -4,18 +4,20 @@ The generators are seeded and deterministic.  Oracles are written
 independently of the code paths they check: exhaustive substitution for
 query evaluation, naive fixpoint scans for affected positions and
 subtree closures, vertex deletion for hypergraph acyclicity, exhaustive coloring for the graph
-gadget.
+gadget.  The reference parser at the end is the token-by-token parser
+chasekit used before it read atoms by slices.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import product
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Set, Tuple, TypeVar
 
 import chasekit
 from chasekit.analysis import Position, RuleClass, classify
@@ -31,6 +33,7 @@ from chasekit.chase import (
 from chasekit.clouds import canonicalize
 from chasekit.egdsep import FailureCheck
 from chasekit.model import (
+    CANONICAL_NULL_BASE,
     CQ,
     EGD,
     TGD,
@@ -44,6 +47,7 @@ from chasekit.model import (
     UsageError,
     Variable,
 )
+from chasekit.parser import _error
 from chasekit.query import homomorphisms
 from chasekit.rulesets import fll_rules
 
@@ -650,3 +654,188 @@ def random_containment_pair(rng: random.Random, chase_instance: Instance,
             return q1, CQ("q2", q1.head_vars, tuple(body))
     body = random_query_for(rng, chase_instance, rules).body
     return q1, with_random_head(rng, CQ("q2", (), body), q1.arity)
+
+
+# ---------------------------------------------------------------------------
+# Reference parser
+# ---------------------------------------------------------------------------
+# The parser chasekit had before it read atoms by slices of string tokens:
+# one (kind, text, offset) tuple per token, and one method call per token.
+# tests/test_parser.py compares chasekit's parser with it on a corpus of
+# valid and broken texts.
+
+_TOKEN = re.compile(r"""(?:\s|%[^\n]*)*(?:
+    (?P<null>_:n\d*) | (?P<word>\w+) | (?P<punct>->|:-|[(),.:=])
+    | (?P<end>\Z) | (?P<other>.))""", re.VERBOSE)
+
+Token = Tuple[str, str, int]   # kind (ident, var, null, punct, end), text, offset
+T = TypeVar("T")
+R = TypeVar("R", TGD, EGD, CQ)
+
+
+def _tokenize(text: str) -> List[Token]:
+    toks: List[Token] = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word = m.group(kind)
+        at = m.start(kind)
+        if kind == "word":
+            kind = "var" if word[0].isupper() else "ident"
+        elif kind == "null" and len(word) == 3:
+            raise _error(text, at, "malformed null, expected digits after _:n")
+        elif kind == "other":
+            raise _error(text, at, "unexpected character %r" % word)
+        toks.append((kind, word, at))
+        if kind == "end":
+            break
+    return toks
+
+
+class _Parser:
+    def __init__(self, text: str, allow_nulls: bool):
+        self.text = text
+        self.toks = _tokenize(text)
+        self.pos = 0
+        self.allow_nulls = allow_nulls
+        self.arities: Dict[str, int] = {}
+
+    def peek(self) -> Token:
+        return self.toks[self.pos]
+
+    def fail(self, message: str, at: Optional[int] = None) -> NoReturn:
+        """Raise at offset `at`, by default at the next token."""
+        raise _error(self.text, self.peek()[2] if at is None else at, message)
+
+    def expect(self, want: str, what: str = "") -> Token:
+        """Take the next token if its text is `want`, or its kind when `what` names it."""
+        t = self.peek()
+        if t[0 if what else 1] != want:
+            self.fail("expected %s, found %r" % (what or repr(want), t[1] or "end of input"))
+        self.pos += 1
+        return t
+
+    def comma_list(self, item: Callable[[], T], stop: Optional[str] = None) -> List[T]:
+        """`item {, item}`, or no items when the next token is `stop`."""
+        out: List[T] = []
+        if self.peek()[1] != stop:
+            out.append(item())
+            while self.peek()[1] == ",":
+                self.pos += 1
+                out.append(item())
+        return out
+
+    def checked(self, rule: R, at: int) -> R:
+        """`rule` if its safety check passes, else a ParseError at offset `at`."""
+        try:
+            rule.check_safety()
+        except UsageError as e:
+            self.fail(str(e), at)
+        return rule
+
+    # -- terms and atoms ----------------------------------------------------
+
+    def term(self) -> Term:
+        kind, word, _ = self.peek()
+        if kind == "ident":
+            self.pos += 1
+            return Constant(word)
+        if kind == "var":
+            self.pos += 1
+            return Variable(word)
+        if kind == "null":
+            if not self.allow_nulls:
+                self.fail("labeled nulls are not allowed here")
+            index = int(word[3:])
+            if index >= CANONICAL_NULL_BASE:
+                self.fail("null index %d is reserved for canonical nulls" % index)
+            self.pos += 1
+            return LabeledNull(index)
+        self.fail("expected a term")
+
+    def atom(self) -> Atom:
+        _, name, at = self.expect("ident", "a predicate name")
+        args: List[Term] = []
+        if self.peek()[1] == "(":
+            self.pos += 1
+            args = self.comma_list(self.term, ")")
+            self.expect(")")
+        arity = self.arities.setdefault(name, len(args))
+        if arity != len(args):
+            self.fail("predicate %s used with arity %d, declared with %d"
+                      % (name, len(args), arity), at)
+        return Atom(Predicate(name, len(args)), tuple(args))
+
+    def variable(self) -> Variable:
+        return Variable(self.expect("var", "a variable")[1])
+
+    # -- statements ----------------------------------------------------------
+
+    def statement(self, program: Program) -> None:
+        kind, kw, _ = self.peek()
+        if kind != "ident" or kw not in ("fact", "tgd", "egd", "query"):
+            self.fail("expected fact, tgd, egd or query")
+        self.pos += 1
+        at = self.peek()[2]
+        if kw == "fact":
+            atom = self.atom()
+            if not atom.is_ground():
+                self.fail("facts must be ground", at)
+            program.facts.add(atom)
+        elif kw == "tgd":
+            body = self.comma_list(self.atom)
+            self.expect("->")
+            existentials: List[Variable] = []
+            if self.peek()[1] == "exists":
+                self.pos += 1
+                existentials = self.comma_list(self.variable)
+                self.expect(":")
+            head = self.comma_list(self.atom)
+            rule = TGD(tuple(body), tuple(head), frozenset(existentials),
+                       label="tgd%d" % (len(program.tgds) + 1))
+            program.tgds.append(self.checked(rule, at))
+        elif kw == "egd":
+            body = self.comma_list(self.atom)
+            self.expect("->")
+            lhs = self.variable()
+            self.expect("=")
+            egd = EGD(tuple(body), lhs, self.variable(),
+                      label="egd%d" % (len(program.egds) + 1))
+            program.egds.append(self.checked(egd, at))
+        else:
+            name = self.expect("ident", "a query name")[1]
+            head_vars: List[Variable] = []
+            if self.peek()[1] == "(":
+                self.pos += 1
+                head_vars = self.comma_list(self.variable, ")")
+                self.expect(")")
+            self.expect(":-")
+            q = CQ(name, tuple(head_vars), tuple(self.comma_list(self.atom, ".")))
+            program.queries.append(self.checked(q, at))
+        self.expect(".")
+
+    def program(self) -> Program:
+        p = Program()
+        while self.peek()[0] != "end":
+            self.statement(p)
+        return p
+
+
+def reference_parse_program(text: str) -> Program:
+    return _Parser(text, allow_nulls=False).program()
+
+
+def reference_parse_instance(text: str) -> Instance:
+    p = _Parser(text, allow_nulls=True)
+    inst = Instance()
+    while p.peek()[0] != "end":
+        inst.add(p.atom())
+        if p.peek()[1] in (",", "."):
+            p.pos += 1
+    return inst
+
+
+def reference_parse_atom(text: str) -> Atom:
+    p = _Parser(text, allow_nulls=True)
+    atom = p.atom()
+    p.expect("end", "end of input")
+    return atom

@@ -316,6 +316,16 @@ def test_squid_lemma_negative_case():
     assert report.witness is None
 
 
+def test_squid_lemma_query_reads_no_helper_atoms():
+    # the multi-atom head goes through a helper predicate, which must not
+    # take the query's name v1
+    p = parse_program("fact p(c). tgd p(X) -> exists Y: q(X,Y), r(Y).")
+    query = CQ("b", (), tuple(atoms("v1(X,Y)",)))
+    report = verify_squid_lemma(p.facts, p.tgds, query)
+    assert not report.entailed and report.holds
+    assert report.witness is None
+
+
 def test_squid_lemma_inconclusive_on_nontermination():
     p = parse_program("fact r(a,b). tgd r(X,Y) -> exists Z: r(Y,Z).")
     query = CQ("q", (), tuple(atoms("r(U,V)",)))

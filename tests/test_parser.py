@@ -1,15 +1,22 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import programs_equal, run_optimized
+from helpers import (
+    programs_equal,
+    reference_parse_atom,
+    reference_parse_instance,
+    reference_parse_program,
+    run_optimized,
+)
 
 import chasekit
-from chasekit.model import Constant, Variable
+from chasekit.model import Constant, Instance, Program, UsageError, Variable
 from chasekit.parser import (
     ParseError,
     answer_json,
@@ -283,6 +290,107 @@ def test_fuzz_round_trip_500():
         again = parse_program(rendered)
         assert programs_equal(p, again), text
         assert render_program(again) == rendered, text
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the reference parser
+# ---------------------------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# what a mutation inserts or puts in place of a character
+MUTATION_PIECES = ["%", "_:n", "_:n7", "_:n1000000003", "\u00b2", "\t", "\r", "\u00a0",
+                   "\n", "(", ")", ",", ".", ":", ":-", "-", ">", "=", "X", "a", "1", "$",
+                   "exists", "fact"]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One character deleted, inserted or replaced, a truncation, or a
+    trailing comment or fragment."""
+    at = rng.randrange(len(text) + 1)
+    kind = rng.randrange(5)
+    if kind == 0 and text:
+        at = min(at, len(text) - 1)
+        return text[:at] + text[at + 1:]
+    if kind == 1:
+        return text[:at] + rng.choice(MUTATION_PIECES) + text[at:]
+    if kind == 2 and text:
+        at = min(at, len(text) - 1)
+        return text[:at] + rng.choice(MUTATION_PIECES) + text[at + 1:]
+    if kind == 3:
+        return text[:at]
+    return text + rng.choice(["% trailing comment", "\n% comment\n", " %", " fact", "."])
+
+
+def as_instance_text(rng: random.Random, program_text: str) -> str:
+    """The facts of a program as an instance, some constants made nulls."""
+    facts = [line[len("fact "):] for line in program_text.splitlines()
+             if line.startswith("fact ")]
+    return re.sub(r"\b[a-z]\w*\b(?=[,)])",
+                  lambda m: "_:n%d" % rng.choice((1, 7, 999999999, 1000000000))
+                  if rng.random() < 0.2 else m.group(0),
+                  "\n".join(facts))
+
+
+def parse_corpus(seed: int):
+    """About 2,000 texts: bench programs, built-in and fuzzed programs,
+    instances and single atoms taken from them, each with mutations."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import gen  # bench/gen.py, which imports nothing from chasekit
+
+    rng = random.Random(seed)
+    programs = [FLL_TEXT, EXAMPLE_CHASE] + [row[1] for row in PARSE_ERRORS]
+    for workload in sorted(gen.WORKLOADS):
+        programs += [p.text() for p in gen.build(workload, seed).programs.values()]
+    programs += [random_program_text(rng) for _ in range(300)]
+    instances = [as_instance_text(rng, text) for text in rng.sample(programs, 150)]
+    atoms = [m.group(0) for text in rng.sample(programs, 60)
+             for m in re.finditer(r"\w+\([^()]*\)", text)]
+    atoms = rng.sample(atoms, 300)
+    texts = programs + instances + atoms
+    texts += [mutate(rng, rng.choice(programs)) for _ in range(850)]
+    texts += [mutate(rng, rng.choice(instances)) for _ in range(150)]
+    texts += [mutate(rng, rng.choice(atoms)) for _ in range(300)]
+    return texts
+
+
+def parse_outcome(parse, text):
+    """The result, the ParseError's message, line and column, or the
+    UsageError an instance raises on an atom with a variable."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        return (str(e), e.line, e.column)
+    except UsageError as e:
+        return ("UsageError", str(e))
+
+
+def same_outcome(got, want) -> bool:
+    if isinstance(want, Program):
+        return (isinstance(got, Program) and programs_equal(got, want)
+                and got.facts.atoms() == want.facts.atoms())
+    if isinstance(want, Instance):
+        return isinstance(got, Instance) and got.atoms() == want.atoms()
+    return type(got) is type(want) and got == want
+
+
+def test_parser_agrees_with_the_reference_parser():
+    texts = parse_corpus(1)
+    assert len(texts) > 2000
+    differ = []
+    for parse, reference in ((parse_program, reference_parse_program),
+                             (parse_instance, reference_parse_instance),
+                             (parse_atom, reference_parse_atom)):
+        outcomes = {"ok": 0, "error": 0}
+        for text in texts:
+            got, want = parse_outcome(parse, text), parse_outcome(reference, text)
+            outcomes["error" if type(want) is tuple else "ok"] += 1
+            if not same_outcome(got, want):
+                differ.append((parse.__name__, text, got, want))
+        # each function both parses and rejects a good part of the corpus
+        assert min(outcomes.values()) > 300, (parse.__name__, outcomes)
+    assert not differ, differ[:3]
 
 
 def test_answer_json_rejects_an_unknown_status_under_O():

@@ -3,6 +3,7 @@
 
     python3 tools/profile_pass.py --workload wg-saturate --seed 3 --top 25
     python3 tools/profile_pass.py --workload cq-3col --seed 3 --sort cumulative
+    python3 tools/profile_pass.py --workload wg-saturate --seed 3 --callers add
 
 Builds the workload from the seed with the benchmark's set-up
 (bench/run.py), runs every job once to warm up and once more under
@@ -10,8 +11,12 @@ cProfile, and prints the total function calls, the jobs whose output
 failed its check, and the top functions by self time (`--sort tottime`,
 the default) or by time including callees (`--sort cumulative`).  A
 cost spread over many small callees, such as `analysis.classify`'s,
-shows only in the cumulative view.  Program files go to a temporary
-directory; nothing under bench/ is changed.
+shows only in the cumulative view.  `--callers NAME` prints, after the
+list, the callers of every function that NAME matches, with the calls
+and time each caller accounts for: where the calls of a busy function
+such as `Instance.add` come from.  NAME is a regular expression that
+pstats searches in `file:line(function)`.  Program files go to a
+temporary directory; nothing under bench/ is changed.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ def main(argv=None) -> int:
     ap.add_argument("--top", type=int, default=25, help="functions to list")
     ap.add_argument("--sort", choices=("tottime", "cumulative"), default="tottime",
                     help="order of the list: self time or time including callees")
+    ap.add_argument("--callers", metavar="NAME",
+                    help="also print the callers of the functions matching NAME")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         chasekit, built = run.setup(args.workload, args.seed, Path(tmp))
@@ -48,6 +55,8 @@ def main(argv=None) -> int:
     print("%d function calls in the profiled pass; %d of %d jobs failed their check"
           % (stats.total_calls, tally.failed, tally.attempted))
     stats.sort_stats(args.sort).print_stats(args.top)
+    if args.callers:
+        stats.print_callers(args.callers)
     return 0
 
 
