@@ -17,9 +17,7 @@ from collections import deque
 from itertools import combinations_with_replacement, product
 from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .analysis import normalize_heads
-from .chase import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions, Mode, Status,
-                    run_chase, split_ground)
+from .chase import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions, Mode, split_ground
 from .model import (
     CQ,
     TGD,
@@ -32,7 +30,7 @@ from .model import (
     atoms_domain,
     atoms_variables,
 )
-from .query import holds, homomorphisms
+from .query import AnswerStatus, certain_answers, homomorphisms
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +397,24 @@ def verify_squid_lemma(
     tgds: Sequence[TGD],
     query: CQ,
     max_steps: int = DEFAULT_MAX_STEPS,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> SquidLemmaReport:
     """Check, on one terminating instance, that the chase entails the
     query exactly when some squid decomposition splits into ground head
-    and null-part tentacles under a homomorphism."""
+    and null-part tentacles under a homomorphism.  Entailment is read
+    from `certain_answers` over the oblivious chase, and the check is
+    inconclusive unless that chase saturates."""
     if query.head_vars:
         raise UsageError("the squid harness works on Boolean queries")
-    # helper predicates avoid the query's names, so it reads none of their atoms
-    result = run_chase(
-        database, normalize_heads(tgds, database, query.body), (),
-        ChaseOptions(mode=Mode.OBLIVIOUS, max_steps=max_steps, max_depth=max_depth),
-    )
-    if result.status is not Status.SATURATED:
+    report = certain_answers(database, tgds, query,
+                             ChaseOptions(Mode.OBLIVIOUS, max_steps, DEFAULT_MAX_DEPTH))
+    if report.status is not AnswerStatus.EXACT:
         return SquidLemmaReport(
             holds=False, entailed=False, witness=None, inconclusive=True,
             note="chase did not saturate within budget",
         )
-    entailed = holds(result.instance, query)
-    ground, nullpart = split_ground(result.instance, database)
+    entailed = bool(report.answers)
+    instance = report.chase.instance
+    ground, nullpart = split_ground(instance, database)
 
     preds = {a.predicate for a in query.body}
     for rule in tgds:
@@ -426,7 +423,7 @@ def verify_squid_lemma(
 
     witness = None
     for squid, theta in squids_from_witnesses(
-        query, result.instance, database, sorted(preds, key=lambda p: (p.name, p.arity))
+        query, instance, database, sorted(preds, key=lambda p: (p.name, p.arity))
     ):
         image_head = {a.substitute(dict(theta)) for a in squid.head_part}
         image_tent = {a.substitute(dict(theta)) for a in squid.tentacles}

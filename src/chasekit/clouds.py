@@ -3,14 +3,14 @@
 The cloud of an atom collects every chase atom whose values stay inside
 the atom's own values plus the database domain; it determines the whole
 chase subtree below the atom.  Canonical renaming maps an anchor's
-nulls, in first-occurrence order, onto reserved nulls xi_1, xi_2, ...,
-giving one representative per D-isomorphism class.  Blocked saturation
-expands the guarded chase forest but stops every branch whose
-(atom, cloud) pair canonicalizes to an already-stored key; because a
-cloud computed against a chase prefix can still grow, the expansion is
-re-run, keeping the derived ground atoms, until a round derives no new
-ground atom.  A round depends only on the ground atoms it starts from,
-so that round is already the fixpoint.
+nulls outside dom(D), in first-occurrence order, onto reserved nulls
+xi_1, xi_2, ..., giving one representative per D-isomorphism class.
+Blocked saturation expands the guarded chase forest but stops every
+branch whose (atom, cloud) pair canonicalizes to an already-stored key;
+because a cloud computed against a chase prefix can still grow, the
+expansion is re-run, keeping the derived ground atoms, until a round
+derives no new ground atom.  A round depends only on the ground atoms
+it starts from, so that round is already the fixpoint.
 
 A store key is (canonical anchor, ground count, canonical null part).
 The null part is the cloud's atoms with a term outside dom(D); the rest
@@ -20,9 +20,7 @@ leaves them alone, so their count names them: two keys of one round are
 equal exactly when the full canonical (atom, cloud) pairs are.  The null
 part is found through an index from each term outside dom(D) to the
 atoms carrying it, so keying an atom costs its neighbourhood, not the
-instance.  A database built in the library may hold nulls, which
-renaming would move inside the ground atoms; its keys hold whole clouds
-and a ground count of 0.
+instance.
 """
 
 from __future__ import annotations
@@ -68,19 +66,21 @@ def cloud_size_bound(num_predicates: int, dom_size: int, max_arity: int) -> int:
 
 def canonicalize(anchor: Atom, atoms: Set[Atom], database: Instance
                  ) -> Tuple[Atom, FrozenSet[Atom]]:
-    """Rename the anchor's nulls to xi_1, xi_2, ... in first-occurrence order.
+    """Rename the anchor's nulls outside dom(D) to xi_1, xi_2, ... in
+    first-occurrence order.
 
-    Constants map to themselves.  Every null occurring in the atom set
-    must come from the anchor (database values are constants), otherwise
-    the pair is not canonicalizable.
+    Constants and the database's values, nulls among them, map to
+    themselves, as D-isomorphism fixes dom(D).  Every other null
+    occurring in the atom set must come from the anchor, otherwise the
+    pair is not canonicalizable.
     """
     mapping: Dict[Term, Term] = {}
     counter = 0
+    dom = database.domain_view()
     for t in anchor.args:
-        if isinstance(t, LabeledNull) and t not in mapping:
+        if isinstance(t, LabeledNull) and t not in mapping and t not in dom:
             counter += 1
             mapping[t] = canonical_null(counter)
-    dom = database.domain_view()
     for atom in atoms:
         for t in atom.args:
             if isinstance(t, LabeledNull) and t not in mapping and t not in dom:
@@ -209,8 +209,6 @@ def _expand_round(
     check_memory = memory_guard()
     instance = Instance(ground)
     dom = database.domain()
-    # programs carry no nulls; see the module docstring for those that do
-    whole = any(isinstance(t, LabeledNull) for t in dom)
     # term outside dom(D) -> the atoms carrying it; instance starts ground
     by_term: Dict[Term, List[Atom]] = {}
     alloc = NullAllocator.after(instance)
@@ -221,11 +219,8 @@ def _expand_round(
 
     def register(atom: Atom) -> None:
         """Key the atom's current cloud; an already-present key blocks it."""
-        if whole:
-            count, near = 0, instance
-        else:
-            count = len(ground)
-            near = {a for t in atom.args if t not in dom for a in by_term[t]}
+        count = len(ground)
+        near = {a for t in atom.args if t not in dom for a in by_term[t]}
         part = cloud_of(near, database, atom) if near else frozenset()
         if count + len(part) > bound:
             raise RuntimeError("cloud of %r has %d atoms, above the bound %d"

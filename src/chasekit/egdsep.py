@@ -33,9 +33,9 @@ from .chase import (
     egd_violations,
     run_chase,
 )
-from .model import CQ, EGD, TGD, Atom, Constant, Instance
+from .model import CQ, EGD, TGD, Constant, Instance
 from .plan import RulePlan
-from .query import AnswerReport, AnswerStatus, answers_from_chase
+from .query import AnswerReport, AnswerStatus, certain_answers
 
 
 @dataclass
@@ -50,14 +50,9 @@ def monitor_innocuousness(
     database: Instance,
     tgds: Sequence[TGD],
     egds: Sequence[EGD],
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Tuple[SeparationVerdict, ChaseResult]:
     """Run the interleaved chase and record what the EGDs did."""
-    result = run_chase(
-        database, tgds, egds,
-        ChaseOptions(mode=Mode.RESTRICTED, max_steps=max_steps, max_depth=max_depth),
-    )
+    result = run_chase(database, tgds, egds, ChaseOptions(Mode.RESTRICTED))
     merges = [s for s in result.steps if isinstance(s, EgdStep)]
     verdict = SeparationVerdict(
         failed=result.status is Status.FAILED,
@@ -72,17 +67,6 @@ class FailureCheck(Enum):
     FAILED = "failed"
     NO_FAILURE = "no-failure"
     UNKNOWN = "unknown"
-
-
-def _tgd_chase(database: Instance, tgds: Sequence[TGD], reads: Sequence[Sequence[Atom]],
-               max_steps: int, max_depth: int) -> ChaseResult:
-    """The restricted chase under the TGDs alone, which both the failure
-    check and separated answering read; the helper predicates of
-    multi-atom heads avoid the predicates of the atom lists in `reads`."""
-    return run_chase(
-        database, normalize_heads(tgds, database, *reads), (),
-        ChaseOptions(mode=Mode.RESTRICTED, max_steps=max_steps, max_depth=max_depth),
-    )
 
 
 def egd_failure_check(
@@ -101,8 +85,12 @@ def egd_failure_check(
     """
     if not egds:
         return FailureCheck.NO_FAILURE
-    reads = [egd.body for egd in egds]
-    return _failure_in(_tgd_chase(database, tgds, reads, max_steps, max_depth), egds)
+    # helper predicates of multi-atom heads avoid the EGD bodies' names
+    result = run_chase(
+        database, normalize_heads(tgds, database, *(egd.body for egd in egds)), (),
+        ChaseOptions(Mode.RESTRICTED, max_steps, max_depth),
+    )
+    return _failure_in(result, egds)
 
 
 def _failure_in(result: ChaseResult, egds: Sequence[EGD]) -> FailureCheck:
@@ -127,22 +115,23 @@ def separated_answer(
 ) -> AnswerReport:
     """Answer a query under TGDs plus innocuous EGDs without merging.
 
-    One restricted chase under the TGDs alone feeds both steps.  First
-    the failure check: a failing theory entails every Boolean query,
-    reported as status Failed rather than by enumerating the trivial
-    answer set.  Otherwise the EGDs are dropped and the query is
-    answered over that chase, as `certain_answers` with restricted
-    `ChaseOptions` would: exact when it saturated, which is also when
-    the check is conclusive.
+    The EGDs are dropped and the query is answered by `certain_answers`
+    over the restricted chase under the TGDs alone: exact when it
+    saturated, which is also when the failure check is conclusive.  The
+    failure check then reads the same chase: a failing theory entails
+    every Boolean query, reported as status Failed rather than by
+    enumerating the trivial answer set.
     """
-    reads = [query.body] + [egd.body for egd in egds]
-    result = _tgd_chase(database, tgds, reads, max_steps, max_depth)
-    if egds and _failure_in(result, egds) is FailureCheck.FAILED:
+    # helper predicates avoid the names the query and the EGDs read
+    tgds = normalize_heads(tgds, database, query.body, *(egd.body for egd in egds))
+    report = certain_answers(database, tgds, query,
+                             ChaseOptions(Mode.RESTRICTED, max_steps, max_depth))
+    if egds and _failure_in(report.chase, egds) is FailureCheck.FAILED:
         return AnswerReport(
             [], AnswerStatus.FAILED,
             note="chase fails: every Boolean query is entailed",
         )
-    return answers_from_chase(result, query)
+    return report
 
 
 # ---------------------------------------------------------------------------

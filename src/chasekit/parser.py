@@ -12,9 +12,9 @@ comments separate tokens.  `_:n<k>`, with k one or more decimal digits, is
 a labeled null (only legal in instances loaded for inspection, never in
 chase-input facts; k must stay below CANONICAL_NULL_BASE, whose range
 belongs to the canonical cloud nulls).  A word is a run of letters,
-digits and `_`: a variable if it starts with an uppercase letter, else a
-constant or predicate.  The punctuation is `-> :- ( ) , . : =`, and any
-other character is an error.
+digits and `_`: a variable if it starts with an uppercase letter (never
+legal in instances), else a constant or predicate.  The punctuation is
+`-> :- ( ) , . : =`, and any other character is an error.
 
 The tokens are the strings one `findall` of `_TOKEN` returns, up to the
 first empty one, which is the end; no offsets are kept.  The distinct
@@ -90,7 +90,7 @@ class _Parser:
     they read with the index after it.
     """
 
-    def __init__(self, text: str, allow_nulls: bool):
+    def __init__(self, text: str, allow_nulls: bool, allow_variables: bool = True):
         self.text = text
         toks = _TOKEN.findall(text)
         del toks[toks.index("") + 1:]
@@ -112,7 +112,8 @@ class _Parser:
             elif len(tok) == 1 and not (tok.isalnum() or tok == "_"):
                 bad.add(tok)   # a character no other alternative of _TOKEN reads
             elif tok[0].isupper():
-                self.terms[tok] = Variable(tok)
+                if allow_variables:
+                    self.terms[tok] = Variable(tok)
             else:
                 self.terms[tok] = Constant(tok)
                 self.names.add(tok)
@@ -146,6 +147,8 @@ class _Parser:
         while True:
             tok = toks[i]
             if tok not in self.terms:
+                if tok[:1].isupper():
+                    self.fail(i, "variables are not allowed here")
                 if not tok.startswith("_:n"):
                     self.fail(i, "expected a term")
                 if not self.allow_nulls:
@@ -282,12 +285,13 @@ def parse_program(text: str) -> Program:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse a comma/period-separated atom list, nulls allowed.
+    """Parse a comma/period-separated atom list, nulls allowed but no
+    variables.
 
     Intended for loading saved instances for inspection, not for chase
     input facts.
     """
-    p = _Parser(text, allow_nulls=True)
+    p = _Parser(text, allow_nulls=True, allow_variables=False)
     toks = p.toks
     inst = Instance()
     i = 0

@@ -19,7 +19,7 @@ from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tu
 
 from . import clouds
 from .analysis import normalize_heads
-from .chase import (BOUNDED_DEPTH, DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions,
+from .chase import (BOUNDED_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions,
                     ChaseResult, Mode, Status, body_homomorphisms, run_chase)
 from .model import (
     CQ,
@@ -189,10 +189,10 @@ def certain_answers(
 ) -> AnswerReport:
     """Certain answers of a query over a database under dependencies.
 
-    ChaseOptions run that chase and answer over it (`answers_from_chase`):
-    exact when it saturates, else a sound lower bound.  The default, an
-    oblivious chase cut at depth `chase.BOUNDED_DEPTH`, is the CLI's
-    `bounded`, and the restricted chase is its `terminate`.
+    ChaseOptions run that chase and answer over it, keeping it in the
+    report: exact when it saturates, else a sound lower bound.  The
+    default, an oblivious chase cut at depth `chase.BOUNDED_DEPTH`, is
+    the CLI's `bounded`, and the restricted chase is its `terminate`.
     BlockedAtomic answers atomic queries from the cloud-store
     saturation of a weakly guarded set: from its null-free atoms and
     its canonical anchors.
@@ -213,12 +213,7 @@ def certain_answers(
         if sat.status is clouds.SaturateStatus.STABILIZED:
             return AnswerReport(rows, AnswerStatus.EXACT)
         return AnswerReport(rows, AnswerStatus.SOUND_LOWER_BOUND)
-    return answers_from_chase(run_chase(database, tgds, egds, strategy), query)
-
-
-def answers_from_chase(result: ChaseResult, query: CQ) -> AnswerReport:
-    """The certain answers a finished chase gives: exact when it
-    saturated, a sound lower bound when a budget stopped it."""
+    result = run_chase(database, tgds, egds, strategy)
     if result.status is Status.FAILED:
         return AnswerReport(
             [], AnswerStatus.FAILED, note="EGD failure: every Boolean query holds",
@@ -265,7 +260,6 @@ def check_containment(
     q2: CQ,
     tgds: Sequence[TGD],
     max_steps: int = DEFAULT_MAX_STEPS,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Containment:
     """Containment of q1 in q2 under a TGD set, by freezing and chasing.
 
@@ -289,8 +283,8 @@ def check_containment(
     }
     frozen_body = Instance(a.substitute(freeze) for a in q1.body)
     frozen_head = tuple(freeze[v] for v in q1.head_vars)
-    opts = ChaseOptions(mode=Mode.RESTRICTED, max_steps=max_steps, max_depth=max_depth)
-    result = run_chase(frozen_body, normalize_heads(tgds, q1.body, q2.body), (), opts)
+    result = run_chase(frozen_body, normalize_heads(tgds, q1.body, q2.body), (),
+                       ChaseOptions(Mode.RESTRICTED, max_steps))
     seed: Dict[Variable, Term] = {}
     consistent = all(seed.setdefault(v, t) == t for v, t in zip(q2.head_vars, frozen_head))
     # the search stops at the first homomorphism that extends the seed

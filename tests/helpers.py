@@ -692,11 +692,12 @@ def _tokenize(text: str) -> List[Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, allow_nulls: bool):
+    def __init__(self, text: str, allow_nulls: bool, allow_variables: bool = True):
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.allow_nulls = allow_nulls
+        self.allow_variables = allow_variables
         self.arities: Dict[str, int] = {}
 
     def peek(self) -> Token:
@@ -740,6 +741,8 @@ class _Parser:
             self.pos += 1
             return Constant(word)
         if kind == "var":
+            if not self.allow_variables:
+                self.fail("variables are not allowed here")
             self.pos += 1
             return Variable(word)
         if kind == "null":
@@ -825,7 +828,7 @@ def reference_parse_program(text: str) -> Program:
 
 
 def reference_parse_instance(text: str) -> Instance:
-    p = _Parser(text, allow_nulls=True)
+    p = _Parser(text, allow_nulls=True, allow_variables=False)
     inst = Instance()
     while p.peek()[0] != "end":
         inst.add(p.atom())

@@ -197,6 +197,54 @@ def test_forest_command(example_file, capsys):
     assert [n["atom"] for n in roots] == ["r1(a,b)"]
 
 
+# the program of the README's "Program format" section
+README_EXAMPLE = """
+fact  r1(a,b).
+tgd   r1(X,Y) -> exists Z: r3(Y,Z).
+tgd   r3(X,Y) -> r2(X).
+egd   data(O,A,V), data(O,A,W), funct(A,O) -> V = W.
+query q(X) :- r1(X,Y), r2(Y).
+"""
+
+
+@pytest.mark.parametrize("flags, want", [
+    ([], "#0 depth=0 parent=- r1(a,b) [db]\n"
+         "#1 depth=1 parent=0 r3(b,_:n1) [tgd1]\n"
+         "#2 depth=2 parent=1 r2(b) [tgd2]\n"
+         "status: saturated\n"),
+    (["--max-steps", "1"], "#0 depth=0 parent=- r1(a,b) [db]\n"
+                           "#1 depth=1 parent=0 r3(b,_:n1) [tgd1]\n"
+                           "status: budget-exhausted\n"),
+], ids=["saturated", "budget"])
+def test_forest_text_format(tmp_path, capsys, flags, want):
+    path = tmp_path / "readme.dlp"
+    path.write_text(README_EXAMPLE)
+    assert run_cli(capsys, "forest", str(path), *flags) == (0, want, "")
+
+
+REACH = """
+fact s(a). fact e(a,b). fact e(b,c). fact e(c,d).
+tgd s(X), e(X,Y) -> s(Y).
+tgd s(X) -> exists Z: e(Z,X).
+query q(X) :- s(X).
+"""
+
+
+def test_blocked_atomic_round_over_its_step_budget(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "reach.dlp"
+    path.write_text(REACH)
+    argv = ["answer", str(path), "--query", "q", "--format", "json", "--strategy"]
+    code, out, _ = run_cli(capsys, *argv, "terminate")
+    exact = json.loads(out)
+    assert (code, exact["answers"]) == (0, [["a"], ["b"], ["c"], ["d"]])
+    # the first round stops at its third step, before s(c) counts as ground
+    monkeypatch.setattr(chasekit.clouds, "MAX_STEPS_PER_ROUND", 2)
+    code, out, _ = run_cli(capsys, *argv, "blocked-atomic")
+    assert code == 0
+    assert json.loads(out) == {"query": "q", "status": "sat", "answers": [["a"], ["b"]],
+                               "budget_exhausted": True}
+
+
 def test_forest_restricted_and_dot(example_file, capsys):
     code, out, _ = run_cli(
         capsys, "forest", example_file, "--mode", "oblivious",

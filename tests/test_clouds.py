@@ -113,6 +113,12 @@ def test_d_isomorphic_examples():
     assert not d_isomorphic(x, z, db)
     w = (parse_atom("p(_:n3,_:n1,_:n2)"), set())
     assert not d_isomorphic(x, w, db)
+    # a null of the database is a database value, which renaming fixes
+    db = parse_instance("d(_:n1). d(_:n2).")
+    u = (parse_atom("p(_:n1,_:n5)"), set())
+    v = (parse_atom("p(_:n2,_:n6)"), set())
+    assert not d_isomorphic(u, v, db)
+    assert d_isomorphic(u, (parse_atom("p(_:n1,_:n6)"), set()), db)
 
 
 def test_d_isomorphic_with_atom_sets():
@@ -608,6 +614,6 @@ def ref_programs(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(ref_programs())
 def test_saturation_keys_as_whole_cloud_keying_on_random_programs(program):
-    # a database value may be a null, whose atoms canonical renaming moves
+    # a database value may be a null, which canonical renaming fixes
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_keyed_as_the_reference(monkeypatch, *program)

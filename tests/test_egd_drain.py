@@ -27,7 +27,7 @@ from chasekit import chase, egdsep, query
 from chasekit.chase import ChaseOptions, EgdStep, Mode, Status, _Engine, run_chase
 from chasekit.cli import main
 from chasekit.model import CQ, EGD, TGD, Atom, Constant, Instance, LabeledNull, Predicate, Variable
-from chasekit.parser import render_program
+from chasekit.parser import parse_atom, parse_program, render_program
 
 from chasekit.egdsep import FailureCheck
 from helpers import copy_rewrite, failure_by_inequality_oracle, fll_cases
@@ -103,6 +103,17 @@ def test_delta_drain_keeps_the_declaration_order_of_the_egds():
         "= _:n1<-_:n3 BY egd1",
         "= _:n2<-_:n4 BY egd2",
     ]
+
+
+def test_egd_drain_stops_at_the_step_budget():
+    # the TGD step uses the one step allowed, so the merge of _:n1 onto b
+    # is found but not applied
+    p = parse_program("fact r(a,b). tgd r(X,Y) -> exists Z: r(X,Z)."
+                      " egd r(X,Y), r(X,Z) -> Y = Z.")
+    res = run_chase(p.facts, p.tgds, p.egds, ChaseOptions(Mode.OBLIVIOUS, max_steps=1))
+    assert res.status is chase.Status.BUDGET_EXHAUSTED
+    assert [type(step) for step in res.steps] == [chase.TgdStep]
+    assert parse_atom("r(a,_:n1)") in res.instance
 
 
 class FullScanEngine(_Engine):

@@ -16,7 +16,7 @@ from helpers import (
 )
 
 import chasekit
-from chasekit.model import Constant, Instance, Program, UsageError, Variable
+from chasekit.model import Constant, Instance, Program, Variable
 from chasekit.parser import (
     ParseError,
     answer_json,
@@ -129,6 +129,7 @@ PARSE_ERRORS = [
     (parse_instance, "r(a,\n  _:nx).", "malformed null, expected digits after _:n", 2, 3),
     (parse_instance, "r(_:n\u00b2).", "malformed null, expected digits after _:n", 1, 3),
     (parse_program, "fact r(a).\nfact s(_:n1).", "labeled nulls are not allowed here", 2, 8),
+    (parse_instance, "r(a).\nr(X).", "variables are not allowed here", 2, 3),
     (parse_instance, "r(a,_:n7).\nr(b,_:n1000000001).",
      "null index 1000000001 is reserved for canonical nulls", 2, 5),
     (parse_program, "fact r(,a).", "expected a term", 1, 8),
@@ -356,14 +357,11 @@ def parse_corpus(seed: int):
 
 
 def parse_outcome(parse, text):
-    """The result, the ParseError's message, line and column, or the
-    UsageError an instance raises on an atom with a variable."""
+    """The result, or the ParseError's message, line and column."""
     try:
         return parse(text)
     except ParseError as e:
         return (str(e), e.line, e.column)
-    except UsageError as e:
-        return ("UsageError", str(e))
 
 
 def same_outcome(got, want) -> bool:
