@@ -43,7 +43,6 @@ from .query import (
     BlockedAtomic,
     certain_answers,
     check_containment,
-    cq_to_bcq,
     eval_cq,
 )
 from .acyclic import (

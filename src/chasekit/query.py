@@ -4,18 +4,19 @@ Evaluation is backtracking homomorphism search over a compiled
 `plan.Plan`, its atoms in one connected join order (`connected_order`);
 the body order only changes the search, never the answer set.  A query
 with answer variables enumerates every homomorphism and projects it.  A
-Boolean query is one existence check that stops at its first witness;
-containment asks one such check too, seeded with the frozen head.
+Boolean query is one existence check that stops at its first witness.
 Certain answers keep all-constant tuples only; whether they are exact
 or a sound lower bound depends on whether the underlying chase reached
-a fixpoint.
+a fixpoint.  Containment is one certain-answers question: is q1's head,
+frozen to fresh constants, an answer of q2 over q1's frozen body?
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from itertools import count
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from . import clouds
 from .analysis import normalize_heads
@@ -28,8 +29,6 @@ from .model import (
     Atom,
     Constant,
     Instance,
-    NullAllocator,
-    Predicate,
     Term,
     UsageError,
     Variable,
@@ -38,21 +37,15 @@ from .model import (
 from .plan import Plan
 
 
-def homomorphisms(
-    body: Sequence[Atom],
-    instance: Instance,
-    seed: Optional[Dict[Variable, Term]] = None,
-) -> Iterator[Dict[Variable, Term]]:
+def homomorphisms(body: Sequence[Atom], instance: Instance) -> Iterator[Dict[Variable, Term]]:
     """All homomorphisms from the body into the instance.
 
     Constants map to themselves; instance nulls are plain values and may
     be shared by several variables.  The body atoms are put in
-    `connected_order`, the seeded variables counting as bound, and
-    handed to `chase.body_homomorphisms`, which compiles them into a
-    `plan.Plan`, the one matcher.
+    `connected_order` and handed to `chase.body_homomorphisms`, which
+    compiles them into a `plan.Plan`, the one matcher.
     """
-    order = connected_order(body, instance, seed or ())
-    yield from body_homomorphisms(order, instance, seed)
+    yield from body_homomorphisms(connected_order(body, instance), instance)
 
 
 def eval_cq(instance: Instance, query: CQ) -> Set[Tuple[Term, ...]]:
@@ -70,18 +63,18 @@ def eval_cq(instance: Instance, query: CQ) -> Set[Tuple[Term, ...]]:
     return out
 
 
-def connected_order(body: Sequence[Atom], instance: Instance,
-                    seeded: Collection[Variable] = ()) -> List[Atom]:
+def connected_order(body: Sequence[Atom], instance: Instance) -> List[Atom]:
     """The body in a connected join order.  Each next atom shares a
-    variable with the atoms already placed or with the seeded variables,
-    or has no variable, when one such is left; otherwise (the first
-    atom, or a new component) any atom may come.  Among those that may
-    come, the one with the fewest expected candidates comes, ties going
-    to declaration order: the atoms its constants select, divided by
-    the number of distinct terms at each position of a variable already
-    bound, by an atom placed before it or by the seed."""
+    variable with the atoms already placed, or has no variable, when one
+    such is left; otherwise (the first atom, or a new component) any
+    atom may come.  Among those that may come, the one with the fewest
+    expected candidates comes, ties going to declaration order: the
+    atoms its constants select, divided by the number of distinct terms
+    at each position of a variable that an atom placed before it
+    binds."""
     expected: List[float] = []
-    ground: Set[int] = set()
+    # atoms that join the ones placed: the ground atoms at first
+    joined: Set[int] = set()
     # variable name -> (atom index, distinct terms at its position)
     occurs: Dict[str, List[Tuple[int, int]]] = {}
     distinct: Dict[Tuple[str, int, int], int] = {}
@@ -90,23 +83,13 @@ def connected_order(body: Sequence[Atom], instance: Instance,
         expected.append(float(len(instance.probe(a.predicate, columns,
                                                  [a.args[c] for c in columns]))))
         if len(columns) == len(a.args):
-            ground.add(i)
+            joined.add(i)
         for c, t in enumerate(a.args):
             if isinstance(t, Variable):
                 at = (a.predicate.name, a.predicate.arity, c)
                 if at not in distinct:
                     distinct[at] = instance.distinct(a.predicate, c)
                 occurs.setdefault(t.name, []).append((i, distinct[at]))
-    joined = set(ground)
-
-    def bind(names) -> None:
-        for name in names:
-            for i, terms in occurs.pop(name, ()):
-                joined.add(i)
-                if expected[i]:
-                    expected[i] /= terms
-
-    bind(v.name for v in seeded)
     left = list(range(len(body)))
     order: List[Atom] = []
     while left:
@@ -114,7 +97,12 @@ def connected_order(body: Sequence[Atom], instance: Instance,
         best = min([i for i in left if i in joined] or left, key=expected.__getitem__)
         left.remove(best)
         order.append(body[best])
-        bind(t.name for t in body[best].args if isinstance(t, Variable))
+        for t in body[best].args:
+            if isinstance(t, Variable):
+                for i, terms in occurs.pop(t.name, ()):
+                    joined.add(i)
+                    if expected[i]:
+                        expected[i] /= terms
     return order
 
 
@@ -226,33 +214,12 @@ def certain_answers(
 
 
 # ---------------------------------------------------------------------------
-# Reductions
+# Containment
 # ---------------------------------------------------------------------------
-
-def cq_to_bcq(query: CQ, tup: Tuple[Constant, ...]) -> Tuple[CQ, Atom]:
-    """Fold an answer-membership question into a Boolean query.
-
-    Returns the Boolean query body(Q) and q'(head vars), plus the fact
-    q'(t) to add to the database: t is a certain answer of Q exactly
-    when the Boolean query holds over the extended database.
-    """
-    if len(tup) != query.arity:
-        raise UsageError(
-            "tuple arity %d does not match query arity %d" % (len(tup), query.arity)
-        )
-    marker = Predicate(query.name + "_t", query.arity)
-    bcq = CQ(
-        name=query.name + "_bcq",
-        head_vars=(),
-        body=query.body + (Atom(marker, tuple(query.head_vars)),),
-    )
-    return bcq, Atom(marker, tuple(tup))
-
 
 @dataclass(frozen=True)
 class Containment:
     verdict: str  # yes, no, unknown
-    witness: Optional[Tuple[Term, ...]] = None
 
 
 def check_containment(
@@ -261,35 +228,34 @@ def check_containment(
     tgds: Sequence[TGD],
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Containment:
-    """Containment of q1 in q2 under a TGD set, by freezing and chasing.
+    """Containment of q1 in q2 under a TGD set, through the canonical
+    database (Chandra and Merlin; Johnson and Klug under dependencies).
 
-    q1's variables freeze to distinct fresh nulls; the frozen body is
-    chased; q1 is contained in q2 when the frozen head tuple is an
-    answer of q2 over the chase.  That is one existence check: q2's
-    answer variables are seeded with the frozen head, and the search
-    stops at the first homomorphism of q2's body that extends the seed.
-    A repeated answer variable of q2 that meets two different frozen
-    values has no witness.  Frozen nulls act as rigid values during the
-    evaluation.  Budget exhaustion without a witness yields "unknown".
+    q1's variables freeze to distinct fresh constants `c1, c2, ...`,
+    skipping the constants of q1, q2 and the TGDs.  q1 is contained in
+    q2 exactly when the frozen head is a certain answer of q2 over the
+    frozen body, so one `certain_answers` call under the restricted
+    chase decides it: "yes" when the frozen head is an answer, "no" when
+    the answers are exact, "unknown" when the step budget cut the chase
+    first.  A repeated answer variable of q2 that meets two different
+    frozen values is a "no" without a chase, since TGDs never equate
+    two values.
     """
     q1.check_safety()
     q2.check_safety()
     if q1.arity != q2.arity:
         raise UsageError("containment needs queries of equal arity")
-    alloc = NullAllocator()
-    freeze: Dict[Variable, Term] = {
-        v: alloc.fresh()
-        for v in sorted(q1.variables(), key=lambda x: x.name)
-    }
-    frozen_body = Instance(a.substitute(freeze) for a in q1.body)
+    atoms = q1.body + q2.body + tuple(a for rule in tgds for a in rule.body + rule.head)
+    used = {t.name for a in atoms for t in a.args if isinstance(t, Constant)}
+    fresh = (name for name in ("c%d" % i for i in count(1)) if name not in used)
+    freeze: Dict[Term, Term] = {v: Constant(next(fresh))
+                                for v in sorted(q1.variables(), key=lambda x: x.name)}
     frozen_head = tuple(freeze[v] for v in q1.head_vars)
-    result = run_chase(frozen_body, normalize_heads(tgds, q1.body, q2.body), (),
-                       ChaseOptions(Mode.RESTRICTED, max_steps))
-    seed: Dict[Variable, Term] = {}
-    consistent = all(seed.setdefault(v, t) == t for v, t in zip(q2.head_vars, frozen_head))
-    # the search stops at the first homomorphism that extends the seed
-    if consistent and next(homomorphisms(q2.body, result.instance, seed), None) is not None:
-        return Containment("yes", witness=frozen_head)
-    if result.status is Status.SATURATED:
+    bound: Dict[Variable, Term] = {}
+    if not all(bound.setdefault(v, t) == t for v, t in zip(q2.head_vars, frozen_head)):
         return Containment("no")
-    return Containment("unknown")
+    report = certain_answers(Instance(a.substitute(freeze) for a in q1.body), tgds, q2,
+                             ChaseOptions(Mode.RESTRICTED, max_steps))
+    if frozen_head in report.answers:
+        return Containment("yes")
+    return Containment("no" if report.status is AnswerStatus.EXACT else "unknown")

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Set, Tuple, TypeVar
 
 import chasekit
-from chasekit.analysis import Position, RuleClass, classify
+from chasekit.analysis import Position, RuleClass, classify, normalize_heads
 from chasekit.chase import (
     ChaseOptions,
     ChaseResult,
@@ -48,7 +48,7 @@ from chasekit.model import (
     Variable,
 )
 from chasekit.parser import _error
-from chasekit.query import homomorphisms
+from chasekit.query import eval_cq, homomorphisms
 from chasekit.rulesets import fll_rules
 
 CONSTS = [Constant(c) for c in "abcde"]
@@ -167,6 +167,35 @@ def random_wg_program(
         attempts += 1
         p = rng.choice(preds)
         db.add(Atom(p, tuple(rng.choice(CONSTS[:4]) for _ in range(2))))
+    return db, rules
+
+
+def random_linear_program(
+    rng: random.Random,
+    n_rules: int = 3,
+    db_size: int = 5,
+) -> Tuple[Instance, List[TGD]]:
+    """Linear rule sets (one body atom each) over predicates of arity 1
+    to 3, possibly nonterminating.  Bodies may repeat a variable or hold
+    a constant; heads mix frontier variables, one or two existentials
+    (possibly repeated) and body constants."""
+    preds = [Predicate("l%d" % i, arity) for i, arity in enumerate((1, 2, 2, 3))]
+    pool = [Variable("X%d" % i) for i in range(3)]
+    existentials = [Variable("Z1"), Variable("Z2")]
+    rules: List[TGD] = []
+    for r in range(n_rules):
+        p, h = rng.choice(preds), rng.choice(preds)
+        body = Atom(p, tuple(CONSTS[0] if rng.random() < 0.1 else rng.choice(pool)
+                             for _ in range(p.arity)))
+        terms = sorted(body.domain(), key=repr)
+        args = [rng.choice(existentials) if rng.random() < 0.3 else rng.choice(terms)
+                for _ in range(h.arity)]
+        rules.append(TGD((body,), (Atom(h, tuple(args)),),
+                         frozenset(existentials) & set(args), label="tgd%d" % (r + 1)))
+    db = Instance()
+    for _ in range(db_size):
+        p = rng.choice(preds)
+        db.add(Atom(p, tuple(rng.choice(CONSTS[:3]) for _ in range(p.arity))))
     return db, rules
 
 
@@ -361,6 +390,145 @@ def exhaustive_eval(instance: Instance, query: CQ) -> Set[Tuple[Term, ...]]:
 
     extend({}, 0)
     return out
+
+
+# UCQ rewriting for linear TGDs (Calì, Gottlob and Lukasiewicz, PODS
+# 2009; Gottlob, Orsi and Pieris, ICDE 2011).  A rewritten query is a
+# pair (head terms, body): resolution may bind an answer variable to a
+# constant or to another answer variable, so its head holds terms.
+Rewritten = Tuple[Tuple[Term, ...], Tuple[Atom, ...]]
+
+
+def _unify(pairs) -> Optional[Dict[Term, Term]]:
+    """The most general unifier that equates each pair of terms, or
+    None.  It maps variables to terms, possibly through chains."""
+    sub: Dict[Term, Term] = {}
+    for s, t in pairs:
+        while s in sub:
+            s = sub[s]
+        while t in sub:
+            t = sub[t]
+        if s == t:
+            continue
+        if isinstance(s, Variable):
+            sub[s] = t
+        elif isinstance(t, Variable):
+            sub[t] = s
+        else:
+            return None
+    return sub
+
+
+def _apply(sub: Dict[Term, Term], head: Tuple[Term, ...],
+           body: Sequence[Atom]) -> Rewritten:
+    def term(t: Term) -> Term:
+        while t in sub:
+            t = sub[t]
+        return t
+    return (tuple(map(term, head)),
+            tuple(Atom(a.predicate, tuple(map(term, a.args))) for a in body))
+
+
+def _canonical(head: Tuple[Term, ...], body: Sequence[Atom]) -> Rewritten:
+    """The query with its body deduplicated and sorted and its variables
+    named V0, V1, ... by first occurrence: in the head, then in the body
+    sorted by predicate and constants.  Isomorphic queries may still get
+    two names, but the names come from a finite set for a bounded body,
+    so the rewriting ends."""
+    def shape(a: Atom):
+        return (a.predicate, tuple("" if isinstance(t, Variable) else t.name for t in a.args))
+    names: Dict[Term, Term] = {}
+    for t in head + tuple(t for a in sorted(set(body), key=shape) for t in a.args):
+        if isinstance(t, Variable) and t not in names:
+            names[t] = Variable("V%d" % len(names))
+    # one lookup per term: a renaming is no chain of bindings
+    return (tuple(names.get(t, t) for t in head),
+            tuple(sorted({Atom(a.predicate, tuple(names.get(t, t) for t in a.args))
+                          for a in body}, key=repr)))
+
+
+def _existential_free(t: Term, z: Variable, atom: Atom, head: Atom,
+                      elsewhere: Set[Term]) -> bool:
+    """May the query atom's term t, at a position of the existential z
+    in the rule head, take z's invented value?  Only a variable that
+    occurs nowhere else in the query and sits in the atom only at z's
+    positions may."""
+    return isinstance(t, Variable) and t not in elsewhere and all(
+        w == z for u, w in zip(atom.args, head.args) if u == t)
+
+
+def ucq_rewriting(query: CQ, rules: Sequence[TGD]) -> List[Rewritten]:
+    """The perfect rewriting of a query under linear single-head TGDs:
+    every query reached from it by two steps, up to `_canonical` naming.
+
+    - Resolution replaces one body atom by a rule body, through the most
+      general unifier of the atom with the rule head.  It applies only
+      when each existential position of the head holds a variable that
+      is not an answer variable, occurs in no other body atom, and sits
+      in the atom only at that existential's positions.
+    - Reduction unifies two body atoms.
+    """
+    assert all(len(r.body) == 1 and len(r.head) == 1 for r in rules)
+    start = _canonical(query.head_vars, query.body)
+    seen = {start}
+    queue = [start]
+    renamed = 0
+    while queue:
+        head, body = queue.pop()
+        found: List[Rewritten] = []
+        for i, atom in enumerate(body):
+            others = body[:i] + body[i + 1:]
+            elsewhere = set(head) | {t for a in others for t in a.args}
+            for rule in rules:
+                if rule.head[0].predicate != atom.predicate:
+                    continue
+                renamed += 1
+                apart = {v: Variable("%s'%d" % (v.name, renamed))
+                         for v in rule.body[0].variables() | rule.head_variables()}
+                rhead, rbody = rule.head[0].substitute(apart), rule.body[0].substitute(apart)
+                ex = {apart[z] for z in rule.existentials}
+                if not all(_existential_free(t, z, atom, rhead, elsewhere)
+                           for t, z in zip(atom.args, rhead.args) if z in ex):
+                    continue
+                sub = _unify(zip(atom.args, rhead.args))
+                if sub is not None:
+                    found.append(_apply(sub, head, others + (rbody,)))
+            for other in body[i + 1:]:
+                if other.predicate == atom.predicate:
+                    sub = _unify(zip(atom.args, other.args))
+                    if sub is not None:
+                        found.append(_apply(sub, head, body))
+        for rewritten in found:
+            rewritten = _canonical(*rewritten)
+            if rewritten not in seen:
+                seen.add(rewritten)
+                queue.append(rewritten)
+    return sorted(seen, key=repr)
+
+
+def rewriting_answers(database: Instance, rules: Sequence[TGD],
+                      query: CQ) -> Set[Tuple[Term, ...]]:
+    """Certain answers of a query under linear TGDs: the constant rows of
+    the union of its rewriting, each member evaluated with `eval_cq`.
+    Multi-atom heads are split first (`normalize_heads`)."""
+    rules = normalize_heads(rules, database, query.body)
+    out: Set[Tuple[Term, ...]] = set()
+    for head, body in ucq_rewriting(query, rules):
+        free = tuple(dict.fromkeys(t for t in head if isinstance(t, Variable)))
+        for row in eval_cq(database, CQ("rewritten", free, body)):
+            value = dict(zip(free, row))
+            out.add(tuple(value.get(t, t) for t in head))
+    return {row for row in out if all(isinstance(t, Constant) for t in row)}
+
+
+def rewriting_containment(q1: CQ, q2: CQ, rules: Sequence[TGD]) -> str:
+    """Containment of q1 in q2 under linear TGDs, "yes" or "no": is q1's
+    head, frozen with its body to constants named apart from every
+    parsed one, a rewriting answer of q2 over the frozen body?"""
+    freeze = {v: Constant("?" + v.name) for v in q1.variables()}
+    frozen = Instance(a.substitute(freeze) for a in q1.body)
+    frozen_head = tuple(freeze[v] for v in q1.head_vars)
+    return "yes" if frozen_head in rewriting_answers(frozen, rules, q2) else "no"
 
 
 # The inequality relation of the failure oracle; no generated program

@@ -176,6 +176,17 @@ def test_contain_verdicts(example_file, capsys):
     assert json.loads(out)["verdict"] in ("yes", "unknown")
 
 
+def test_contain_answers_no_when_a_repeated_answer_variable_meets_two_values(
+        tmp_path, capsys):
+    # the chase of q4's frozen body is infinite, but q3's head repeats X
+    # where q4's frozen head holds two values, and TGDs never equate two
+    path = tmp_path / "repeated.dlp"
+    path.write_text("fact r(a,b). tgd r(X,Y) -> exists Z: r(Y,Z).\n"
+                    "query q4(X,Y) :- r(X,Y). query q3(X,X) :- r(X,Y).\n")
+    assert run_cli(capsys, "contain", str(path), "--q1", "q4", "--q2", "q3") == (
+        0, "q4 in q3: no\n", "")
+
+
 def test_egd_check_command(tmp_path, capsys):
     path = tmp_path / "fail.dlp"
     path.write_text(

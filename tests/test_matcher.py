@@ -259,6 +259,7 @@ def test_connected_order_joins_each_atom_to_the_ones_before(data):
 
 
 def test_connected_order_counts_the_seeded_variables_as_bound():
+    # the seed is the body constant d7, bound before the search starts
     r, s = Predicate("r", 2), Predicate("s", 2)
     c = [Constant("c%d" % i) for i in range(50)]
     d = [Constant("d%d" % i) for i in range(50)]
@@ -266,12 +267,12 @@ def test_connected_order_counts_the_seeded_variables_as_bound():
                         + [Atom(s, (Constant("a"), c[i])) for i in range(50)])
     W, X, Y = Variable("W"), Variable("X"), Variable("Y")
     body = [Atom(s, (W, X)), Atom(r, (X, Y))]
-    # unseeded, both atoms expect 50 candidates and declaration order wins
+    # unbound, both atoms expect 50 candidates and declaration order wins
     assert connected_order(body, instance) == body
-    # a seeded Y selects one r atom, so r comes first
-    assert connected_order(body, instance, {Y}) == body[::-1]
-    seed = {Y: d[7]}
-    assert list(homomorphisms(body, instance, seed)) == [{W: Constant("a"), X: c[7], Y: d[7]}]
+    # r(X,d7) selects one r atom, so r comes first
+    body[1] = Atom(r, (X, d[7]))
+    assert connected_order(body, instance) == body[::-1]
+    assert list(homomorphisms(body, instance)) == [{W: Constant("a"), X: c[7]}]
 
 
 # sha256 over "<step log>\n<status>\n" of each case, recorded with the

@@ -33,7 +33,6 @@ from chasekit.query import (
     BlockedAtomic,
     certain_answers,
     check_containment,
-    cq_to_bcq,
     eval_cq,
 )
 
@@ -280,54 +279,6 @@ def test_answers_sorted_lexicographically():
 
 
 # ---------------------------------------------------------------------------
-# cq_to_bcq
-# ---------------------------------------------------------------------------
-
-def test_cq_to_bcq_construction():
-    query = q("qq(X) :- r(X,Y)")
-    bcq, fact = cq_to_bcq(query, (Constant("a"),))
-    assert bcq.is_boolean()
-    assert fact == Atom(Predicate("qq_t", 1), (Constant("a"),))
-    assert bcq.body[-1] == Atom(Predicate("qq_t", 1), (Variable("X"),))
-
-
-def test_cq_to_bcq_arity_mismatch():
-    with pytest.raises(UsageError):
-        cq_to_bcq(q("qq(X) :- r(X,Y)"), (Constant("a"), Constant("b")))
-
-
-def test_cq_to_bcq_boolean_passthrough():
-    query = q("qq() :- r(X,Y)")
-    bcq, fact = cq_to_bcq(query, ())
-    assert bcq.body[:-1] == query.body
-    assert fact.predicate.arity == 0
-
-
-def test_cq_to_bcq_equivalence_on_random_instances():
-    for db, rules, ob, re in terminating_cases(seed=61, count=12):
-        preds = sorted({a.predicate for a in ob.instance},
-                       key=lambda p: (p.name, p.arity))
-        pred = preds[-1]
-        vars_ = tuple(Variable("H%d" % i) for i in range(pred.arity))
-        query = CQ("q", vars_, (Atom(pred, vars_),))
-        report = certain_answers(db, rules, query, ChaseOptions(Mode.RESTRICTED))
-        domain = sorted(
-            (t for t in db.domain() if isinstance(t, Constant)),
-            key=lambda c: c.name,
-        )
-        if not domain or pred.arity == 0:
-            continue
-        candidates = [tuple(domain[:1]) * pred.arity]
-        candidates += [tuple(row) for row in report.answers[:2]]
-        for tup in candidates:
-            bcq, fact = cq_to_bcq(query, tup)
-            extended = db.copy()
-            extended.add(fact)
-            bres = certain_answers(extended, rules, bcq, ChaseOptions(Mode.RESTRICTED))
-            assert (bres.boolean() is True) == (tup in set(report.answers))
-
-
-# ---------------------------------------------------------------------------
 # containment
 # ---------------------------------------------------------------------------
 
@@ -382,6 +333,16 @@ def test_containment_repeated_answer_variable():
     assert out.verdict == "no"
     out = check_containment(q("q1(X,X) :- r(X,Y)"), q("q2(Z,Z) :- r(Z,W)"), [])
     assert out.verdict == "yes"
+
+
+def test_containment_freezes_to_names_apart_from_the_constants():
+    # Y frozen to the constant c2 would match q2's s(Z) through s(c2)
+    out = check_containment(q("q1(X) :- r(X,Y), s(c2)"), q("q2(X) :- r(X,Z), s(Z)"), [])
+    assert out.verdict == "no"
+    # and so would Y frozen to the rule's c2
+    rules = parse_program("tgd r(X,c2) -> s(c2).").tgds
+    out = check_containment(q("q1(X) :- r(X,Y)"), q("q2(X) :- r(X,Z), s(Z)"), rules)
+    assert out.verdict == "no"
 
 
 @pytest.mark.parametrize("q1, q2", [
