@@ -13,6 +13,7 @@ from helpers import (
     terminating_cases,
 )
 
+import chasekit.query as query_module
 from chasekit.plan import Plan
 from chasekit.chase import ChaseOptions, Mode, Status, run_chase
 from chasekit.model import (
@@ -333,6 +334,30 @@ def test_containment_repeated_answer_variable():
     assert out.verdict == "no"
     out = check_containment(q("q1(X,X) :- r(X,Y)"), q("q2(Z,Z) :- r(Z,W)"), [])
     assert out.verdict == "yes"
+
+
+def test_containment_asks_certain_answers_once(monkeypatch):
+    calls = []
+
+    def spy(name):
+        original = getattr(query_module, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("certain_answers", "run_chase"):
+        monkeypatch.setattr(query_module, name, spy(name))
+    rules = parse_program("tgd r(X,Y) -> exists Z: r(Y,Z).").tgds
+    assert check_containment(q("q1(X,Y) :- r(X,Y)"), q("q2(X,Y) :- r(X,Y)"), rules,
+                             max_steps=30).verdict == "yes"
+    assert calls == ["certain_answers", "run_chase"]
+    # a repeated answer variable meeting two frozen values needs no chase
+    del calls[:]
+    assert check_containment(q("q1(X,Y) :- r(X,Y)"), q("q2(X,X) :- r(X,Y)"), rules,
+                             max_steps=30).verdict == "no"
+    assert calls == []
 
 
 def test_containment_freezes_to_names_apart_from_the_constants():
