@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .model import TGD, Atom, Predicate, Variable
+from .model import TGD, Atom, Predicate, Variable, first_occurrences
 
 
 class Position(namedtuple("Position", "predicate slot")):
@@ -178,15 +178,6 @@ def classify(rules: Sequence[TGD]) -> Classification:
 # Head normalization
 # ---------------------------------------------------------------------------
 
-def _head_variables_in_order(rule: TGD) -> List[Variable]:
-    seen: List[Variable] = []
-    for atom in rule.head:
-        for t in atom.args:
-            if isinstance(t, Variable) and t not in seen:
-                seen.append(t)
-    return seen
-
-
 def _fresh_predicate_name(base: str, used: Set[str]) -> str:
     i = 1
     while "%s%d" % (base, i) in used:
@@ -223,7 +214,7 @@ def normalize_heads(rules: Sequence[TGD], *reserved: Iterable[Atom]) -> List[TGD
         if not used:  # gathered when the first helper is made
             for atoms in (*reserved, *(r.body + r.head for r in rules)):
                 used.update(a.predicate.name for a in atoms)
-        head_vars = _head_variables_in_order(rule)
+        head_vars = first_occurrences(rule.head)
         aux = Predicate(_fresh_predicate_name("v", used), len(head_vars))
         aux_atom = Atom(aux, tuple(head_vars))
         out.append(

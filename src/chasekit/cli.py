@@ -116,8 +116,9 @@ def cmd_chase(args) -> int:
 
 def _parse_strategy(args):
     """`terminate` is the restricted chase under the budget flags,
-    `bounded:N` the oblivious chase cut at depth N."""
-    text = args.strategy
+    `bounded:N` the oblivious chase cut at depth N, and no `--strategy`
+    is `bounded`."""
+    text = "bounded" if args.strategy is None else args.strategy
     if text == "terminate":
         return ChaseOptions(Mode.RESTRICTED, args.max_steps, args.max_depth)
     if text == "blocked-atomic":
@@ -138,6 +139,10 @@ def cmd_answer(args) -> int:
     query = program.query(args.query)
     strategy = _parse_strategy(args)
     if args.egd == "separate" and program.egds:
+        if args.strategy not in (None, "terminate"):
+            raise UsageError("--egd separate answers over the restricted chase; "
+                             "--strategy %s is not supported on a program with EGDs"
+                             % args.strategy)
         report = egdsep.separated_answer(
             program.facts, program.tgds, program.egds, query,
             max_steps=args.max_steps, max_depth=args.max_depth,
@@ -294,8 +299,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(sub, budgets=True, egd=True)
     sub.add_argument("--query", required=True)
     sub.add_argument(
-        "--strategy", default="bounded:%d" % BOUNDED_DEPTH,
-        help="terminate | blocked-atomic | bounded:N (default %(default)s)",
+        "--strategy",
+        help="terminate | blocked-atomic | bounded:N (default bounded:%d)" % BOUNDED_DEPTH,
     )
     sub.set_defaults(func=cmd_answer)
 

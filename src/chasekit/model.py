@@ -180,6 +180,11 @@ def atoms_variables(atoms: Iterable[Atom]) -> Set[Variable]:
     return out
 
 
+def first_occurrences(atoms: Iterable[Atom]) -> List[Variable]:
+    """The variables of the atoms, each once, in order of first occurrence."""
+    return list(dict.fromkeys(t for a in atoms for t in a.args if isinstance(t, Variable)))
+
+
 # ---------------------------------------------------------------------------
 # Instances
 # ---------------------------------------------------------------------------
@@ -405,9 +410,12 @@ class TGD:
 
     def check_safety(self) -> None:
         body_vars = self.universal_variables()
+        in_head = set()
         # the first offender in head order, then by name: not in set order
         for v in (t for a in self.head for t in a.args if isinstance(t, Variable)):
-            if v not in self.existentials and v not in body_vars:
+            if v in self.existentials:
+                in_head.add(v)
+            elif v not in body_vars:
                 raise UsageError(
                     "unsafe TGD %s: head variable %s neither in body nor existential"
                     % (self.label or repr(self), v.name)
@@ -416,6 +424,11 @@ class TGD:
             if x in body_vars:
                 raise UsageError(
                     "TGD %s: existential %s also occurs in the body"
+                    % (self.label or repr(self), x.name)
+                )
+            if x not in in_head:
+                raise UsageError(
+                    "TGD %s: existential %s does not occur in the head"
                     % (self.label or repr(self), x.name)
                 )
         body_consts = {t for a in self.body for t in a.args if isinstance(t, Constant)}
@@ -428,10 +441,12 @@ class TGD:
                     )
 
     def __repr__(self):
+        """The rule in program syntax, without `tgd` and the period; the
+        existentials in order of first occurrence in the head."""
         b = ", ".join(map(repr, self.body))
         h = ", ".join(map(repr, self.head))
-        if self.existentials:
-            ex = ",".join(sorted(v.name for v in self.existentials))
+        ex = ", ".join(v.name for v in first_occurrences(self.head) if v in self.existentials)
+        if ex:
             return "%s -> exists %s: %s" % (b, ex, h)
         return "%s -> %s" % (b, h)
 
@@ -455,6 +470,7 @@ class EGD:
                 )
 
     def __repr__(self):
+        """The rule in program syntax, without `egd` and the period."""
         b = ", ".join(map(repr, self.body))
         return "%s -> %s = %s" % (b, self.lhs.name, self.rhs.name)
 
@@ -489,6 +505,7 @@ class CQ:
                 )
 
     def __repr__(self):
+        """The query in program syntax, without `query` and the period."""
         h = "%s(%s)" % (self.name, ",".join(v.name for v in self.head_vars))
         return "%s :- %s" % (h, ", ".join(map(repr, self.body)))
 

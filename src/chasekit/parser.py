@@ -321,51 +321,18 @@ def render_atom(a: Atom) -> str:
     return repr(a)
 
 
-def _existentials_in_head_order(rule: TGD) -> List[Variable]:
-    out: List[Variable] = []
-    for atom in rule.head:
-        for t in atom.args:
-            if isinstance(t, Variable) and t in rule.existentials and t not in out:
-                out.append(t)
-    return out
-
-
-def render_tgd(rule: TGD) -> str:
-    body = ", ".join(render_atom(a) for a in rule.body)
-    head = ", ".join(render_atom(a) for a in rule.head)
-    if rule.existentials:
-        ex = ", ".join(v.name for v in _existentials_in_head_order(rule))
-        return "tgd %s -> exists %s: %s." % (body, ex, head)
-    return "tgd %s -> %s." % (body, head)
-
-
-def render_egd(rule: EGD) -> str:
-    body = ", ".join(render_atom(a) for a in rule.body)
-    return "egd %s -> %s = %s." % (body, rule.lhs.name, rule.rhs.name)
-
-
-def render_query(q: CQ) -> str:
-    head = "%s(%s)" % (q.name, ",".join(v.name for v in q.head_vars))
-    body = ", ".join(render_atom(a) for a in q.body)
-    return "query %s :- %s." % (head, body)
-
-
 def render_program(p: Program) -> str:
     """Inverse of parse_program up to statement grouping.
 
-    Statements come out grouped as facts, TGDs, EGDs, queries, each
-    group in declaration order, with no trailing newline after the last
-    statement block.
+    Each statement is its keyword, the `repr` of its atom, rule or query,
+    which is program syntax, and a period.  Statements come out grouped
+    as facts, TGDs, EGDs, queries, each group in declaration order, with
+    no trailing newline after the last statement block.
     """
-    lines: List[str] = []
-    for a in p.facts:
-        lines.append("fact %s." % render_atom(a))
-    for t in p.tgds:
-        lines.append(render_tgd(t))
-    for e in p.egds:
-        lines.append(render_egd(e))
-    for q in p.queries:
-        lines.append(render_query(q))
+    lines = ["fact %r." % (a,) for a in p.facts]
+    lines += ["tgd %r." % t for t in p.tgds]
+    lines += ["egd %r." % e for e in p.egds]
+    lines += ["query %r." % q for q in p.queries]
     return "\n".join(lines)
 
 

@@ -10,6 +10,9 @@ slot.  The checked positions are also the index columns the step probes
 (`Instance.probe`), fixed at compile time; only their values come from
 the slots.  Index lists keep insertion order, so the matches come out in
 the order of a nested loop over `Instance.by_predicate` in match order.
+The matcher recurses once per atom, so a plan takes at most half of
+`sys.getrecursionlimit()` atoms and rejects a longer conjunction with a
+`UsageError`; raising the recursion limit raises the plan limit with it.
 
 A `RulePlan` holds what the chase needs of one rule.  Its trigger key is
 the tuple of the body variables' values in name order.  The plans of
@@ -25,10 +28,11 @@ rule's `body_predicates`.
 
 from __future__ import annotations
 
+import sys
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .model import Atom, Instance, NullAllocator, Predicate, Term, Variable
+from .model import Atom, Instance, NullAllocator, Predicate, Term, UsageError, Variable
 
 Key = Tuple[Term, ...]
 # a compiled body plan and the function taking its matches to keys
@@ -54,6 +58,10 @@ class Plan:
     def __init__(self, atoms: Sequence[Atom], seed: Sequence[Variable] = (),
                  pinned: Optional[int] = None):
         order = list(atoms)
+        limit = sys.getrecursionlimit() // 2
+        if len(order) > limit:
+            raise UsageError("a body of %d atoms is over the limit of %d atoms, "
+                             "half the recursion limit" % (len(order), limit))
         if pinned:
             order.insert(0, order.pop(pinned))
         # variables are keyed by name: their hash is computed in Python

@@ -187,6 +187,59 @@ def test_contain_answers_no_when_a_repeated_answer_variable_meets_two_values(
         0, "q4 in q3: no\n", "")
 
 
+SEPARABLE = """
+fact r(a,b). fact funct(x,a).
+tgd r(X,Y) -> exists Z: r(Y,Z).
+egd r(X,Y), r(X,Z), funct(W,X) -> Y = Z.
+query q(X) :- r(X,Y).
+"""
+
+
+def test_answer_separate_takes_no_strategy_but_terminate(tmp_path, capsys):
+    # separated answering runs the restricted chase, whatever --strategy says
+    path = tmp_path / "separable.dlp"
+    path.write_text(SEPARABLE)
+    argv = ["answer", str(path), "--query", "q", "--egd", "separate"]
+    outs = {run_cli(capsys, *argv, *strategy) for strategy in ([], ["--strategy", "terminate"])}
+    assert len(outs) == 1
+    (code, out, _), = outs
+    assert code == 0 and out.startswith("query q: sat\n")
+    for strategy in ("blocked-atomic", "bounded:4", "bounded"):
+        code, out, err = run_cli(capsys, *argv, "--strategy", strategy)
+        assert (code, out) == (2, ""), strategy
+        assert err.startswith("error: --egd separate answers over the restricted chase")
+    # a program without EGDs answers under the strategy it asks for
+    path.write_text(SEPARABLE.replace("egd ", "% egd "))
+    code, out, _ = run_cli(capsys, *argv, "--strategy", "blocked-atomic")
+    assert (code, out) == (0, "query q: sat\n  (a)\n  (b)\n")
+
+
+def _chain(n):
+    return ", ".join("e(X%d,X%d)" % (i, i + 1) for i in range(n))
+
+
+@pytest.mark.parametrize("statement", [
+    "query b() :- %s." % _chain(1000),
+    "tgd %s -> p(X0). query b() :- p(X)." % _chain(1000),
+], ids=["query", "rule"])
+def test_a_body_over_the_plan_limit_is_a_usage_error(tmp_path, capsys, statement):
+    # the matcher recurses once per atom: a long body overflowed the stack
+    path = tmp_path / "long.dlp"
+    path.write_text("fact e(a,b). fact e(b,a).\n" + statement)
+    code, out, err = run_cli(capsys, "answer", str(path), "--query", "b")
+    assert (code, out) == (2, "")
+    assert err == ("error: a body of 1000 atoms is over the limit of %d atoms, "
+                   "half the recursion limit\n" % (sys.getrecursionlimit() // 2))
+
+
+def test_a_body_at_the_plan_limit_answers(tmp_path, capsys):
+    path = tmp_path / "long.dlp"
+    path.write_text("fact e(a,b). fact e(b,a).\nquery b() :- %s."
+                    % _chain(sys.getrecursionlimit() // 2))
+    assert run_cli(capsys, "answer", str(path), "--query", "b") == (
+        0, "query b: sat\n  ()\n", "")
+
+
 def test_egd_check_command(tmp_path, capsys):
     path = tmp_path / "fail.dlp"
     path.write_text(

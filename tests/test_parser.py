@@ -3,16 +3,21 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from helpers import (
+    fll_cases,
     programs_equal,
+    random_join_query,
+    random_linear_program,
     reference_parse_atom,
     reference_parse_instance,
     reference_parse_program,
     run_optimized,
+    wg_cases,
 )
 
 import chasekit
@@ -25,7 +30,7 @@ from chasekit.parser import (
     parse_program,
     render_program,
 )
-from chasekit.rulesets import FLL_TEXT
+from chasekit.rulesets import FLL_TEXT, builtin_program
 
 EXAMPLE_CHASE = """
 % the running four-rule example
@@ -153,6 +158,8 @@ PARSE_ERRORS = [
     (parse_program, "fact r(a).\nfact r(X).", "facts must be ground", 2, 6),
     (parse_program, "% unsafe\ntgd r(X) -> s(Y).",
      "unsafe TGD tgd1: head variable Y neither in body nor existential", 2, 5),
+    (parse_program, "tgd p(X) -> exists Z: s(X).",
+     "TGD tgd1: existential Z does not occur in the head", 1, 5),
     (parse_program, "egd r(X,Y) -> X = Z.",
      "EGD egd1 equates variable Z absent from its body", 1, 5),
     (parse_program, "fact r(a).\n  query q(Y) :- r(X).",
@@ -212,6 +219,36 @@ def test_existentials_render_in_head_occurrence_order():
 
 def test_render_empty_program():
     assert render_program(parse_program("")) == ""
+
+
+def assert_reprs_parse_back(tgds, egds, queries):
+    """Each rule's and query's repr, with its keyword and a period, parses
+    to the same object, apart from the rule's label."""
+    for rule in tgds:
+        (again,) = parse_program("tgd %r." % rule).tgds
+        assert replace(again, label=rule.label) == rule, rule
+    for rule in egds:
+        (again,) = parse_program("egd %r." % rule).egds
+        assert replace(again, label=rule.label) == rule, rule
+    for q in queries:
+        assert parse_program("query %r." % q).queries == [q], q
+
+
+def test_reprs_are_program_syntax():
+    rng = random.Random(23)
+    for p in [builtin_program(name) for name in ("fll", "grid", "3col-k3", "3col-k4",
+                                                 "3col-c5")] + list(fll_cases(1, 4)):
+        queries = p.queries or [random_join_query(rng, p.facts, p.tgds)]
+        assert_reprs_parse_back(p.tgds, p.egds, queries)
+    cases = list(wg_cases(1, 60)) + [random_linear_program(rng) for _ in range(60)]
+    for db, rules in cases:
+        assert_reprs_parse_back(rules, [], [random_join_query(rng, db, rules)
+                                            for _ in range(3)])
+
+
+def test_tgd_repr_lists_existentials_in_head_order():
+    (rule,) = parse_program("tgd t(X) -> exists W, Y, Z: p(X,Z,W), s(Y,W).").tgds
+    assert repr(rule) == "t(X) -> exists Z, W, Y: p(X,Z,W), s(Y,W)"
 
 
 # ---------------------------------------------------------------------------
