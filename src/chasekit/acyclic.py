@@ -282,14 +282,15 @@ def _unify_fold(rep: VarMap, a: Atom, b: Atom) -> Optional[VarMap]:
     return {v: find(v) for v in rep}
 
 
-def _cover(query: CQ, preds: Sequence[Predicate]) -> Tuple[Atom, ...]:
-    """The query body plus one fresh-variable atom per given predicate;
-    the k-th extra atom's i-th argument is the variable Fk_i."""
-    fresh = tuple(
-        Atom(p, tuple(Variable("F%d_%d" % (k + 1, i + 1)) for i in range(p.arity)))
-        for k, p in enumerate(preds)
-    )
-    return tuple(query.body) + fresh
+def _covers(query: CQ, preds: Sequence[Predicate]) -> Iterator[Tuple[Atom, ...]]:
+    """The query's covers, fewest extra atoms first: the body plus one
+    fresh-variable atom per predicate of each multiset of at most |Q| of
+    `preds`; the k-th extra atom's i-th argument is the variable Fk_i."""
+    for extra in range(len(query.body) + 1):
+        for combo in combinations_with_replacement(preds, extra):
+            yield tuple(query.body) + tuple(
+                Atom(p, tuple(Variable("F%d_%d" % (k + 1, i + 1)) for i in range(p.arity)))
+                for k, p in enumerate(combo))
 
 
 def enumerate_squids(
@@ -311,29 +312,27 @@ def enumerate_squids(
     budget = limits.max_candidates
     spent = 0
 
-    for extra in range(0, len(query.body) + 1):
-        for combo in combinations_with_replacement(preds, extra):
-            q_plus = _cover(query, combo)
-            fresh_vars = [v for a in q_plus[len(query.body):] for v in a.args]
-            for fold in _fold_closure(query.body, budget):
-                reps = sorted(set(fold.values()), key=lambda v: v.name)
-                targets = [[fv] + reps for fv in fresh_vars]
-                for assignment in product(*targets):
-                    h: VarMap = dict(fold)
-                    for fv, tv in zip(fresh_vars, assignment):
-                        h[fv] = tv
-                    folded_vars = sorted(
-                        {h.get(v, v) for v in atoms_variables(q_plus)},
-                        key=lambda v: v.name,
-                    )
-                    for v_delta in _subsets(folded_vars):
-                        spent += 1
-                        if spent > budget:
-                            limits.truncated = True
-                            return
-                        squid = make_squid(query, q_plus, h, set(v_delta))
-                        if validate_squid(query, squid):
-                            yield squid
+    for q_plus in _covers(query, preds):
+        fresh_vars = [v for a in q_plus[len(query.body):] for v in a.args]
+        for fold in _fold_closure(query.body, budget):
+            reps = sorted(set(fold.values()), key=lambda v: v.name)
+            targets = [[fv] + reps for fv in fresh_vars]
+            for assignment in product(*targets):
+                h: VarMap = dict(fold)
+                for fv, tv in zip(fresh_vars, assignment):
+                    h[fv] = tv
+                folded_vars = sorted(
+                    {h.get(v, v) for v in atoms_variables(q_plus)},
+                    key=lambda v: v.name,
+                )
+                for v_delta in _subsets(folded_vars):
+                    spent += 1
+                    if spent > budget:
+                        limits.truncated = True
+                        return
+                    squid = make_squid(query, q_plus, h, set(v_delta))
+                    if validate_squid(query, squid):
+                        yield squid
 
 
 def _subsets(items: List[Variable]) -> Iterator[Tuple[Variable, ...]]:
@@ -370,26 +369,23 @@ def squids_from_witnesses(
     """
     dom = database.domain()
     preds = sorted(set(predicates), key=lambda p: (p.name, p.arity))
-    max_extra = len(query.body)
     seen: Set[Tuple] = set()
-    for extra in range(0, max_extra + 1):
-        for combo in combinations_with_replacement(preds, extra):
-            q_plus = _cover(query, combo)
-            for g in homomorphisms(q_plus, chase_instance):
-                by_image: Dict[Term, Variable] = {}
-                fold: VarMap = {}
-                for v in sorted(atoms_variables(q_plus), key=lambda x: x.name):
-                    rep = by_image.setdefault(g[v], v)
-                    fold[v] = rep
-                v_delta = {fold[v] for v in fold if g[v] in dom}
-                squid = make_squid(query, q_plus, fold, v_delta)
-                key = (squid.folded(), squid.v_delta)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if validate_squid(query, squid):
-                    theta = {fold[v]: g[v] for v in fold}
-                    yield squid, theta
+    for q_plus in _covers(query, preds):
+        for g in homomorphisms(q_plus, chase_instance):
+            by_image: Dict[Term, Variable] = {}
+            fold: VarMap = {}
+            for v in sorted(atoms_variables(q_plus), key=lambda x: x.name):
+                rep = by_image.setdefault(g[v], v)
+                fold[v] = rep
+            v_delta = {fold[v] for v in fold if g[v] in dom}
+            squid = make_squid(query, q_plus, fold, v_delta)
+            key = (squid.folded(), squid.v_delta)
+            if key in seen:
+                continue
+            seen.add(key)
+            if validate_squid(query, squid):
+                theta = {fold[v]: g[v] for v in fold}
+                yield squid, theta
 
 
 def verify_squid_lemma(

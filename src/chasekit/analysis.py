@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .model import TGD, Atom, Predicate, Variable, first_occurrences
+from .model import TGD, Atom, Predicate, Variable, first_occurrences, fresh_names
 
 
 class Position(namedtuple("Position", "predicate slot")):
@@ -59,12 +59,9 @@ class Classification:
     weak_guard_index: Dict[TGD, Optional[int]]  # body index of the weak guard
     overall: RuleClass
     affected: Set[Position]
-
-    def forest_guard_index(self, rule: TGD) -> Optional[int]:
-        """Body atom whose image parents the derived atom in the chase forest."""
-        if self.per_rule[rule] in (RuleClass.GUARDED, RuleClass.LINEAR):
-            return self.guard_index[rule]
-        return self.weak_guard_index[rule]
+    # per rule, in rule order: the body index whose image parents the
+    # derived atom in the chase forest, the guard or else the weak guard
+    forest_guards: List[Optional[int]]
 
     def is_weakly_guarded_set(self) -> bool:
         return self.overall is not RuleClass.UNGUARDED
@@ -154,9 +151,11 @@ def classify(rules: Sequence[TGD]) -> Classification:
     per_rule: Dict[TGD, RuleClass] = {}
     gidx: Dict[TGD, Optional[int]] = {}
     widx: Dict[TGD, Optional[int]] = {}
+    forest_guards: List[Optional[int]] = []
     for rule, occ in zip(rules, occurrences):
         g = gidx[rule] = _first_cover(rule.body, occ.keys())
         w = widx[rule] = _weak_guard(rule, occ, affected)
+        forest_guards.append(w if g is None else g)
         if w is None:
             per_rule[rule] = RuleClass.UNGUARDED
         elif g is not None:
@@ -171,21 +170,12 @@ def classify(rules: Sequence[TGD]) -> Classification:
         overall = RuleClass.FULL
     else:
         overall = min(per_rule.values(), key=_WEAKNESS.index)
-    return Classification(per_rule, gidx, widx, overall, affected)
+    return Classification(per_rule, gidx, widx, overall, affected, forest_guards)
 
 
 # ---------------------------------------------------------------------------
 # Head normalization
 # ---------------------------------------------------------------------------
-
-def _fresh_predicate_name(base: str, used: Set[str]) -> str:
-    i = 1
-    while "%s%d" % (base, i) in used:
-        i += 1
-    name = "%s%d" % (base, i)
-    used.add(name)
-    return name
-
 
 def normalize_heads(rules: Sequence[TGD], *reserved: Iterable[Atom]) -> List[TGD]:
     """Rewrite every multi-atom head into single-atom heads.
@@ -198,7 +188,7 @@ def normalize_heads(rules: Sequence[TGD], *reserved: Iterable[Atom]) -> List[TGD
     predicate names of the rules and of the atoms in `reserved`, such as
     the database and the queries that will read the normalized chase.
     """
-    used: Set[str] = set()
+    names: Optional[Iterator[str]] = None
     out: List[TGD] = []
     for rule in rules:
         if len(rule.head) == 1:
@@ -211,11 +201,11 @@ def normalize_heads(rules: Sequence[TGD], *reserved: Iterable[Atom]) -> List[TGD
                         label="%s.%d" % (rule.label or "tgd", k + 1))
                 )
             continue
-        if not used:  # gathered when the first helper is made
-            for atoms in (*reserved, *(r.body + r.head for r in rules)):
-                used.update(a.predicate.name for a in atoms)
+        if names is None:  # the used names are gathered when the first helper is made
+            names = fresh_names("v", {a.predicate.name for atoms in (
+                *reserved, *(r.body + r.head for r in rules)) for a in atoms})
         head_vars = first_occurrences(rule.head)
-        aux = Predicate(_fresh_predicate_name("v", used), len(head_vars))
+        aux = Predicate(next(names), len(head_vars))
         aux_atom = Atom(aux, tuple(head_vars))
         out.append(
             TGD(rule.body, (aux_atom,), rule.existentials,

@@ -330,8 +330,7 @@ class _Engine:
         # compiled on first use, kept for the run
         self.plans = [RulePlan(rule) for rule in self.tgds]
         self.egd_plans = [RulePlan(rule) for rule in self.egds]
-        self.classification = classify(self.tgds)
-        self.guard_of: Dict[int, Optional[int]] = {}
+        self.guards = classify(self.tgds).forest_guards
         self.instance = database.copy()
         self.alloc = NullAllocator.after(database)
         self.steps: List[Step] = []
@@ -374,9 +373,7 @@ class _Engine:
         return node
 
     def _guard_parent(self, idx: int, key: Key) -> Optional[int]:
-        if idx not in self.guard_of:
-            self.guard_of[idx] = self.classification.forest_guard_index(self.tgds[idx])
-        gi = self.guard_of[idx]
+        gi = self.guards[idx]
         if gi is None:
             self.forest_complete = False
             return None

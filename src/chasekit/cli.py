@@ -45,11 +45,8 @@ def _load_program(args) -> Program:
 
 
 def _emit(args, payload: dict, text_lines: List[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
+    """Print the payload as JSON, or the text lines."""
+    print(json.dumps(payload) if args.format == "json" else "\n".join(text_lines))
 
 
 # ---------------------------------------------------------------------------
@@ -60,18 +57,15 @@ def cmd_classify(args) -> int:
     program = _load_program(args)
     cls = classify(program.tgds)
     affected = sorted(repr(p) for p in cls.affected)
-    rules = []
-    for rule in program.tgds:
-        rc = cls.per_rule[rule]
-        guard = cls.forest_guard_index(rule)
-        rules.append(
-            {
-                "label": rule.label,
-                "rule": repr(rule),
-                "class": rc.value,
-                "guard": None if guard is None else render_atom(rule.body[guard]),
-            }
-        )
+    rules = [
+        {
+            "label": rule.label,
+            "rule": repr(rule),
+            "class": cls.per_rule[rule].value,
+            "guard": None if guard is None else render_atom(rule.body[guard]),
+        }
+        for rule, guard in zip(program.tgds, cls.forest_guards)
+    ]
     payload = {
         "overall": cls.overall.value,
         "rules": rules,
@@ -99,18 +93,15 @@ def cmd_chase(args) -> int:
     program = _load_program(args)
     result = _run_chase(args, program)
     steps = [s.render() for s in result.steps]
-    if args.format == "json":
-        print(json.dumps({
-            "status": result.status.value,
-            "steps": steps,
-            "atom_count": len(result.instance),
-            "atoms": sorted(render_atom(a) for a in result.instance),
-            "forest_complete": result.forest_complete,
-        }))
-    else:
-        steps.append("status: %s" % result.status.value)
-        steps.append("atoms: %d" % len(result.instance))
-        print("\n".join(steps))
+    payload = {
+        "status": result.status.value,
+        "steps": steps,
+        "atom_count": len(result.instance),
+        "atoms": sorted(render_atom(a) for a in result.instance),
+        "forest_complete": result.forest_complete,
+    }
+    _emit(args, payload, steps + ["status: %s" % result.status.value,
+                                  "atoms: %d" % len(result.instance)])
     return EXIT_FAILED if result.status is Status.FAILED else EXIT_OK
 
 
@@ -187,10 +178,10 @@ def cmd_forest(args) -> int:
     program = _load_program(args)
     result = _run_chase(args, program)
     nodes = restricted_gcf(result.forest) if args.restricted else result.forest
+    atoms = [render_atom(n.atom) for n in nodes]
     if args.dot:
         lines = ["digraph gcf {"]
-        for n in nodes:
-            label = render_atom(n.atom)
+        for n, label in zip(nodes, atoms):
             if n.rule is not None:
                 label += "\\n" + n.rule.label
             lines.append('  n%d [label="%s"];' % (n.id, label))
@@ -201,30 +192,27 @@ def cmd_forest(args) -> int:
         lines.append("}")
         print("\n".join(lines))
         return EXIT_OK
-    if args.format == "json":
-        print(json.dumps({
-            "status": result.status.value,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "atom": render_atom(n.atom),
-                    "parent": n.parent,
-                    "rule": n.rule.label if n.rule else None,
-                    "depth": n.depth,
-                }
-                for n in nodes
-            ],
-            "forest_complete": result.forest_complete,
-        }))
-        return EXIT_OK
+    payload = {
+        "status": result.status.value,
+        "nodes": [
+            {
+                "id": n.id,
+                "atom": atom,
+                "parent": n.parent,
+                "rule": n.rule.label if n.rule else None,
+                "depth": n.depth,
+            }
+            for n, atom in zip(nodes, atoms)
+        ],
+        "forest_complete": result.forest_complete,
+    }
     lines = [
         "#%d depth=%d parent=%s %s [%s]"
         % (n.id, n.depth, n.parent if n.parent is not None else "-",
-           render_atom(n.atom), n.rule.label if n.rule else "db")
-        for n in nodes
+           atom, n.rule.label if n.rule else "db")
+        for n, atom in zip(nodes, atoms)
     ]
-    lines.append("status: %s" % result.status.value)
-    print("\n".join(lines))
+    _emit(args, payload, lines + ["status: %s" % result.status.value])
     return EXIT_OK
 
 
@@ -323,7 +311,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("store-stats", help="cloud-store saturation report")
     _add_common(sub)
-    sub.add_argument("--max-rounds", type=int, default=50)
+    sub.add_argument("--max-rounds", type=int, default=clouds.DEFAULT_MAX_ROUNDS)
     sub.add_argument("--force", action="store_true",
                      help="saturate even when the set is not weakly guarded")
     sub.set_defaults(func=cmd_store_stats)

@@ -120,10 +120,11 @@ class CloudStore:
         return max((n + len(atoms) for _, n, atoms in self.keys), default=0)
 
 
-# Per-round budgets of the blocked expansion; a round that exceeds one
-# ends the saturation as budget-exhausted.
+# Per-round budgets of the blocked expansion (a round that exceeds one
+# ends the saturation as budget-exhausted), and the default round budget.
 MAX_STEPS_PER_ROUND = 200_000
 MAX_STORE_SIZE = 100_000
+DEFAULT_MAX_ROUNDS = 50
 
 
 class SaturateStatus(Enum):
@@ -133,7 +134,7 @@ class SaturateStatus(Enum):
 
 @dataclass
 class SaturateOptions:
-    max_rounds: int = 50
+    max_rounds: int = DEFAULT_MAX_ROUNDS
     force: bool = False
 
 
@@ -166,8 +167,8 @@ def blocked_saturate(
     if opts.max_rounds <= 0:
         raise UsageError("the round budget must be positive")
     tgds = normalize_heads(tgds, database)
-    classification = classify(tgds)
-    if not classification.is_weakly_guarded_set() and not opts.force:
+    cls = classify(tgds)
+    if not cls.is_weakly_guarded_set() and not opts.force:
         raise UsageError(
             "blocked saturation needs a weakly guarded set (use force to override)"
         )
@@ -188,7 +189,7 @@ def blocked_saturate(
         rounds += 1
         store = CloudStore()
         known = len(ground)
-        if not _expand_round(database, plans, classification, ground, store, bound):
+        if not _expand_round(database, plans, cls.forest_guards, ground, store, bound):
             break
         if len(ground) == known:
             status = SaturateStatus.STABILIZED
@@ -199,13 +200,14 @@ def blocked_saturate(
 def _expand_round(
     database: Instance,
     plans: Sequence[RulePlan],
-    classification,
+    guards: Sequence[Optional[int]],
     ground: Instance,
     store: CloudStore,
     bound: int,
 ) -> bool:
-    """One blocked forest expansion; False when a budget was hit.  The
-    memory cap is polled every 128 steps."""
+    """One blocked forest expansion under each rule's forest guard in
+    `guards`; False when a budget was hit.  The memory cap is polled
+    every 128 steps."""
     check_memory = memory_guard()
     instance = Instance(ground)
     dom = database.domain()
@@ -213,9 +215,6 @@ def _expand_round(
     by_term: Dict[Term, List[Atom]] = {}
     alloc = NullAllocator.after(instance)
     blocked: Set[Atom] = set()
-    guard_of: Dict[int, Optional[int]] = {
-        i: classification.forest_guard_index(p.rule) for i, p in enumerate(plans)
-    }
 
     def register(atom: Atom) -> None:
         """Key the atom's current cloud; an already-present key blocks it."""
@@ -249,7 +248,7 @@ def _expand_round(
     while queue:
         rule_idx, key = queue.popleft()
         plan = plans[rule_idx]
-        gi = guard_of[rule_idx]
+        gi = guards[rule_idx]
         if gi is not None and plan.body_image(gi, key) in blocked:
             continue
         new_atom = plan.head_image(key, alloc)

@@ -78,31 +78,25 @@ def egd_failure_check(
 ) -> FailureCheck:
     """Would the interleaved chase fail?  Decided under the TGDs alone.
 
-    A failure means some EGD trigger of the TGD-only chase equates two
-    distinct constants, the unique-name clash on which `apply_egd`
-    fails.  Triggers that equate a null are skipped, not applied, and
-    no atom is added: the check is one pass over the EGD bodies.
+    It is `separated_answer` for the query with no atoms: failed exactly
+    when some EGD trigger of the TGD-only chase equates two distinct
+    constants, the clash on which `apply_egd` fails, and exact exactly
+    when that chase saturated.  No EGD is applied and no atom is added.
     """
     if not egds:
         return FailureCheck.NO_FAILURE
-    # helper predicates of multi-atom heads avoid the EGD bodies' names
-    result = run_chase(
-        database, normalize_heads(tgds, database, *(egd.body for egd in egds)), (),
-        ChaseOptions(Mode.RESTRICTED, max_steps, max_depth),
-    )
-    return _failure_in(result, egds)
+    status = separated_answer(database, tgds, egds, CQ("true", (), ()), max_steps,
+                              max_depth).status
+    if status is AnswerStatus.FAILED:
+        return FailureCheck.FAILED
+    return FailureCheck.NO_FAILURE if status is AnswerStatus.EXACT else FailureCheck.UNKNOWN
 
 
-def _failure_in(result: ChaseResult, egds: Sequence[EGD]) -> FailureCheck:
-    """The failure check over a finished TGD-only chase."""
+def _failure_in(instance: Instance, egds: Sequence[EGD]) -> bool:
+    """Does some EGD trigger over the instance equate two distinct constants?"""
     plans = [RulePlan(egd) for egd in egds]
-    for idx, key in egd_violations(plans, result.instance):
-        lhs, rhs = plans[idx].equated(key)
-        if isinstance(lhs, Constant) and isinstance(rhs, Constant):
-            return FailureCheck.FAILED
-    if result.status is Status.SATURATED:
-        return FailureCheck.NO_FAILURE
-    return FailureCheck.UNKNOWN
+    equated = (plans[idx].equated(key) for idx, key in egd_violations(plans, instance))
+    return any(isinstance(a, Constant) and isinstance(b, Constant) for a, b in equated)
 
 
 def separated_answer(
@@ -126,7 +120,7 @@ def separated_answer(
     tgds = normalize_heads(tgds, database, query.body, *(egd.body for egd in egds))
     report = certain_answers(database, tgds, query,
                              ChaseOptions(Mode.RESTRICTED, max_steps, max_depth))
-    if egds and _failure_in(report.chase, egds) is FailureCheck.FAILED:
+    if egds and _failure_in(report.chase.instance, egds):
         return AnswerReport(
             [], AnswerStatus.FAILED,
             note="chase fails: every Boolean query is entailed",

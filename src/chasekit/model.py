@@ -174,15 +174,17 @@ def atoms_domain(atoms: Iterable[Atom]) -> Set[Term]:
 
 
 def atoms_variables(atoms: Iterable[Atom]) -> Set[Variable]:
-    out: Set[Variable] = set()
-    for a in atoms:
-        out.update(a.variables())
-    return out
+    return {t for a in atoms for t in a.args if isinstance(t, Variable)}
 
 
 def first_occurrences(atoms: Iterable[Atom]) -> List[Variable]:
     """The variables of the atoms, each once, in order of first occurrence."""
     return list(dict.fromkeys(t for a in atoms for t in a.args if isinstance(t, Variable)))
+
+
+def fresh_names(base: str, used: AbstractSet[str]) -> Iterator[str]:
+    """base1, base2, ..., skipping every name in `used`."""
+    return (name for name in ("%s%d" % (base, i) for i in count(1)) if name not in used)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +410,8 @@ class TGD:
     def single_head(self) -> bool:
         return len(self.head) == 1
 
-    def check_safety(self) -> None:
+    def check_variables(self) -> None:
+        """The variable rules every TGD meets before it is chased."""
         body_vars = self.universal_variables()
         in_head = set()
         # the first offender in head order, then by name: not in set order
@@ -420,7 +423,7 @@ class TGD:
                     "unsafe TGD %s: head variable %s neither in body nor existential"
                     % (self.label or repr(self), v.name)
                 )
-        for x in sorted(self.existentials, key=lambda v: v.name):
+        for x in sorted(self.existentials):  # variables order by name
             if x in body_vars:
                 raise UsageError(
                     "TGD %s: existential %s also occurs in the body"
@@ -431,6 +434,10 @@ class TGD:
                     "TGD %s: existential %s does not occur in the head"
                     % (self.label or repr(self), x.name)
                 )
+
+    def check_safety(self) -> None:
+        """`check_variables`, and every head constant is a body constant."""
+        self.check_variables()
         body_consts = {t for a in self.body for t in a.args if isinstance(t, Constant)}
         for a in self.head:
             for t in a.args:
@@ -469,6 +476,8 @@ class EGD:
                     % (self.label or repr(self), v.name)
                 )
 
+    check_variables = check_safety  # the variable rules are all of an EGD's safety
+
     def __repr__(self):
         """The rule in program syntax, without `egd` and the period."""
         b = ", ".join(map(repr, self.body))
@@ -497,7 +506,7 @@ class CQ:
         return atoms_variables(self.body)
 
     def check_safety(self) -> None:
-        body_vars = self.variables()
+        body_vars = self.variables() if self.head_vars else ()  # Boolean: nothing to check
         for v in self.head_vars:
             if v not in body_vars:
                 raise UsageError(

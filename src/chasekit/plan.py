@@ -153,11 +153,13 @@ def _template(atom: Atom, layout: Dict[str, int]) -> Callable[[tuple], Atom]:
 class RulePlan:
     """One TGD or EGD compiled for trigger discovery and application.
 
-    Nothing is compiled before it is used: the body plans, the head
-    check and the templates each on first use.
+    The rule's variables are checked first (`check_variables`).  Nothing
+    is compiled before it is used: the body plans, the head check and
+    the templates each on first use.
     """
 
     def __init__(self, rule):
+        rule.check_variables()
         self.rule = rule
         self.body_predicates = frozenset(atom.predicate for atom in rule.body)
         named = {t.name: t for atom in rule.body for t in atom.args if isinstance(t, Variable)}

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from . import clouds
@@ -32,6 +31,7 @@ from .model import (
     Term,
     UsageError,
     Variable,
+    fresh_names,
     term_sort_key,
 )
 from .plan import Plan
@@ -185,6 +185,7 @@ def certain_answers(
     saturation of a weakly guarded set: from its null-free atoms and
     its canonical anchors.
     """
+    query.check_safety()
     # name the helper predicates of multi-atom heads apart from what the query reads
     tgds = normalize_heads(tgds, database, query.body, *(egd.body for egd in egds))
     if isinstance(strategy, BlockedAtomic):
@@ -247,7 +248,7 @@ def check_containment(
         raise UsageError("containment needs queries of equal arity")
     atoms = q1.body + q2.body + tuple(a for rule in tgds for a in rule.body + rule.head)
     used = {t.name for a in atoms for t in a.args if isinstance(t, Constant)}
-    fresh = (name for name in ("c%d" % i for i in count(1)) if name not in used)
+    fresh = fresh_names("c", used)
     freeze: Dict[Term, Term] = {v: Constant(next(fresh))
                                 for v in sorted(q1.variables(), key=lambda x: x.name)}
     frozen_head = tuple(freeze[v] for v in q1.head_vars)

@@ -173,6 +173,7 @@ def test_classify_matches_the_definitions():
         assert cls.guard_index == guard
         assert cls.weak_guard_index == weak
         assert cls.overall is overall
+        assert cls.forest_guards == [weak[r] if guard[r] is None else guard[r] for r in rules]
         for rule in rules:
             assert weak_guard_index(rule, cls.affected) == weak[rule]
         seen.add(overall)

@@ -129,6 +129,16 @@ def test_apply_tgd_rejects_stale_trigger():
         apply_tgd(rules[0], trigger, other, NullAllocator())
 
 
+def test_a_built_tgd_whose_existential_misses_the_head_is_rejected():
+    # built through the API, as the parser refuses it
+    Y, Z = Variable("Y"), Variable("Z")
+    unsafe = TGD((parse_atom("p(X)"),), (parse_atom("q(X,Y)"),), frozenset({Y, Z}),
+                 label="tgd0")
+    p = parse_program("fact p(a). tgd q(X,Y) -> exists Z: r(X,Z).")
+    with pytest.raises(UsageError, match="TGD tgd0: existential Z does not occur in the head"):
+        run_chase(p.facts, [unsafe] + p.tgds)
+
+
 def test_duplicate_rule_hom_pair_applied_once():
     p = example_program()
     res = run_chase(p.facts, p.tgds, [], ChaseOptions(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     atom_isomorphism_class,
+    classify_oracle,
     d_isomorphic,
     fll_cases,
     hom_key,
@@ -52,6 +53,7 @@ from chasekit.model import (
 )
 from chasekit.parser import parse_atom, parse_instance, parse_program
 from chasekit.plan import RulePlan
+from chasekit.query import AnswerStatus, BlockedAtomic, certain_answers
 
 EXAMPLE_CHASE = """
 fact r1(a,b).
@@ -368,7 +370,8 @@ def test_stabilized_saturation_is_a_fixpoint_of_the_round(cases):
         store = clouds.CloudStore()
         # the cloud-size bound only guards against a runaway cloud
         plans = [RulePlan(rule) for rule in tgds]
-        assert clouds._expand_round(db, plans, classify(tgds), ground, store, math.inf)
+        guards = classify(tgds).forest_guards
+        assert clouds._expand_round(db, plans, guards, ground, store, math.inf)
         assert len(ground) == len(out.ground_atoms)
         assert list(store.keys) == list(out.store.keys)
 
@@ -456,6 +459,71 @@ def test_expand_round_applies_each_trigger_once_per_round(monkeypatch):
     assert expanded and max(expanded.values()) <= result.rounds
 
 
+# ROADMAP item 9: blocked saturation loses ground atoms, so these
+# programs get wrong exact answers under BlockedAtomic.  Program A is
+# guarded and program B weakly guarded, and the restricted chase of both
+# terminates; the random program's chase does not, and its depth-16
+# oblivious prefix gives a lower bound.
+ITEM_9_A = """
+fact d(c2). fact d(c1).
+tgd d(X) -> exists Y: p(X,Y).
+tgd p(X,Y) -> exists Z: q(Y,Z).
+tgd q(X,Y) -> exists Z: r(Y,Z).
+tgd r(Y,Z) -> s2(Y).
+tgd q(X,Y), s2(Y) -> w(X).
+tgd p(X,Y), w(Y) -> got(X).
+query g(X) :- got(X).
+"""
+
+ITEM_9_B_RULES = """
+tgd d(X) -> exists Y: p(X,Y).
+tgd p(X,Y) -> exists Z: q(Y,Z).
+tgd p(X,Y), a(X) -> mk(Y).
+tgd q(X,Y) -> exists Z: r(Y,Z).
+tgd q(X,Y), mk(X) -> exists Z: h(Y,Z).
+tgd h(Y,Z) -> s(Y).
+tgd r(Y,Z), s(Y) -> exists W: t(Z,W).
+tgd t(Z,W), e(A) -> got(A).
+query g(A) :- got(A).
+"""
+
+ITEM_9_RANDOM = """
+fact u0(a). fact u0(b). fact u1(a).
+tgd u0(X) -> exists Y: b0(X,Y).
+tgd b2(X,Y) -> exists Z: b0(Y,Z).
+tgd b0(X,Y), u0(X) -> u2(Y).
+tgd b0(X,Y), u0(Y) -> u1(X).
+tgd b1(X,Y), u1(X) -> u0(Y).
+tgd u2(X) -> exists Y: b0(X,Y).
+tgd b0(X,Y), u1(Y) -> u2(X).
+tgd b0(X,Y) -> u0(X).
+query q(X) :- u2(X).
+"""
+
+item_9 = pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+TERMINATE = ChaseOptions(Mode.RESTRICTED)
+BOUNDED_16 = ChaseOptions(Mode.OBLIVIOUS, max_depth=16)
+
+
+@pytest.mark.parametrize("text, chase", [
+    pytest.param(ITEM_9_A, TERMINATE, marks=item_9, id="A"),
+    pytest.param("fact d(c2). fact d(c1). fact a(c1). fact e(k)." + ITEM_9_B_RULES,
+                 TERMINATE, marks=item_9, id="B"),
+    pytest.param(ITEM_9_RANDOM, BOUNDED_16, marks=item_9, id="random"),
+    pytest.param("fact d(c1). fact d(c2). fact a(c1). fact e(k)." + ITEM_9_B_RULES,
+                 TERMINATE, id="B-swapped"),
+])
+def test_blocked_answers_contain_the_chase_answers(text, chase):
+    p = parse_program(text)
+    query = p.queries[0]
+    blocked = certain_answers(p.facts, p.tgds, query, BlockedAtomic())
+    bound = certain_answers(p.facts, p.tgds, query, chase)
+    assert blocked.status is AnswerStatus.EXACT
+    assert set(bound.answers) <= set(blocked.answers)
+    if bound.status is AnswerStatus.EXACT:
+        assert bound.answers == blocked.answers
+
+
 # ---------------------------------------------------------------------------
 # the store key against whole-cloud keying
 # ---------------------------------------------------------------------------
@@ -490,8 +558,9 @@ def reference_saturate(database, rules):
     pairs, the status, the rounds, and every (atom, blocked) decision of
     every round in order."""
     tgds = normalize_heads(rules)
-    classification = classify(tgds)
-    guard_of = {i: classification.forest_guard_index(r) for i, r in enumerate(tgds)}
+    _, guard, weak, _ = classify_oracle(tgds)
+    # the guard, or else the weak guard, read off the definitions
+    guard_of = {i: weak[r] if guard[r] is None else guard[r] for i, r in enumerate(tgds)}
     ground = Instance(database)
     status, rounds, decisions, keys = SaturateStatus.BUDGET_EXHAUSTED, 0, [], {}
     while rounds < SaturateOptions().max_rounds:

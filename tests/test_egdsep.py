@@ -1,5 +1,7 @@
 import hashlib
 
+import pytest
+
 from helpers import find_homomorphism, fll_cases
 
 from chasekit.chase import ChaseOptions, EgdStep, Mode, Status, run_chase
@@ -11,7 +13,7 @@ from chasekit.egdsep import (
     separated_answer,
 )
 from chasekit.cli import main
-from chasekit.model import CQ, EGD, TGD, Constant, Instance, Predicate, Variable
+from chasekit.model import CQ, EGD, TGD, Constant, Instance, Predicate, UsageError, Variable
 from chasekit.parser import parse_atom, parse_program, render_atom
 from chasekit.plan import RulePlan
 from chasekit.query import AnswerStatus, certain_answers, eval_cq
@@ -103,6 +105,19 @@ def test_failure_through_a_head_constant():
     egds = [EGD((q(X, Y), q(X, Z)), Y, Z, label="egd1")]
     assert run_chase(facts, tgds, egds).status is Status.FAILED
     assert egd_failure_check(facts, tgds, egds) is FailureCheck.FAILED
+
+
+def test_a_built_egd_equating_a_variable_missing_from_its_body_is_rejected():
+    # built through the API, as the parser refuses it
+    Y, Z = Variable("Y"), Variable("Z")
+    egd = EGD((parse_atom("r(X,Z)"),), Y, Z, label="egd1")
+    facts = parse_program("fact r(a,b). fact r(a,c).").facts
+    q = CQ("q", (), (parse_atom("r(X,Z)"),))
+    for call in (lambda: run_chase(facts, [], [egd]),
+                 lambda: egd_failure_check(facts, [], [egd]),
+                 lambda: separated_answer(facts, [], [egd], q)):
+        with pytest.raises(UsageError, match="EGD egd1 equates variable Y absent from its body"):
+            call()
 
 
 def test_failure_check_adds_no_atoms(monkeypatch):

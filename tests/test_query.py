@@ -383,6 +383,15 @@ def test_containment_rejects_an_unsafe_query(q1, q2):
         check_containment(q1, q2, [])
 
 
+@pytest.mark.parametrize("strategy", [ChaseOptions(Mode.RESTRICTED), BlockedAtomic()],
+                         ids=["terminate", "blocked-atomic"])
+def test_certain_answers_rejects_an_unsafe_query(strategy):
+    # built through the API, as the parser refuses it
+    q = CQ("q", (Variable("Y"),), (parse_atom("r(X,Z)"),))
+    with pytest.raises(UsageError, match="query q: head variable Y not in body"):
+        certain_answers(parse_instance("r(a,b)."), [], q, strategy)
+
+
 def frozen_head_oracle(q1, q2, rules, max_steps=10_000, max_depth=64):
     """Containment by its definition: freeze q1, chase the frozen body,
     and look the frozen head up among all answers of q2 by exhaustive
