@@ -30,8 +30,8 @@ def banner(title):
 def report(name, rules):
     cls = classify(rules)
     print("%-12s overall: %s" % (name, cls.overall.value))
-    for rule in rules:
-        print("   %-8s %-15s %s" % (rule.label, cls.per_rule[rule].value, rule))
+    for rule, rule_class in zip(rules, cls.per_rule):
+        print("   %-8s %-15s %s" % (rule.label, rule_class.value, rule))
     print("   affected positions:",
           ", ".join(sorted(repr(p) for p in cls.affected)) or "none")
 

@@ -54,13 +54,15 @@ _WEAKNESS = [
 
 @dataclass
 class Classification:
-    per_rule: Dict[TGD, RuleClass]
-    guard_index: Dict[TGD, Optional[int]]       # body index of the full guard
-    weak_guard_index: Dict[TGD, Optional[int]]  # body index of the weak guard
+    """Each per-rule fact is a list in rule order.  A rule has a full
+    guard exactly when it is linear or guarded, and its forest guard is
+    then that guard."""
+
+    per_rule: List[RuleClass]
     overall: RuleClass
     affected: Set[Position]
-    # per rule, in rule order: the body index whose image parents the
-    # derived atom in the chase forest, the guard or else the weak guard
+    # the body index whose image parents the derived atom in the chase
+    # forest: the guard, or else the weak guard
     forest_guards: List[Optional[int]]
 
     def is_weakly_guarded_set(self) -> bool:
@@ -148,29 +150,23 @@ def classify(rules: Sequence[TGD]) -> Classification:
     """
     occurrences = [_occurrences(rule) for rule in rules]
     affected = _affected(rules, occurrences)
-    per_rule: Dict[TGD, RuleClass] = {}
-    gidx: Dict[TGD, Optional[int]] = {}
-    widx: Dict[TGD, Optional[int]] = {}
+    per_rule: List[RuleClass] = []
     forest_guards: List[Optional[int]] = []
     for rule, occ in zip(rules, occurrences):
-        g = gidx[rule] = _first_cover(rule.body, occ.keys())
-        w = widx[rule] = _weak_guard(rule, occ, affected)
-        forest_guards.append(w if g is None else g)
-        if w is None:
-            per_rule[rule] = RuleClass.UNGUARDED
-        elif g is not None:
-            per_rule[rule] = RuleClass.LINEAR if len(rule.body) == 1 else RuleClass.GUARDED
+        g = _first_cover(rule.body, occ.keys())
+        if g is not None:  # a guard covers the weak guard's variables too
+            per_rule.append(RuleClass.LINEAR if len(rule.body) == 1 else RuleClass.GUARDED)
         else:
-            per_rule[rule] = RuleClass.WEAKLY_GUARDED
+            g = _weak_guard(rule, occ, affected)
+            per_rule.append(RuleClass.UNGUARDED if g is None else RuleClass.WEAKLY_GUARDED)
+        forest_guards.append(g)
     if not rules:
         overall = RuleClass.FULL
-    elif all(rc is not RuleClass.UNGUARDED for rc in per_rule.values()) and all(
-        r.is_full() for r in rules
-    ):
+    elif RuleClass.UNGUARDED not in per_rule and all(r.is_full() for r in rules):
         overall = RuleClass.FULL
     else:
-        overall = min(per_rule.values(), key=_WEAKNESS.index)
-    return Classification(per_rule, gidx, widx, overall, affected, forest_guards)
+        overall = min(per_rule, key=_WEAKNESS.index)
+    return Classification(per_rule, overall, affected, forest_guards)
 
 
 # ---------------------------------------------------------------------------

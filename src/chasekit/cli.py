@@ -61,10 +61,10 @@ def cmd_classify(args) -> int:
         {
             "label": rule.label,
             "rule": repr(rule),
-            "class": cls.per_rule[rule].value,
+            "class": rule_class.value,
             "guard": None if guard is None else render_atom(rule.body[guard]),
         }
-        for rule, guard in zip(program.tgds, cls.forest_guards)
+        for rule, rule_class, guard in zip(program.tgds, cls.per_rule, cls.forest_guards)
     ]
     payload = {
         "overall": cls.overall.value,
@@ -157,7 +157,7 @@ def cmd_answer(args) -> int:
 def cmd_contain(args) -> int:
     program = _load_program(args)
     q1, q2 = program.query(args.q1), program.query(args.q2)
-    verdict = check_containment(q1, q2, program.tgds, max_steps=args.budget)
+    verdict = check_containment(q1, q2, program.tgds, args.budget, program.egds)
     payload = {"q1": q1.name, "q2": q2.name, "verdict": verdict.verdict}
     _emit(args, payload, ["%s in %s: %s" % (q1.name, q2.name, verdict.verdict)])
     return EXIT_OK
@@ -232,13 +232,7 @@ def cmd_store_stats(args) -> int:
         "status": sat.status.value,
         "ground_atoms": len(sat.ground_atoms),
     }
-    lines = [
-        "entries: %d" % payload["entries"],
-        "max cloud size: %d" % payload["max_cloud_size"],
-        "rounds: %d" % payload["rounds"],
-        "status: %s" % payload["status"],
-        "ground atoms: %d" % payload["ground_atoms"],
-    ]
+    lines = ["%s: %s" % (key.replace("_", " "), value) for key, value in payload.items()]
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -292,7 +286,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub.set_defaults(func=cmd_answer)
 
-    sub = subs.add_parser("contain", help="query containment under the TGDs")
+    sub = subs.add_parser("contain", help="query containment under the TGDs; "
+                          "an EGD their chase breaks turns a no into unknown")
     _add_common(sub)
     sub.add_argument("--q1", required=True)
     sub.add_argument("--q2", required=True)

@@ -410,8 +410,8 @@ class TGD:
     def single_head(self) -> bool:
         return len(self.head) == 1
 
-    def check_variables(self) -> None:
-        """The variable rules every TGD meets before it is chased."""
+    def __post_init__(self):
+        """The variable rules, checked when the rule is built."""
         body_vars = self.universal_variables()
         in_head = set()
         # the first offender in head order, then by name: not in set order
@@ -435,9 +435,8 @@ class TGD:
                     % (self.label or repr(self), x.name)
                 )
 
-    def check_safety(self) -> None:
-        """`check_variables`, and every head constant is a body constant."""
-        self.check_variables()
+    def check_head_constants(self) -> None:
+        """Every head constant is a body constant: the parser's rule."""
         body_consts = {t for a in self.body for t in a.args if isinstance(t, Constant)}
         for a in self.head:
             for t in a.args:
@@ -467,7 +466,7 @@ class EGD:
     rhs: Variable
     label: str = ""
 
-    def check_safety(self) -> None:
+    def __post_init__(self):
         body_vars = atoms_variables(self.body)
         for v in (self.lhs, self.rhs):
             if v not in body_vars:
@@ -475,8 +474,6 @@ class EGD:
                     "EGD %s equates variable %s absent from its body"
                     % (self.label or repr(self), v.name)
                 )
-
-    check_variables = check_safety  # the variable rules are all of an EGD's safety
 
     def __repr__(self):
         """The rule in program syntax, without `egd` and the period."""
@@ -505,7 +502,7 @@ class CQ:
     def variables(self) -> Set[Variable]:
         return atoms_variables(self.body)
 
-    def check_safety(self) -> None:
+    def __post_init__(self):
         body_vars = self.variables() if self.head_vars else ()  # Boolean: nothing to check
         for v in self.head_vars:
             if v not in body_vars:

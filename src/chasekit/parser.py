@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import islice
-from typing import Dict, List, NoReturn, Optional, Set, Tuple, TypeVar
+from typing import Callable, Dict, List, NoReturn, Optional, Set, Tuple, TypeVar
 
 from .model import (
     CANONICAL_NULL_BASE,
@@ -48,7 +48,7 @@ from .model import (
     Variable,
 )
 
-R = TypeVar("R", TGD, EGD, CQ)
+R = TypeVar("R")
 
 
 class ParseError(Exception):
@@ -158,13 +158,13 @@ class _Parser:
                 self.found(i + 1, "')'")
             i += 2
 
-    def checked(self, rule: R, i: int) -> R:
-        """`rule` if its safety check passes, else a ParseError at token i."""
+    def built(self, i: int, make: Callable[..., R], *args) -> R:
+        """`make(*args)`, which builds a rule or query and so checks its
+        variables, or runs a check; a ParseError at token i if it fails."""
         try:
-            rule.check_safety()
+            return make(*args)
         except UsageError as e:
             self.fail(i, str(e))
-        return rule
 
     # -- atoms and variables --------------------------------------------------
 
@@ -247,17 +247,18 @@ class _Parser:
                     existentials, i = self.variables(i + 1)
                     i = self.expect(i, ":")
                 head, i = self.atoms(i)
-                rule = TGD(tuple(body), tuple(head), frozenset(existentials),
-                           label="tgd%d" % (len(p.tgds) + 1))
-                p.tgds.append(self.checked(rule, at))
+                rule = self.built(at, TGD, tuple(body), tuple(head), frozenset(existentials),
+                                  "tgd%d" % (len(p.tgds) + 1))
+                self.built(at, rule.check_head_constants)
+                p.tgds.append(rule)
             elif kw == "egd":
                 body, i = self.atoms(at)
                 i = self.expect(i, "->")
                 lhs = self.variable(i)
                 i = self.expect(i + 1, "=")
                 rhs = self.variable(i)
-                egd = EGD(tuple(body), lhs, rhs, label="egd%d" % (len(p.egds) + 1))
-                p.egds.append(self.checked(egd, at))
+                p.egds.append(self.built(at, EGD, tuple(body), lhs, rhs,
+                                         "egd%d" % (len(p.egds) + 1)))
                 i += 1
             elif kw == "query":
                 if toks[at] not in self.names:
@@ -271,8 +272,7 @@ class _Parser:
                 body = []
                 if toks[i] != ".":
                     body, i = self.atoms(i)
-                q = CQ(toks[at], tuple(head_vars), tuple(body))
-                p.queries.append(self.checked(q, at))
+                p.queries.append(self.built(at, CQ, toks[at], tuple(head_vars), tuple(body)))
             else:
                 self.fail(i, "expected fact, tgd, egd or query")
             i = self.expect(i, ".")

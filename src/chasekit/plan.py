@@ -14,7 +14,8 @@ The matcher recurses once per atom, so a plan takes at most half of
 `sys.getrecursionlimit()` atoms and rejects a longer conjunction with a
 `UsageError`; raising the recursion limit raises the plan limit with it.
 
-A `RulePlan` holds what the chase needs of one rule.  Its trigger key is
+A `RulePlan` holds what the chase needs of one rule, which checked its
+variables when it was built (`model.TGD`, `model.EGD`).  Its trigger key is
 the tuple of the body variables' values in name order.  The plans of
 the body, in declaration order and with each body position pinned first
 to a new fact (`chase.rule_triggers` runs them), are compiled on first
@@ -153,13 +154,11 @@ def _template(atom: Atom, layout: Dict[str, int]) -> Callable[[tuple], Atom]:
 class RulePlan:
     """One TGD or EGD compiled for trigger discovery and application.
 
-    The rule's variables are checked first (`check_variables`).  Nothing
-    is compiled before it is used: the body plans, the head check and
-    the templates each on first use.
+    Nothing is compiled before it is used: the body plans, the head
+    check and the templates each on first use.
     """
 
     def __init__(self, rule):
-        rule.check_variables()
         self.rule = rule
         self.body_predicates = frozenset(atom.predicate for atom in rule.body)
         named = {t.name: t for atom in rule.body for t in atom.args if isinstance(t, Variable)}

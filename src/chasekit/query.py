@@ -8,7 +8,9 @@ Boolean query is one existence check that stops at its first witness.
 Certain answers keep all-constant tuples only; whether they are exact
 or a sound lower bound depends on whether the underlying chase reached
 a fixpoint.  Containment is one certain-answers question: is q1's head,
-frozen to fresh constants, an answer of q2 over q1's frozen body?
+frozen to fresh constants, an answer of q2 over q1's frozen body?  A
+query checks its variables when it is built (`model.CQ`), so neither
+question checks them again.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 from . import clouds
 from .analysis import normalize_heads
 from .chase import (BOUNDED_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions,
-                    ChaseResult, Mode, Status, body_homomorphisms, run_chase)
+                    ChaseResult, Mode, Status, body_homomorphisms, egd_violations, run_chase)
 from .model import (
     CQ,
     EGD,
@@ -34,7 +36,7 @@ from .model import (
     fresh_names,
     term_sort_key,
 )
-from .plan import Plan
+from .plan import Plan, RulePlan
 
 
 def homomorphisms(body: Sequence[Atom], instance: Instance) -> Iterator[Dict[Variable, Term]]:
@@ -185,7 +187,6 @@ def certain_answers(
     saturation of a weakly guarded set: from its null-free atoms and
     its canonical anchors.
     """
-    query.check_safety()
     # name the helper predicates of multi-atom heads apart from what the query reads
     tgds = normalize_heads(tgds, database, query.body, *(egd.body for egd in egds))
     if isinstance(strategy, BlockedAtomic):
@@ -228,35 +229,45 @@ def check_containment(
     q2: CQ,
     tgds: Sequence[TGD],
     max_steps: int = DEFAULT_MAX_STEPS,
+    egds: Sequence[EGD] = (),
 ) -> Containment:
     """Containment of q1 in q2 under a TGD set, through the canonical
     database (Chandra and Merlin; Johnson and Klug under dependencies).
 
     q1's variables freeze to distinct fresh constants `c1, c2, ...`,
-    skipping the constants of q1, q2 and the TGDs.  q1 is contained in
-    q2 exactly when the frozen head is a certain answer of q2 over the
-    frozen body, so one `certain_answers` call under the restricted
-    chase decides it: "yes" when the frozen head is an answer, "no" when
-    the answers are exact, "unknown" when the step budget cut the chase
-    first.  A repeated answer variable of q2 that meets two different
-    frozen values is a "no" without a chase, since TGDs never equate
-    two values.
+    skipping the constants of q1, q2 and the rules.  q1 is contained in
+    q2 under the TGDs exactly when the frozen head is a certain answer
+    of q2 over the frozen body, so one `certain_answers` call under the
+    restricted chase decides it: "yes" when the frozen head is an
+    answer, "no" when the answers are exact, "unknown" when the step
+    budget cut the chase first.  Without EGDs, a repeated answer
+    variable of q2 that meets two different frozen values is a "no"
+    without a chase, since TGDs never equate two values.
+
+    The EGDs are not chased.  A "yes" holds under them too, and a "no"
+    only when no EGD trigger of the chase equates two different values,
+    which makes the chase a model of the EGDs; else it is "unknown".
     """
-    q1.check_safety()
-    q2.check_safety()
     if q1.arity != q2.arity:
         raise UsageError("containment needs queries of equal arity")
-    atoms = q1.body + q2.body + tuple(a for rule in tgds for a in rule.body + rule.head)
+    reserved = (q2.body, *(egd.body for egd in egds))
+    atoms = [a for body in (q1.body, *reserved) for a in body]
+    atoms += [a for rule in tgds for a in rule.body + rule.head]
     used = {t.name for a in atoms for t in a.args if isinstance(t, Constant)}
     fresh = fresh_names("c", used)
     freeze: Dict[Term, Term] = {v: Constant(next(fresh))
                                 for v in sorted(q1.variables(), key=lambda x: x.name)}
     frozen_head = tuple(freeze[v] for v in q1.head_vars)
     bound: Dict[Variable, Term] = {}
-    if not all(bound.setdefault(v, t) == t for v, t in zip(q2.head_vars, frozen_head)):
+    if not egds and not all(bound.setdefault(v, t) == t
+                            for v, t in zip(q2.head_vars, frozen_head)):
         return Containment("no")
-    report = certain_answers(Instance(a.substitute(freeze) for a in q1.body), tgds, q2,
-                             ChaseOptions(Mode.RESTRICTED, max_steps))
+    frozen = Instance(a.substitute(freeze) for a in q1.body)
+    # helper predicates avoid the names that q2 and the EGDs read
+    tgds = normalize_heads(tgds, frozen, *reserved)
+    report = certain_answers(frozen, tgds, q2, ChaseOptions(Mode.RESTRICTED, max_steps))
     if frozen_head in report.answers:
         return Containment("yes")
-    return Containment("no" if report.status is AnswerStatus.EXACT else "unknown")
+    broken = egd_violations([RulePlan(egd) for egd in egds], report.chase.instance)
+    exact = report.status is AnswerStatus.EXACT and not any(broken)
+    return Containment("no" if exact else "unknown")

@@ -893,13 +893,13 @@ class _Parser:
                 out.append(item())
         return out
 
-    def checked(self, rule: R, at: int) -> R:
-        """`rule` if its safety check passes, else a ParseError at offset `at`."""
+    def built(self, at: int, make: Callable[..., R], *args) -> R:
+        """`make(*args)`, a rule or query, which checks its variables when
+        it is built; a ParseError at offset `at` if they break the rules."""
         try:
-            rule.check_safety()
+            return make(*args)
         except UsageError as e:
             self.fail(str(e), at)
-        return rule
 
     # -- terms and atoms ----------------------------------------------------
 
@@ -961,17 +961,22 @@ class _Parser:
                 existentials = self.comma_list(self.variable)
                 self.expect(":")
             head = self.comma_list(self.atom)
-            rule = TGD(tuple(body), tuple(head), frozenset(existentials),
-                       label="tgd%d" % (len(program.tgds) + 1))
-            program.tgds.append(self.checked(rule, at))
+            rule = self.built(at, TGD, tuple(body), tuple(head), frozenset(existentials),
+                              "tgd%d" % (len(program.tgds) + 1))
+            body_constants = {t for a in rule.body for t in a.args if isinstance(t, Constant)}
+            for t in (t for a in rule.head for t in a.args):
+                if isinstance(t, Constant) and t not in body_constants:
+                    self.fail("unsafe TGD %s: head constant %s missing from body"
+                              % (rule.label, t.name), at)
+            program.tgds.append(rule)
         elif kw == "egd":
             body = self.comma_list(self.atom)
             self.expect("->")
             lhs = self.variable()
             self.expect("=")
-            egd = EGD(tuple(body), lhs, self.variable(),
-                      label="egd%d" % (len(program.egds) + 1))
-            program.egds.append(self.checked(egd, at))
+            rhs = self.variable()
+            program.egds.append(self.built(at, EGD, tuple(body), lhs, rhs,
+                                           "egd%d" % (len(program.egds) + 1)))
         else:
             name = self.expect("ident", "a query name")[1]
             head_vars: List[Variable] = []
@@ -980,8 +985,8 @@ class _Parser:
                 head_vars = self.comma_list(self.variable, ")")
                 self.expect(")")
             self.expect(":-")
-            q = CQ(name, tuple(head_vars), tuple(self.comma_list(self.atom, ".")))
-            program.queries.append(self.checked(q, at))
+            body = self.comma_list(self.atom, ".")
+            program.queries.append(self.built(at, CQ, name, tuple(head_vars), tuple(body)))
         self.expect(".")
 
     def program(self) -> Program:

@@ -81,7 +81,7 @@ def test_affected_worklist_on_a_long_chain_listed_against_its_flow():
     assert affected_positions(rules) == {Position(q, 2) for q in p}
     cls = classify(rules)
     assert cls.affected == {Position(q, 2) for q in p}
-    assert set(cls.per_rule.values()) == {RuleClass.LINEAR}
+    assert set(cls.per_rule) == {RuleClass.LINEAR}
 
 
 def test_position_keeps_its_slot_check_and_repr():
@@ -105,22 +105,21 @@ def test_affected_soundness_on_chased_instances():
 def test_classify_worked_example():
     rules = parse_program(AFFECTED_EXAMPLE).tgds
     cls = classify(rules)
-    assert cls.per_rule[rules[0]] is RuleClass.GUARDED
-    assert cls.guard_index[rules[0]] == 0  # p1(X,Y) is the guard
-    assert cls.per_rule[rules[1]] is RuleClass.WEAKLY_GUARDED
-    assert rules[1].body[cls.weak_guard_index[rules[1]]] == parse_atom("p2(X,Y)")
+    assert cls.per_rule == [RuleClass.GUARDED, RuleClass.WEAKLY_GUARDED]
+    assert cls.forest_guards[0] == 0  # p1(X,Y) is the guard
+    assert rules[1].body[cls.forest_guards[1]] == parse_atom("p2(X,Y)")  # the weak guard
     assert cls.overall is RuleClass.WEAKLY_GUARDED
 
 
 def test_classify_grid_rules():
     program = grid_rules()
     cls = classify(program.tgds)
-    assert cls.per_rule[program.tgds[2]] is RuleClass.UNGUARDED
+    assert cls.per_rule[2] is RuleClass.UNGUARDED
     assert cls.overall is RuleClass.UNGUARDED
     assert not cls.is_weakly_guarded_set()
     # the first two rules alone form a guarded set
     sub = classify(program.tgds[:2])
-    assert all(sub.guard_index[r] is not None for r in program.tgds[:2])
+    assert all(c in (RuleClass.LINEAR, RuleClass.GUARDED) for c in sub.per_rule)
     assert sub.is_weakly_guarded_set()
 
 
@@ -132,8 +131,8 @@ def test_classify_fll_weakly_guarded():
 def test_single_body_atom_is_linear_and_guarded():
     rules = parse_program("tgd r(X,Y) -> exists Z: s(Y,Z).").tgds
     cls = classify(rules)
-    assert cls.per_rule[rules[0]] is RuleClass.LINEAR
-    assert cls.guard_index[rules[0]] == 0
+    assert cls.per_rule == [RuleClass.LINEAR]
+    assert cls.forest_guards == [0]
 
 
 def test_existential_free_set_is_full():
@@ -147,8 +146,8 @@ def test_guarded_rules_are_weakly_guarded():
         _, rules = random_stratified_program(rng)
         cls = classify(rules)
         affected = cls.affected
-        for rule in rules:
-            if cls.guard_index[rule] is not None:
+        for rule, rule_class in zip(rules, cls.per_rule):
+            if rule_class in (RuleClass.LINEAR, RuleClass.GUARDED):
                 assert weak_guard_index(rule, affected) is not None
 
 
@@ -169,12 +168,13 @@ def test_classify_matches_the_definitions():
     for rules in rule_sets():
         cls = classify(rules)
         per_rule, guard, weak, overall = classify_oracle(rules)
-        assert cls.per_rule == per_rule
-        assert cls.guard_index == guard
-        assert cls.weak_guard_index == weak
+        assert cls.per_rule == [per_rule[r] for r in rules]
         assert cls.overall is overall
         assert cls.forest_guards == [weak[r] if guard[r] is None else guard[r] for r in rules]
-        for rule in rules:
+        for rule, rule_class in zip(rules, cls.per_rule):
+            # a full guard exactly when linear or guarded
+            assert (guard[rule] is not None) == (
+                rule_class in (RuleClass.LINEAR, RuleClass.GUARDED))
             assert weak_guard_index(rule, cls.affected) == weak[rule]
         seen.add(overall)
         seen.update(per_rule.values())
@@ -184,7 +184,18 @@ def test_classify_matches_the_definitions():
 def test_guard_tie_break_is_first_qualifying_atom():
     rules = parse_program("tgd r(X,Y), s(X,Y), t(X,Y) -> u(X).").tgds
     cls = classify(rules)
-    assert cls.guard_index[rules[0]] == 0
+    assert cls.per_rule == [RuleClass.GUARDED]
+    assert cls.forest_guards == [0]
+
+
+def test_classify_lists_a_repeated_rule_once_per_entry():
+    # per-rule facts are lists in rule order, so a rule listed twice
+    # has a class and a forest guard at each of its places
+    tgd1, tgd4 = fll_rules().tgds[0], fll_rules().tgds[3]
+    cls = classify([tgd1, tgd4, tgd1])
+    assert cls.per_rule == [RuleClass.WEAKLY_GUARDED, RuleClass.LINEAR,
+                            RuleClass.WEAKLY_GUARDED]
+    assert cls.forest_guards == [1, 0, 1]  # data(O,A,V), the weak guard of tgd1
 
 
 # ---------------------------------------------------------------------------

@@ -130,13 +130,10 @@ def test_apply_tgd_rejects_stale_trigger():
 
 
 def test_a_built_tgd_whose_existential_misses_the_head_is_rejected():
-    # built through the API, as the parser refuses it
+    # built through the API: refused when built, as the parser refuses it
     Y, Z = Variable("Y"), Variable("Z")
-    unsafe = TGD((parse_atom("p(X)"),), (parse_atom("q(X,Y)"),), frozenset({Y, Z}),
-                 label="tgd0")
-    p = parse_program("fact p(a). tgd q(X,Y) -> exists Z: r(X,Z).")
     with pytest.raises(UsageError, match="TGD tgd0: existential Z does not occur in the head"):
-        run_chase(p.facts, [unsafe] + p.tgds)
+        TGD((parse_atom("p(X)"),), (parse_atom("q(X,Y)"),), frozenset({Y, Z}), label="tgd0")
 
 
 def test_duplicate_rule_hom_pair_applied_once():
@@ -521,5 +518,5 @@ def test_unguarded_rules_make_forest_incomplete():
     from chasekit.analysis import classify, RuleClass
 
     cls = classify(p.tgds)
-    if cls.per_rule[p.tgds[0]] is RuleClass.UNGUARDED:
+    if cls.per_rule[0] is RuleClass.UNGUARDED:
         assert not res.forest_complete

@@ -329,6 +329,27 @@ def test_store_stats(example_file, capsys):
     assert payload["ground_atoms"] == 2  # r1(a,b), r2(b)
 
 
+# the program of the README's "Program format" section
+README_PROGRAM = """
+fact  r1(a,b).
+tgd   r1(X,Y) -> exists Z: r3(Y,Z).
+tgd   r3(X,Y) -> r2(X).
+egd   data(O,A,V), data(O,A,W), funct(A,O) -> V = W.
+query q(X) :- r1(X,Y), r2(Y).
+"""
+
+
+def test_store_stats_text_lines(tmp_path, capsys):
+    path = tmp_path / "readme.dlp"
+    path.write_text(README_PROGRAM)
+    assert run_cli(capsys, "store-stats", str(path)) == (0, (
+        "entries: 3\n"
+        "max cloud size: 3\n"
+        "rounds: 2\n"
+        "status: stabilized\n"
+        "ground atoms: 2\n"), "")
+
+
 @pytest.mark.parametrize("rounds", ["0", "-3"])
 def test_store_stats_rejects_a_non_positive_round_budget(example_file, capsys, rounds):
     code, out, err = run_cli(capsys, "store-stats", example_file, "--max-rounds", rounds)
@@ -738,3 +759,20 @@ def test_helper_predicate_avoids_egd_and_contained_query_names(tmp_path, capsys)
                          "query z: sat\n  (c)\n"))
     for argv, want in expected:
         assert run_cli(capsys, *argv) == (0, want, ""), argv
+
+
+def test_contain_reads_the_egds(tmp_path, capsys):
+    # under the EGD, Y = Z in every model, so q1 is contained in q2; the
+    # TGD-only chase of q1's frozen body breaks the EGD, so its "no" is
+    # not exact
+    path = tmp_path / "egd.dlp"
+    path.write_text("""
+fact r(a,b).
+egd r(X,Y), r(X,Z) -> Y = Z.
+query q1(X) :- r(X,Y), r(X,Z), s(Y), t(Z).
+query q2(X) :- r(X,Y), s(Y), t(Y).
+""")
+    assert run_cli(capsys, "contain", str(path), "--q1", "q1", "--q2", "q2") == (
+        0, "q1 in q2: unknown\n", "")
+    assert run_cli(capsys, "contain", str(path), "--q1", "q2", "--q2", "q1") == (
+        0, "q2 in q1: yes\n", "")

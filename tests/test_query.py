@@ -336,6 +336,22 @@ def test_containment_repeated_answer_variable():
     assert out.verdict == "yes"
 
 
+def test_containment_under_egds_says_no_only_when_the_chase_meets_them():
+    egds = parse_program("egd r(X,Y) -> X = Y.").egds
+    # the EGD equates X and Y, so q1's answers all repeat a value: no
+    # exact "no" for the repeated head variable, with or without a chase
+    for q2 in ("q2(Z,Z) :- r(Z,W)", "q2(Z,Z) :- r(Z,Z)"):
+        out = check_containment(q("q1(X,Y) :- r(X,Y)"), q(q2), [], egds=egds)
+        assert out.verdict == "unknown", q2
+    # a "yes" under the TGDs alone stays
+    out = check_containment(q("q1(X,Y) :- r(X,Y)"), q("q2(X,Y) :- r(X,Y)"), [], egds=egds)
+    assert out.verdict == "yes"
+    # an EGD that the frozen body meets leaves an exact "no"
+    egds = parse_program("egd s(X,Y) -> X = Y.").egds
+    out = check_containment(q("q1(X,Y) :- r(X,Y)"), q("q2(Z,Z) :- r(Z,W)"), [], egds=egds)
+    assert out.verdict == "no"
+
+
 def test_containment_asks_certain_answers_once(monkeypatch):
     calls = []
 
@@ -371,25 +387,25 @@ def test_containment_freezes_to_names_apart_from_the_constants():
 
 
 @pytest.mark.parametrize("q1, q2", [
-    (CQ("q1", (Variable("X"),), (parse_atom("r(X,Y)"),)),
-     CQ("q2", (Variable("U"),), (parse_atom("r(Z,W)"),))),
-    (CQ("q1", (Variable("U"),), (parse_atom("r(X,Y)"),)),
-     CQ("q2", (Variable("Z"),), (parse_atom("r(Z,W)"),))),
+    (("q1", (Variable("X"),), (parse_atom("r(X,Y)"),)),
+     ("q2", (Variable("U"),), (parse_atom("r(Z,W)"),))),
+    (("q1", (Variable("U"),), (parse_atom("r(X,Y)"),)),
+     ("q2", (Variable("Z"),), (parse_atom("r(Z,W)"),))),
 ])
 def test_containment_rejects_an_unsafe_query(q1, q2):
-    # a head variable absent from the body: built through the API, not
-    # the parser, which refuses it
+    # a head variable absent from the body: built through the API, which
+    # refuses it when the query is built, as the parser does
     with pytest.raises(UsageError, match="not in body"):
-        check_containment(q1, q2, [])
+        check_containment(CQ(*q1), CQ(*q2), [])
 
 
 @pytest.mark.parametrize("strategy", [ChaseOptions(Mode.RESTRICTED), BlockedAtomic()],
                          ids=["terminate", "blocked-atomic"])
 def test_certain_answers_rejects_an_unsafe_query(strategy):
-    # built through the API, as the parser refuses it
-    q = CQ("q", (Variable("Y"),), (parse_atom("r(X,Z)"),))
+    # built through the API: refused when built, as the parser refuses it
     with pytest.raises(UsageError, match="query q: head variable Y not in body"):
-        certain_answers(parse_instance("r(a,b)."), [], q, strategy)
+        certain_answers(parse_instance("r(a,b)."), [],
+                        CQ("q", (Variable("Y"),), (parse_atom("r(X,Z)"),)), strategy)
 
 
 def frozen_head_oracle(q1, q2, rules, max_steps=10_000, max_depth=64):

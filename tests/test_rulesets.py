@@ -64,7 +64,7 @@ def test_grid_rules_shape():
     assert len(p.tgds) == 3
     assert parse_atom("index(0)") in p.facts
     cls = classify(p.tgds)
-    assert cls.per_rule[p.tgds[2]] is RuleClass.UNGUARDED
+    assert cls.per_rule[2] is RuleClass.UNGUARDED
     assert not cls.is_weakly_guarded_set()
 
 
@@ -80,7 +80,7 @@ def test_grid_chase_exhausts_budget():
 def test_grid_first_two_rules_alone_are_guarded_and_infinite():
     p = grid_rules()
     sub = classify(p.tgds[:2])
-    assert all(sub.guard_index[r] is not None for r in p.tgds[:2])
+    assert all(c in (RuleClass.LINEAR, RuleClass.GUARDED) for c in sub.per_rule)
     res = run_chase(p.facts, p.tgds[:2], [], ChaseOptions(
         mode=Mode.OBLIVIOUS, max_steps=100, max_depth=10_000))
     assert res.status is Status.BUDGET_EXHAUSTED
