@@ -1,15 +1,22 @@
 """TGD and EGD chase: triggers, fair runs with budgets, guarded chase forests.
 
 The engine runs a fair FIFO strategy: triggers are queued in discovery
-order and each (rule, homomorphism) pair is applied at most once.  When
-EGDs are interleaved they are drained to fixpoint after every
-instance-changing TGD step.  A merge rewrites, in place, only the atoms,
-forest labels and applied keys that hold the replaced value.  After a
-TGD step, the EGD searches and the rebuild of the queue after merges
-look only through the new atom and the atoms the merges added
-(`_drain_egds`), and each keeps the order of a full scan: a scan reaches
-triggers by rule index and then by the insertion positions of their
-body images, in body order (a nested loop over position-ordered
+order and each (rule, homomorphism) pair is applied at most once.
+Discovery is lazy: an atom a step adds is queued itself, pending behind
+the triggers queued before it, and its triggers are found only when
+the queue reaches it, over the atoms at or before its position, the
+instance as it stood when it was added.  So the queue holds the same
+triggers in the same order as if they were found at once, and a run
+that a budget stops never pays for the triggers of the atoms it did not
+reach.  When EGDs are interleaved they are drained to fixpoint after
+every instance-changing TGD step; a merge moves positions, so the drain
+first expands every pending atom.  A merge rewrites, in place, only
+the atoms, forest labels and applied keys that hold the replaced value.
+After a TGD step, the EGD searches and the rebuild of the queue after
+merges look only through the new atom and the atoms the merges added
+(`_drain_egds`), and each keeps the order of a full scan: a scan
+reaches triggers by rule index and then by the insertion positions of
+their body images, in body order (a nested loop over position-ordered
 lists), so the least of any triggers under that key comes first.
 
 Every applied TGD trigger contributes a node to the guarded chase
@@ -161,6 +168,7 @@ def rule_triggers(
     plans: Sequence[RulePlan],
     instance: Instance,
     new_atom: Optional[Atom] = None,
+    cutoff: Optional[int] = None,
 ) -> Iterator[Tuple[int, Key]]:
     """(rule index, trigger key) for every trigger of the planned rules.
 
@@ -168,14 +176,15 @@ def rule_triggers(
     body atom of its predicate is pinned to it in turn, so a trigger
     that uses it twice comes up twice and callers deduplicate.  A rule
     whose body lacks that predicate is skipped before its plans are
-    asked for.
+    asked for.  With a `cutoff` position, the other body atoms map to
+    atoms at or before it (`Plan.matches`).
     """
     which = None if new_atom is None else new_atom.predicate
     for idx, rule_plan in enumerate(plans):
         if which is not None and which not in rule_plan.body_predicates:
             continue
         for plan, key in rule_plan.plans(instance, new_atom):
-            for match in plan.matches(instance, (), new_atom):
+            for match in plan.matches(instance, (), new_atom, cutoff):
                 yield idx, key(match)
 
 
@@ -337,8 +346,10 @@ class _Engine:
         self.forest: List[ForestNode] = []
         self.first_node_for: Dict[Atom, int] = {}
         self.forest_complete = True
-        # (rule index, trigger key) pairs
+        # (rule index, trigger key) pairs, and the atoms added after the
+        # queued triggers were found, whose own are still to be found
         self.queue: deque = deque()
+        self.pending: deque = deque()
         self.queued: Set[Tuple[int, Key]] = set()
         self.applied: Set[Tuple[int, Key]] = set()
         # term -> forest node ids and applied keys holding it, built at
@@ -382,7 +393,23 @@ class _Engine:
     # -- trigger queue ------------------------------------------------------
 
     def _discover(self, new_atom: Optional[Atom] = None) -> None:
-        for entry in rule_triggers(self.plans, self.instance, new_atom):
+        """Queue every trigger of the instance, or queue a new atom as
+        pending: its triggers are found when the queue reaches it."""
+        if new_atom is None:
+            self._enqueue(rule_triggers(self.plans, self.instance))
+        else:
+            self.pending.append(new_atom)
+
+    def _expand(self) -> None:
+        """Queue the triggers through the next pending atom, over the
+        instance as it stood when the atom was added: the atoms at or
+        before its position, which no merge has moved since."""
+        atom = self.pending.popleft()
+        self._enqueue(rule_triggers(self.plans, self.instance, atom,
+                                    self.instance.position(atom)))
+
+    def _enqueue(self, entries: Iterator[Tuple[int, Key]]) -> None:
+        for entry in entries:
             if entry not in self.queued and entry not in self.applied:
                 self.queued.add(entry)
                 self.queue.append(entry)
@@ -473,6 +500,8 @@ class _Engine:
             if len(self.steps) >= self.opts.max_steps:
                 return Status.BUDGET_EXHAUSTED
             kept, replaced = outcome.kept, outcome.replaced
+            while self.pending:  # a merge moves positions
+                self._expand()
             added = self.instance.rewrite(replaced, kept)
             self._record(EgdStep(kept, replaced, rule, trigger.hom, outcome.innocuous))
             self._rewrite_bookkeeping(replaced, kept)
@@ -518,7 +547,10 @@ class _Engine:
         not applied, and makes the run budget-exhausted at the end."""
         restricted = self.opts.mode is Mode.RESTRICTED
         skipped = False
-        while self.queue:
+        while self.queue or self.pending:
+            if not self.queue:
+                self._expand()
+                continue
             entry = self.queue.popleft()
             self.queued.discard(entry)
             idx, key = entry
@@ -527,10 +559,9 @@ class _Engine:
             if restricted and head_satisfied(plan, key, self.instance):
                 self._mark_applied(entry)
                 continue
-            will_add = bool(rule.existentials) or (
-                plan.head_image(key, None) not in self.instance
-            )
-            if will_add and len(self.steps) >= self.opts.max_steps:
+            # at the budget, a step that would add an atom ends the run
+            if len(self.steps) >= self.opts.max_steps and (
+                    rule.existentials or plan.head_image(key, None) not in self.instance):
                 return Status.BUDGET_EXHAUSTED
             parent = self._guard_parent(idx, key)
             depth = 0 if parent is None else self.forest[parent].depth + 1

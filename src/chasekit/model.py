@@ -28,12 +28,13 @@ arguments one for one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import count
 from operator import itemgetter
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
+from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 
 class UsageError(Exception):
@@ -267,10 +268,12 @@ class Instance:
         return self._by_predicate.get(p, [])
 
     def probe(self, p: Predicate, columns: Sequence[int],
-              values: Sequence[Term]) -> List[Atom]:
+              values: Sequence[Term], cutoff: Optional[int] = None) -> List[Atom]:
         """A subsequence of by_predicate(p) holding every atom with
         values[i] at argument position columns[i]: the shortest of those
-        position lists, or all atoms of p when no column is given."""
+        position lists, or all atoms of p when no column is given.  With
+        a `cutoff` position, only the prefix of that list up to it: the
+        lists keep position order, so a bisection finds its end."""
         index = self._by_position.get(p)
         if index is None:
             return []
@@ -281,7 +284,10 @@ class Instance:
                 return []
             if best is None or len(atoms) < len(best):
                 best = atoms
-        return self._by_predicate[p] if best is None else best
+        found = self._by_predicate[p] if best is None else best
+        if cutoff is None or self._atoms[found[-1]] <= cutoff:
+            return found
+        return found[:bisect_right(found, cutoff, key=self._atoms.__getitem__)]
 
     def distinct(self, p: Predicate, column: int) -> int:
         """The number of distinct terms at an argument position of p."""

@@ -10,6 +10,11 @@ slot.  The checked positions are also the index columns the step probes
 (`Instance.probe`), fixed at compile time; only their values come from
 the slots.  Index lists keep insertion order, so the matches come out in
 the order of a nested loop over `Instance.by_predicate` in match order.
+With a cutoff position, every step but a pinned one probes only the
+prefix of its list up to that position, so the matches are those over
+the instance as it stood when the atom at that position was added, in
+the same order: the chase finds a queued atom's triggers that way when
+its FIFO queue reaches the atom.
 The matcher recurses once per atom, so a plan takes at most half of
 `sys.getrecursionlimit()` atoms and rejects a longer conjunction with a
 `UsageError`; raising the recursion limit raises the plan limit with it.
@@ -103,20 +108,22 @@ class Plan:
         self.vars: Tuple[Variable, ...] = tuple(variables)
 
     def matches(self, instance: Instance, seed: Sequence[Term] = (),
-                fact: Optional[Atom] = None) -> Iterator[tuple]:
+                fact: Optional[Atom] = None,
+                cutoff: Optional[int] = None) -> Iterator[tuple]:
         """Every match into the instance, as a slot tuple, extending the
-        seed values (in the order of the plan's `seed`)."""
+        seed values (in the order of the plan's `seed`).  With a `cutoff`
+        position, every atom but the pinned fact sits at or before it."""
         start = self.consts + tuple(seed)
         if not self.steps:
             return iter((start,))
-        return self._step(instance, 0, start, fact)
+        return self._step(instance, 0, start, fact, cutoff)
 
     def _step(self, instance: Instance, k: int, hom: tuple,
-              fact: Optional[Atom]) -> Iterator[tuple]:
+              fact: Optional[Atom], cutoff: Optional[int]) -> Iterator[tuple]:
         predicate, columns, wanted, checked, same, bind = self.steps[k]
         want = wanted(hom)
         if fact is None:
-            candidates = instance.probe(predicate, columns, want)
+            candidates = instance.probe(predicate, columns, want, cutoff)
         else:
             candidates = (fact,) if fact.predicate == predicate else ()
         k += 1
@@ -130,7 +137,7 @@ class Plan:
             if last:
                 yield hom + bind(args)
             else:
-                yield from self._step(instance, k, hom + bind(args), None)
+                yield from self._step(instance, k, hom + bind(args), None, cutoff)
 
 
 def _template(atom: Atom, layout: Dict[str, int]) -> Callable[[tuple], Atom]:

@@ -8,9 +8,11 @@ Boolean query is one existence check that stops at its first witness.
 Certain answers keep all-constant tuples only; whether they are exact
 or a sound lower bound depends on whether the underlying chase reached
 a fixpoint.  Containment is one certain-answers question: is q1's head,
-frozen to fresh constants, an answer of q2 over q1's frozen body?  A
-query checks its variables when it is built (`model.CQ`), so neither
-question checks them again.
+frozen to fresh constants, an answer of q2 over q1's frozen body?  It
+is asked as a Boolean query, q2's body with its answer variables bound
+to the frozen head, so it stops at its first witness.  A query checks
+its variables when it is built (`model.CQ`), so neither question checks
+them again.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .model import (
     fresh_names,
     term_sort_key,
 )
-from .plan import Plan, RulePlan
+from .plan import RulePlan
 
 
 def homomorphisms(body: Sequence[Atom], instance: Instance) -> Iterator[Dict[Variable, Term]]:
@@ -110,12 +112,11 @@ def connected_order(body: Sequence[Atom], instance: Instance) -> List[Atom]:
 
 def holds(instance: Instance, query: CQ) -> bool:
     """Boolean evaluation: does the body have a homomorphism into the
-    instance?  The body is matched in `connected_order`, so that every
-    atom after the first of its component joins the atoms before it,
-    and the search stops at the first witness; an empty body always
+    instance?  The search is `homomorphisms`, whose connected order
+    makes every atom after the first of its component join the atoms
+    before it, and it stops at the first witness; an empty body always
     holds."""
-    plan = Plan(connected_order(query.body, instance))
-    for _ in plan.matches(instance):
+    for _ in homomorphisms(query.body, instance):
         return True
     return False
 
@@ -237,12 +238,15 @@ def check_containment(
     q1's variables freeze to distinct fresh constants `c1, c2, ...`,
     skipping the constants of q1, q2 and the rules.  q1 is contained in
     q2 under the TGDs exactly when the frozen head is a certain answer
-    of q2 over the frozen body, so one `certain_answers` call under the
-    restricted chase decides it: "yes" when the frozen head is an
-    answer, "no" when the answers are exact, "unknown" when the step
-    budget cut the chase first.  Without EGDs, a repeated answer
-    variable of q2 that meets two different frozen values is a "no"
-    without a chase, since TGDs never equate two values.
+    of q2 over the frozen body: when q2's body, its answer variables
+    bound to the frozen head, holds.  So one `certain_answers` call on
+    that Boolean query under the restricted chase decides it, stopping
+    at its first witness: "yes" when it holds, "no" when the chase is
+    exact, "unknown" when the step budget cut the chase first.  A
+    repeated answer variable of q2 that meets two different frozen
+    values has no such query: without EGDs it is a "no" without a
+    chase, since TGDs never equate two values, and with them the chase
+    runs for the query with no atoms and the answer is never "yes".
 
     The EGDs are not chased.  A "yes" holds under them too, and a "no"
     only when no EGD trigger of the chase equates two different values,
@@ -257,16 +261,17 @@ def check_containment(
     fresh = fresh_names("c", used)
     freeze: Dict[Term, Term] = {v: Constant(next(fresh))
                                 for v in sorted(q1.variables(), key=lambda x: x.name)}
-    frozen_head = tuple(freeze[v] for v in q1.head_vars)
-    bound: Dict[Variable, Term] = {}
-    if not egds and not all(bound.setdefault(v, t) == t
-                            for v, t in zip(q2.head_vars, frozen_head)):
+    bound: Dict[Term, Term] = {}
+    fits = all(bound.setdefault(v, freeze[u]) == freeze[u]
+               for v, u in zip(q2.head_vars, q1.head_vars))
+    if not fits and not egds:
         return Containment("no")
+    question = CQ(q2.name, (), tuple(a.substitute(bound) for a in q2.body) if fits else ())
     frozen = Instance(a.substitute(freeze) for a in q1.body)
     # helper predicates avoid the names that q2 and the EGDs read
     tgds = normalize_heads(tgds, frozen, *reserved)
-    report = certain_answers(frozen, tgds, q2, ChaseOptions(Mode.RESTRICTED, max_steps))
-    if frozen_head in report.answers:
+    report = certain_answers(frozen, tgds, question, ChaseOptions(Mode.RESTRICTED, max_steps))
+    if fits and report.answers:
         return Containment("yes")
     broken = egd_violations([RulePlan(egd) for egd in egds], report.chase.instance)
     exact = report.status is AnswerStatus.EXACT and not any(broken)

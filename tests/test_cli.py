@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -776,3 +777,30 @@ query q2(X) :- r(X,Y), s(Y), t(Y).
         0, "q1 in q2: unknown\n", "")
     assert run_cli(capsys, "contain", str(path), "--q1", "q2", "--q2", "q1") == (
         0, "q2 in q1: yes\n", "")
+
+
+# ROADMAP item 16's program: q2's atoms share no variable, so its full
+# answer set over the chase of q1's frozen body is a product of matches
+DISCONNECTED = """
+tgd r2(Y,X) -> exists Z: r1(X,Z).
+tgd r1(X,Y) -> exists Z: r0(Z,X).
+tgd r2(Y,X) -> c3(X).
+tgd r2(Y,X) -> exists Z: r2(Z,X).
+tgd r1(X,Y) -> exists Z: r1(Z,X).
+tgd r0(X,Y) -> exists Z: r1(Z,X).
+tgd c0(X) -> c0(X).
+tgd c0(X) -> exists Z: r0(Z,X).
+query q1(U,U,U) :- r0(U,V), r1(a,a).
+query q2(W,V,S) :- r1(U,V), r0(W,S).
+"""
+
+
+def test_contain_asks_one_boolean_question(tmp_path, capsys):
+    # the chase of q1's frozen body is infinite; enumerating q2's answers
+    # over its default-budget prefix took about two minutes
+    path = tmp_path / "disconnected.dlp"
+    path.write_text(DISCONNECTED)
+    start = time.perf_counter()
+    assert run_cli(capsys, "contain", str(path), "--q1", "q1", "--q2", "q2") == (
+        0, "q1 in q2: unknown\n", "")
+    assert time.perf_counter() - start < 30

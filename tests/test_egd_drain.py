@@ -232,6 +232,7 @@ class CopyRewriteEngine(_Engine):
             merged_any = True
         if merged_any:
             self.queue.clear()
+            self.pending.clear()
             self.queued.clear()
             self._discover()
         elif new_atom is not None:
@@ -269,10 +270,10 @@ def run_spied(engine_cls, facts, rules, constraints, opts):
     scans = []
     original = chase.rule_triggers
 
-    def spy(plans, instance, new_atom=None):
+    def spy(plans, instance, new_atom=None, cutoff=None):
         if new_atom is None and engine.looping:
             scans.append(len(engine.steps))
-        return original(plans, instance, new_atom)
+        return original(plans, instance, new_atom, cutoff)
 
     with mock.patch.object(chase, "rule_triggers", spy):
         result = engine.run()

@@ -192,6 +192,40 @@ def test_plan_keys_are_the_nested_loop_homomorphisms(data):
         assert plan.body_images(trigger.key) == [a.substitute(dict(key)) for a in body]
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_a_cutoff_keeps_the_matches_at_or_before_it_in_order(data):
+    # the chase expands a queued atom over the instance as it stood when
+    # the atom was added: the atoms at or before a position.  A merge
+    # leaves gaps in the positions, and cutoffs may fall in them.
+    instance = data.draw(plan_facts)
+    body = draw_rule_body(data, instance)
+    pinned = data.draw(st.sampled_from([None] + list(range(len(body)))))
+    for merge in (False, True):
+        if merge:
+            old, new = data.draw(st.lists(st.sampled_from(VALUES), min_size=2, max_size=2,
+                                          unique=True))
+            instance.rewrite(old, new)
+        position = instance.position
+        plan = Plan(body, pinned=pinned)
+        if pinned is None:
+            facts = [None]
+        else:
+            facts = [f for f in instance.atoms() if f.predicate == body[pinned].predicate]
+        positions = sorted(map(position, instance.atoms()))
+        for fact in facts:
+            uncut = list(plan.matches(instance, (), fact))
+            # the positions each match reads, the pinned fact left out
+            reads = []
+            for match in uncut:
+                hom = dict(zip(plan.vars, match[plan.width:]))
+                reads.append([position(a.substitute(hom))
+                              for i, a in enumerate(body) if i != pinned])
+            for cutoff in range(positions[0] - 1, positions[-1] + 1):
+                want = [m for m, at in zip(uncut, reads) if all(p <= cutoff for p in at)]
+                assert list(plan.matches(instance, (), fact, cutoff)) == want
+
+
 def test_rule_triggers_over_several_rules_runs_only_rules_reading_the_fact():
     p, q, s, t = PREDS
     X, Y, Z = VARS[:3]
