@@ -9,9 +9,10 @@ instance as it stood when it was added.  So the queue holds the same
 triggers in the same order as if they were found at once, and a run
 that a budget stops never pays for the triggers of the atoms it did not
 reach.  When EGDs are interleaved they are drained to fixpoint after
-every instance-changing TGD step; a merge moves positions, so the drain
-first expands every pending atom.  A merge rewrites, in place, only
-the atoms, forest labels and applied keys that hold the replaced value.
+every instance-changing TGD step; a run without EGDs queues the new atom
+straight away.  A merge moves positions, so the drain first expands
+every pending atom.  A merge rewrites, in place, only the atoms, forest
+labels and applied keys that hold the replaced value.
 After a TGD step, the EGD searches and the rebuild of the queue after
 merges look only through the new atom and the atoms the merges added
 (`_drain_egds`), and each keeps the order of a full scan: a scan
@@ -21,7 +22,9 @@ lists), so the least of any triggers under that key comes first.
 
 Every applied TGD trigger contributes a node to the guarded chase
 forest, parented at the (earliest node labeled with the) image of the
-rule's guard.  Applications whose atom is already present still add a
+rule's guard.  The guards are classified when the first trigger is
+about to be applied, so a run that applies none never classifies its
+rules.  Applications whose atom is already present still add a
 duplicate-labeled node; the restricted forest prunes those subtrees.
 """
 
@@ -69,7 +72,7 @@ DEFAULT_MAX_DEPTH = 64
 BOUNDED_DEPTH = 16
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Trigger:
     """A rule with the values of its body variables, in name order (the
     key of its `RulePlan`)."""
@@ -105,9 +108,10 @@ class TgdStep:
     rule: TGD
     hom: Tuple[Tuple[Variable, Term], ...]
 
-    def render(self) -> str:
-        binding = ",".join("%s->%r" % (v.name, t) for v, t in self.hom)
-        return "+ %r BY %s WITH {%s}" % (self.atom, self.rule.label, binding)
+    def render(self, show: Callable[[object], str] = repr) -> str:
+        """The log line, with `show` rendering the atom and the terms."""
+        binding = ",".join("%s->%s" % (v.name, show(t)) for v, t in self.hom)
+        return "+ %s BY %s WITH {%s}" % (show(self.atom), self.rule.label, binding)
 
 
 @dataclass
@@ -118,9 +122,10 @@ class EgdStep:
     hom: Tuple[Tuple[Variable, Term], ...]
     innocuous: bool
 
-    def render(self) -> str:
+    def render(self, show: Callable[[object], str] = repr) -> str:
+        """The log line, with `show` rendering the terms."""
         tag = " [innocuous]" if self.innocuous else ""
-        return "= %r<-%r BY %s%s" % (self.kept, self.replaced, self.rule.label, tag)
+        return "= %s<-%s BY %s%s" % (show(self.kept), show(self.replaced), self.rule.label, tag)
 
 
 Step = Union[TgdStep, EgdStep]
@@ -339,7 +344,8 @@ class _Engine:
         # compiled on first use, kept for the run
         self.plans = [RulePlan(rule) for rule in self.tgds]
         self.egd_plans = [RulePlan(rule) for rule in self.egds]
-        self.guards = classify(self.tgds).forest_guards
+        # the forest guard of each rule, classified on first use
+        self.guards: Optional[List[Optional[int]]] = None
         self.instance = database.copy()
         self.alloc = NullAllocator.after(database)
         self.steps: List[Step] = []
@@ -357,7 +363,7 @@ class _Engine:
         self.nodes_by_term: Optional[Dict[Term, List[int]]] = None
         self.applied_by_term: Optional[Dict[Term, List[Tuple[int, Key]]]] = None
         for atom in database:
-            self._add_node(atom, parent=None, rule=None, trigger=None)
+            self._add_node(atom, parent=None, rule=None, trigger=None, depth=0)
 
     def _record(self, step: Step) -> None:
         """Log a step; every 128th polls the memory cap."""
@@ -367,8 +373,7 @@ class _Engine:
 
     # -- forest -------------------------------------------------------------
 
-    def _add_node(self, atom, parent, rule, trigger) -> ForestNode:
-        depth = 0 if parent is None else self.forest[parent].depth + 1
+    def _add_node(self, atom, parent, rule, trigger, depth) -> ForestNode:
         node = ForestNode(
             id=len(self.forest),
             atom=atom,
@@ -384,6 +389,8 @@ class _Engine:
         return node
 
     def _guard_parent(self, idx: int, key: Key) -> Optional[int]:
+        if self.guards is None:
+            self.guards = classify(self.tgds).forest_guards
         gi = self.guards[idx]
         if gi is None:
             self.forest_complete = False
@@ -572,9 +579,12 @@ class _Engine:
             trigger = Trigger.of(rule, key, plan)
             # apply_tgd checks that the trigger still matches
             _, new_atom, added = apply_tgd(rule, trigger, self.instance, self.alloc)
-            self._add_node(new_atom, parent, rule, trigger)
+            self._add_node(new_atom, parent, rule, trigger, depth)
             if added:
                 self._record(TgdStep(new_atom, rule, trigger.hom))
+                if not self.egds:  # no EGD to drain
+                    self._discover(new_atom)
+                    continue
                 status = self._drain_egds(new_atom)
                 if status is not None:
                     return status

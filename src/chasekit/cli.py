@@ -89,15 +89,22 @@ def _run_chase(args, program: Program) -> ChaseResult:
     return run_chase(program.facts, program.tgds, egds, opts)
 
 
+def _renderer():
+    """`render_atom` behind a cache that lives for one command, so that
+    each atom and term is rendered once."""
+    return functools.lru_cache(maxsize=None)(render_atom)
+
+
 def cmd_chase(args) -> int:
     program = _load_program(args)
     result = _run_chase(args, program)
-    steps = [s.render() for s in result.steps]
+    show = _renderer()
+    steps = [s.render(show) for s in result.steps]
     payload = {
         "status": result.status.value,
         "steps": steps,
         "atom_count": len(result.instance),
-        "atoms": sorted(render_atom(a) for a in result.instance),
+        "atoms": sorted(map(show, result.instance)),
         "forest_complete": result.forest_complete,
     }
     _emit(args, payload, steps + ["status: %s" % result.status.value,
@@ -178,7 +185,8 @@ def cmd_forest(args) -> int:
     program = _load_program(args)
     result = _run_chase(args, program)
     nodes = restricted_gcf(result.forest) if args.restricted else result.forest
-    atoms = [render_atom(n.atom) for n in nodes]
+    show = _renderer()
+    atoms = [show(n.atom) for n in nodes]
     if args.dot:
         lines = ["digraph gcf {"]
         for n, label in zip(nodes, atoms):

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import find_homomorphism, terminating_cases
+from helpers import find_homomorphism, terminating_cases, wg_cases
 
-from chasekit.analysis import affected_positions, Position
+from chasekit import chase, rulesets
+from chasekit.analysis import affected_positions, classify, Position
 from chasekit.chase import (
     ChaseOptions,
     EgdStep,
@@ -520,3 +523,56 @@ def test_unguarded_rules_make_forest_incomplete():
     cls = classify(p.tgds)
     if cls.per_rule[0] is RuleClass.UNGUARDED:
         assert not res.forest_complete
+
+
+# ---------------------------------------------------------------------------
+# forest guards, classified at the first TGD step
+# ---------------------------------------------------------------------------
+
+def test_a_run_that_applies_no_tgd_classifies_nothing():
+    # the six-fact coloring database already satisfies every rule
+    p = rulesets.builtin_program("3col")
+    with mock.patch.object(chase, "classify", wraps=chase.classify) as spy:
+        res = run_chase(p.facts, p.tgds, p.egds)
+    assert (res.status, res.steps, len(res.forest)) == (Status.SATURATED, [], len(p.facts))
+    assert spy.call_count == 0
+
+
+def test_forest_parents_and_depths_follow_the_classified_guards():
+    derived = 0
+    for db, rules in wg_cases(seed=11, count=25):
+        res = run_chase(db, rules, opts=ChaseOptions(Mode.OBLIVIOUS, max_steps=150))
+        assert res.forest_complete
+        guards = classify(res.tgds).forest_guards
+        first = {}
+        for node in res.forest:
+            first.setdefault(node.atom, node.id)
+        for node in res.forest:
+            if node.rule is None:
+                assert (node.parent, node.depth) == (None, 0)
+                continue
+            guard = node.rule.body[guards[res.tgds.index(node.rule)]]
+            parent = first.get(guard.substitute(dict(node.trigger.hom)))
+            assert node.parent == parent
+            assert node.depth == (0 if parent is None else res.forest[parent].depth + 1)
+            derived += 1
+    assert derived >= 500
+
+
+# ---------------------------------------------------------------------------
+# triggers are (rule, key) records; the plan only carries them
+# ---------------------------------------------------------------------------
+
+def test_trigger_equality_and_hash_ignore_the_plan():
+    db, rules = next(wg_cases(seed=3, count=1))
+    opts = ChaseOptions(Mode.OBLIVIOUS, max_steps=40)
+    one, two = ([n.trigger for n in run_chase(db, rules, opts=opts).forest if n.trigger]
+                for _ in range(2))
+    assert one and len(one) == len(two)
+    assert all(a.plan is not b.plan for a, b in zip(one, two))  # each run plans its own
+    assert one == two
+    assert [hash(t) for t in one] == [hash(t) for t in two]
+    assert "plan" not in repr(one[0])
+    # a set of triggers from both runs holds each (rule, key) once
+    assert set(one) == set(two) and len(set(one + two)) == len(set(one))
+    assert len(set(one)) == len({(t.rule, t.key) for t in one})

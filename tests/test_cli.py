@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import chasekit
+from chasekit.chase import ChaseOptions, Mode, run_chase
 from chasekit.cli import main
 from chasekit.model import CQ, Atom, Program, Variable
-from chasekit.parser import render_program
+from chasekit.parser import parse_program, render_atom, render_program
 
 from helpers import random_containment_pair, random_join_query, terminating_cases, wg_cases
 
@@ -67,6 +68,41 @@ def test_chase_step_log(example_file, capsys):
     lines = out.splitlines()
     assert lines[0].startswith("+ r3(b,_:n1) BY tgd2")
     assert "status: budget-exhausted" in out
+
+
+# Nulls, an innocuous merge of _:n1 onto b and a merge of _:n2 that is not.
+MERGES = """
+fact p(a).
+fact r(a,b).
+fact q(a).
+tgd p(X) -> exists Y: r(X,Y).
+tgd q(X) -> exists Y: t(X,Y).
+tgd t(X,Y) -> exists Z: s(Y,Z).
+egd r(X,Y), r(X,Z) -> Y = Z.
+egd t(X,Y), r(X,Z) -> Y = Z.
+"""
+
+
+@pytest.mark.parametrize("mode", ["oblivious", "restricted"])
+def test_chase_and_forest_render_as_the_library_does(tmp_path, capsys, mode):
+    path = tmp_path / "merges.dlp"
+    path.write_text(MERGES)
+    p = parse_program(MERGES)
+    res = run_chase(p.facts, p.tgds, p.egds, ChaseOptions(Mode(mode)))
+    log = res.step_log().splitlines()
+    atoms = sorted(map(render_atom, res.instance))
+    assert any(line.startswith("= ") and not line.endswith("[innocuous]") for line in log)
+    assert any("_:n" in atom for atom in atoms)
+    if mode == "oblivious":
+        assert "= b<-_:n1 BY egd1 [innocuous]" in log
+    _, out, _ = run_cli(capsys, "chase", str(path), "--mode", mode)
+    assert out.splitlines() == log + ["status: saturated", "atoms: %d" % len(atoms)]
+    _, out, _ = run_cli(capsys, "chase", str(path), "--mode", mode, "--format", "json")
+    payload = json.loads(out)
+    assert (payload["steps"], payload["atoms"]) == (log, atoms)
+    _, out, _ = run_cli(capsys, "forest", str(path), "--mode", mode, "--format", "json")
+    assert [n["atom"] for n in json.loads(out)["nodes"]] == [
+        render_atom(n.atom) for n in res.forest]
 
 
 def test_chase_missing_file(capsys):

@@ -35,6 +35,17 @@ class EagerBlockingEngine(EagerEngine, egdsep._BlockingEngine):
     pass
 
 
+class WatchedEagerEngine(EagerEngine):
+    """The eager engine, noting whether an atom was pending when a step
+    was logged."""
+
+    saw_pending = False
+
+    def _record(self, step):
+        self.saw_pending |= bool(self.pending)
+        super()._record(step)
+
+
 def report(result):
     forest = [(n.id, n.atom, n.parent, n.depth, n.rule, n.trigger) for n in result.forest]
     return (result.step_log(), result.instance.atoms(), forest, result.forest_complete,
@@ -63,6 +74,23 @@ def test_lazy_discovery_agrees_on_weakly_guarded_programs():
             left_pending += bool(engine.pending)
     # runs that stopped before the queue reached some atom
     assert left_pending >= 10
+
+
+def test_eager_reference_stays_eager_on_tgd_only_runs():
+    # A run with no EGDs queues a new atom without the drain; it must still
+    # go through `_discover`, or the reference above would queue lazily and
+    # the tests here would compare two lazy engines.
+    stepped = left_pending = 0
+    for n, (db, rules) in enumerate(wg_cases(seed=20241, count=40)):
+        opts = ChaseOptions(Mode.OBLIVIOUS, max_steps=BUDGETS[n % len(BUDGETS)])
+        eager = WatchedEagerEngine(db, rules, (), opts)
+        eager.run()
+        assert not eager.saw_pending and not eager.pending
+        stepped += bool(eager.steps)
+        lazy = _Engine(db, rules, (), opts)
+        lazy.run()
+        left_pending += bool(lazy.pending)
+    assert stepped >= 30 and left_pending >= 10
 
 
 def test_lazy_discovery_agrees_on_object_logic_programs():
