@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .model import TGD, Atom, Predicate, Variable, first_occurrences, fresh_names
 
@@ -173,16 +173,17 @@ def classify(rules: Sequence[TGD]) -> Classification:
 # Head normalization
 # ---------------------------------------------------------------------------
 
-def normalize_heads(rules: Sequence[TGD], *reserved: Iterable[Atom]) -> List[TGD]:
+def normalize_heads(rules: Sequence[TGD]) -> List[TGD]:
     """Rewrite every multi-atom head into single-atom heads.
 
     Heads without existentials split into one rule per head atom over
     the same body.  Heads with existentials route through a fresh
-    predicate v<i> collecting all head variables: body -> v(Y), then
+    predicate v.<i> collecting all head variables: body -> v(Y), then
     v(Y) -> head_i for each head atom.  Certain answers over the
-    original predicates are preserved.  The helper's name avoids the
-    predicate names of the rules and of the atoms in `reserved`, such as
-    the database and the queries that will read the normalized chase.
+    original predicates are preserved.  No program spells a name with
+    `.` (see `model`), so the helpers skip only the rules' predicates,
+    which may hold an earlier normalization's helpers.  A chase and a
+    blocked saturation normalize the rules they start from.
     """
     names: Optional[Iterator[str]] = None
     out: List[TGD] = []
@@ -198,8 +199,8 @@ def normalize_heads(rules: Sequence[TGD], *reserved: Iterable[Atom]) -> List[TGD
                 )
             continue
         if names is None:  # the used names are gathered when the first helper is made
-            names = fresh_names("v", {a.predicate.name for atoms in (
-                *reserved, *(r.body + r.head for r in rules)) for a in atoms})
+            names = fresh_names("v.", {a.predicate.name for r in rules
+                                       for a in r.body + r.head})
         head_vars = first_occurrences(rule.head)
         aux = Predicate(next(names), len(head_vars))
         aux_atom = Atom(aux, tuple(head_vars))

@@ -139,7 +139,7 @@ class ChaseResult:
     steps: List[Step]
     failure_witness: Optional[Tuple[EGD, Trigger]] = None
     forest_complete: bool = True
-    tgds: Tuple[TGD, ...] = ()
+    tgds: Tuple[TGD, ...] = ()  # the rules it ran: the input's, heads normalized
 
     def step_log(self) -> str:
         return "\n".join(s.render() for s in self.steps)
@@ -339,7 +339,7 @@ class _Engine:
             raise UsageError("chase budgets must be positive")
         self.opts = opts
         self.check_memory = memory_guard()
-        self.tgds = normalize_heads(tgds, database, *(egd.body for egd in egds))
+        self.tgds = normalize_heads(tgds)
         self.egds = list(egds)
         # compiled on first use, kept for the run
         self.plans = [RulePlan(rule) for rule in self.tgds]

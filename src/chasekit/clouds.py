@@ -166,7 +166,7 @@ def blocked_saturate(
     opts = opts or SaturateOptions()
     if opts.max_rounds <= 0:
         raise UsageError("the round budget must be positive")
-    tgds = normalize_heads(tgds, database)
+    tgds = normalize_heads(tgds)
     cls = classify(tgds)
     if not cls.is_weakly_guarded_set() and not opts.force:
         raise UsageError(

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
-from .analysis import normalize_heads
 from .chase import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_MAX_STEPS,
@@ -114,10 +113,8 @@ def separated_answer(
     saturated, which is also when the failure check is conclusive.  The
     failure check then reads the same chase: a failing theory entails
     every Boolean query, reported as status Failed rather than by
-    enumerating the trivial answer set.
+    enumerating the trivial answer set.  The chase normalizes heads.
     """
-    # helper predicates avoid the names the query and the EGDs read
-    tgds = normalize_heads(tgds, database, query.body, *(egd.body for egd in egds))
     report = certain_answers(database, tgds, query,
                              ChaseOptions(Mode.RESTRICTED, max_steps, max_depth))
     if egds and _failure_in(report.chase.instance, egds):

@@ -24,6 +24,12 @@ construction: the parser makes an atom's predicate from the arguments
 it read, a plan template (`plan.py`) has one position per argument of
 its atom, and `Atom.substitute` and `Instance.rewrite` map an atom's
 arguments one for one.
+
+Names that hold `.` are chasekit's, as the canonical-null index range
+is: the grammar reads `.` only as a statement's end, so no program
+spells one.  Helper predicates (`v.1, v.2, ...`) and containment's
+frozen constants (`c.1, c.2, ...`) live there, apart from every program
+name by construction.  Library callers must not build such names.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from enum import Enum
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from . import clouds
-from .analysis import normalize_heads
 from .chase import (BOUNDED_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions,
                     ChaseResult, Mode, Status, body_homomorphisms, egd_violations, run_chase)
 from .model import (
@@ -35,7 +34,6 @@ from .model import (
     Term,
     UsageError,
     Variable,
-    fresh_names,
     term_sort_key,
 )
 from .plan import RulePlan
@@ -186,10 +184,8 @@ def certain_answers(
     the CLI's `bounded`, and the restricted chase is its `terminate`.
     BlockedAtomic answers atomic queries from the cloud-store
     saturation of a weakly guarded set: from its null-free atoms and
-    its canonical anchors.
+    its canonical anchors.  The run itself normalizes multi-atom heads.
     """
-    # name the helper predicates of multi-atom heads apart from what the query reads
-    tgds = normalize_heads(tgds, database, query.body, *(egd.body for egd in egds))
     if isinstance(strategy, BlockedAtomic):
         if len(query.body) != 1:
             raise UsageError("the blocked-atomic strategy needs an atomic query")
@@ -235,8 +231,8 @@ def check_containment(
     """Containment of q1 in q2 under a TGD set, through the canonical
     database (Chandra and Merlin; Johnson and Klug under dependencies).
 
-    q1's variables freeze to distinct fresh constants `c1, c2, ...`,
-    skipping the constants of q1, q2 and the rules.  q1 is contained in
+    q1's variables freeze to distinct constants `c.1, c.2, ...`, which
+    no program spells (see `model`).  q1 is contained in
     q2 under the TGDs exactly when the frozen head is a certain answer
     of q2 over the frozen body: when q2's body, its answer variables
     bound to the frozen head, holds.  So one `certain_answers` call on
@@ -254,13 +250,8 @@ def check_containment(
     """
     if q1.arity != q2.arity:
         raise UsageError("containment needs queries of equal arity")
-    reserved = (q2.body, *(egd.body for egd in egds))
-    atoms = [a for body in (q1.body, *reserved) for a in body]
-    atoms += [a for rule in tgds for a in rule.body + rule.head]
-    used = {t.name for a in atoms for t in a.args if isinstance(t, Constant)}
-    fresh = fresh_names("c", used)
-    freeze: Dict[Term, Term] = {v: Constant(next(fresh))
-                                for v in sorted(q1.variables(), key=lambda x: x.name)}
+    frozen_vars = sorted(q1.variables(), key=lambda x: x.name)
+    freeze: Dict[Term, Term] = {v: Constant("c.%d" % i) for i, v in enumerate(frozen_vars, 1)}
     bound: Dict[Term, Term] = {}
     fits = all(bound.setdefault(v, freeze[u]) == freeze[u]
                for v, u in zip(q2.head_vars, q1.head_vars))
@@ -268,8 +259,6 @@ def check_containment(
         return Containment("no")
     question = CQ(q2.name, (), tuple(a.substitute(bound) for a in q2.body) if fits else ())
     frozen = Instance(a.substitute(freeze) for a in q1.body)
-    # helper predicates avoid the names that q2 and the EGDs read
-    tgds = normalize_heads(tgds, frozen, *reserved)
     report = certain_answers(frozen, tgds, question, ChaseOptions(Mode.RESTRICTED, max_steps))
     if fits and report.answers:
         return Containment("yes")

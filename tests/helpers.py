@@ -511,7 +511,7 @@ def rewriting_answers(database: Instance, rules: Sequence[TGD],
     """Certain answers of a query under linear TGDs: the constant rows of
     the union of its rewriting, each member evaluated with `eval_cq`.
     Multi-atom heads are split first (`normalize_heads`)."""
-    rules = normalize_heads(rules, database, query.body)
+    rules = normalize_heads(rules)
     out: Set[Tuple[Term, ...]] = set()
     for head, body in ucq_rewriting(query, rules):
         free = tuple(dict.fromkeys(t for t in head if isinstance(t, Variable)))

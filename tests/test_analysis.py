@@ -215,7 +215,7 @@ def test_existential_multi_head_uses_aux_predicate():
     out = normalize_heads(rules)
     assert len(out) == 3
     first = out[0]
-    assert first.head[0].predicate.name == "v1"
+    assert first.head[0].predicate.name == "v.1"
     assert first.head[0].args == (Variable("X"), Variable("Z"))
     assert first.existentials == frozenset({Variable("Z")})
     assert out[1].body == (first.head[0],) and out[1].head[0] == parse_atom("p(X,Z)")
@@ -229,11 +229,23 @@ def test_single_head_rules_pass_through():
 
 def test_aux_predicate_name_avoids_clashes():
     rules = parse_program("tgd v1(X) -> exists Z: p(X,Z), q(Z).").tgds
-    out = normalize_heads(rules)
-    assert out[0].head[0].predicate.name == "v2"
-    # names of further atoms, a database or a query body, are avoided too
-    out = normalize_heads(rules, [parse_atom("v2(a,b)")], [parse_atom("v3(X)")])
-    assert out[0].head[0].predicate.name == "v4"
+    assert normalize_heads(rules)[0].head[0].predicate.name == "v.1"
+    # a name the rules already hold is skipped, even one of the helpers':
+    # library rules (a normalized set passed in again) can hold one
+    X, Z = Variable("X"), Variable("Z")
+    held = TGD((Atom(Predicate("v.1", 1), (X,)),),
+               (parse_atom("p(X,Z)"), parse_atom("q(Z)")), frozenset({Z}))
+    assert normalize_heads([held])[0].head[0].predicate.name == "v.2"
+
+
+def test_renormalized_rules_keep_their_helpers_apart():
+    r1 = parse_program("tgd t(X) -> exists Z: p(X,Z), q(Z).").tgds
+    r2 = parse_program("tgd s(X) -> exists Z: q(Z), p(Z,X).").tgds
+    first = normalize_heads(r1)
+    out = normalize_heads(first + r2)
+    assert out[:len(first)] == first
+    helpers = [rule.head[0].predicate.name for rule in (first[0], out[len(first)])]
+    assert helpers == ["v.1", "v.2"]
 
 
 def test_normalization_preserves_certain_answers():

@@ -13,8 +13,10 @@ import pytest
 import chasekit
 from chasekit.chase import ChaseOptions, Mode, run_chase
 from chasekit.cli import main
+from chasekit.egdsep import separated_answer
 from chasekit.model import CQ, Atom, Program, Variable
 from chasekit.parser import parse_program, render_atom, render_program
+from chasekit.query import certain_answers
 
 from helpers import random_containment_pair, random_join_query, terminating_cases, wg_cases
 
@@ -796,6 +798,56 @@ def test_helper_predicate_avoids_egd_and_contained_query_names(tmp_path, capsys)
                          "query z: sat\n  (c)\n"))
     for argv, want in expected:
         assert run_cli(capsys, *argv) == (0, want, ""), argv
+
+
+@pytest.mark.parametrize("text", [HELPER_READ, HELPER_EGD], ids=["read", "egd"])
+def test_every_question_chases_the_same_normalized_rules(text):
+    # the helper predicate is named once, whatever query or EGD reads the chase
+    program = parse_program(text)
+    db, tgds, egds = program.facts, program.tgds, program.egds
+    ran = run_chase(db, tgds, egds).tgds
+    assert len(ran) == 3
+    for query in program.queries:
+        for strategy in (ChaseOptions(Mode.RESTRICTED), ChaseOptions(Mode.OBLIVIOUS, max_depth=4)):
+            assert certain_answers(db, tgds, query, strategy, egds).chase.tgds == ran
+        assert separated_answer(db, tgds, egds, query).chase.tgds == ran
+
+
+def test_chase_lists_the_helper_atom_answer_chased(tmp_path, capsys):
+    program = parse_program(HELPER_READ)
+    report = certain_answers(program.facts, program.tgds, program.query("z"),
+                             ChaseOptions(Mode.RESTRICTED))
+    helper = report.chase.tgds[0].head[0].predicate.name
+    path = tmp_path / "read.dlp"
+    path.write_text(HELPER_READ)
+    code, out, err = run_cli(capsys, "chase", str(path), "--format", "json")
+    assert code == 0, err
+    atoms = json.loads(out)["atoms"]
+    assert [a for a in atoms if a.startswith(helper + "(")] == [helper + "(c,_:n1)"]
+
+
+# sha256 over "<exit code>\n<stdout>" of each command on MULTI_HEAD,
+# recorded when the helper predicates were named v.1, v.2, ...; every other
+# golden program has single-atom heads, so only these see a helper's name
+MULTI_HEAD_GOLDEN = {
+    "chase --mode oblivious --format json":
+        "3816ccf75fec32ff9cdd5371b9082d1362c92539174d9a6015e10e12cbe9e20b",
+    "chase --mode restricted --format json":
+        "3816ccf75fec32ff9cdd5371b9082d1362c92539174d9a6015e10e12cbe9e20b",
+    "forest --format json": "0993ddb6bd509d5f48f5537555033f71ce2b17f32b18e0e105d68b8d5234acfe",
+    "forest --dot": "65f3c36d6bb8a117a1ee63ea9eb1fc8a6ec503f647c87e12a3e2b89fa8a48317",
+}
+
+
+def test_multi_atom_head_output_matches_the_golden_digests(tmp_path, capsys):
+    path = tmp_path / "multi.dlp"
+    path.write_text(MULTI_HEAD)
+    digests = {}
+    for argv in MULTI_HEAD_GOLDEN:
+        command, *flags = argv.split()
+        code, out, _ = run_cli(capsys, command, str(path), *flags)
+        digests[argv] = hashlib.sha256(("%d\n%s" % (code, out)).encode()).hexdigest()
+    assert digests == MULTI_HEAD_GOLDEN
 
 
 def test_contain_reads_the_egds(tmp_path, capsys):
