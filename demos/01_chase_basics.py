@@ -52,7 +52,7 @@ def main():
     show("guarded chase forest (oblivious run)")
     for node in result.forest:
         parent = "-" if node.parent is None else "#%d" % node.parent
-        rule = node.rule.label if node.rule else "db"
+        rule = node.trigger.rule.label if node.trigger else "db"
         print("  #%-2d depth %d  parent %-3s %-14s via %s"
               % (node.id, node.depth, parent, render_atom(node.atom), rule))
 

@@ -20,6 +20,12 @@ reaches triggers by rule index and then by the insertion positions of
 their body images, in body order (a nested loop over position-ordered
 lists), so the least of any triggers under that key comes first.
 
+A rule application is one `Trigger`: log steps, forest nodes and a
+failed run's witness hold it and read its rule and bindings there.
+`apply_egd` returns the step of the merge it decides, or None on a
+clash, and the engine logs that step once it has rewritten the
+instance; `_ends_run` says which steps stop the run.
+
 Every applied TGD trigger contributes a node to the guarded chase
 forest, parented at the (earliest node labeled with the) image of the
 rule's guard.  The guards are classified when the first trigger is
@@ -75,16 +81,17 @@ BOUNDED_DEPTH = 16
 @dataclass(slots=True, unsafe_hash=True)
 class Trigger:
     """A rule with the values of its body variables, in name order (the
-    key of its `RulePlan`)."""
+    key of its `RulePlan`): one rule application, the record that steps,
+    forest nodes and failure witnesses hold."""
 
     rule: Union[TGD, EGD]
     key: Key
     plan: RulePlan = field(compare=False, repr=False)
 
     @classmethod
-    def of(cls, rule, key: Key, plan: RulePlan) -> "Trigger":
-        """The trigger of `rule`, planned as `plan`, under a key of it."""
-        return cls(rule, key, plan)
+    def of(cls, plan: RulePlan, key: Key) -> "Trigger":
+        """The trigger of the planned rule under a key of it."""
+        return cls(plan.rule, key, plan)
 
     @property
     def hom(self) -> Tuple[Tuple[Variable, Term], ...]:
@@ -97,35 +104,33 @@ class ForestNode:
     id: int
     atom: Atom
     parent: Optional[int]
-    rule: Optional[TGD]
-    trigger: Optional[Trigger]
+    trigger: Optional[Trigger]  # None for a database atom
     depth: int
 
 
 @dataclass
 class TgdStep:
     atom: Atom
-    rule: TGD
-    hom: Tuple[Tuple[Variable, Term], ...]
+    trigger: Trigger
 
     def render(self, show: Callable[[object], str] = repr) -> str:
         """The log line, with `show` rendering the atom and the terms."""
-        binding = ",".join("%s->%s" % (v.name, show(t)) for v, t in self.hom)
-        return "+ %s BY %s WITH {%s}" % (show(self.atom), self.rule.label, binding)
+        binding = ",".join("%s->%s" % (v.name, show(t)) for v, t in self.trigger.hom)
+        return "+ %s BY %s WITH {%s}" % (show(self.atom), self.trigger.rule.label, binding)
 
 
 @dataclass
 class EgdStep:
     kept: Term
     replaced: Term
-    rule: EGD
-    hom: Tuple[Tuple[Variable, Term], ...]
+    trigger: Trigger
     innocuous: bool
 
     def render(self, show: Callable[[object], str] = repr) -> str:
         """The log line, with `show` rendering the terms."""
         tag = " [innocuous]" if self.innocuous else ""
-        return "= %s<-%s BY %s%s" % (show(self.kept), show(self.replaced), self.rule.label, tag)
+        return "= %s<-%s BY %s%s" % (show(self.kept), show(self.replaced),
+                                     self.trigger.rule.label, tag)
 
 
 Step = Union[TgdStep, EgdStep]
@@ -137,7 +142,7 @@ class ChaseResult:
     forest: List[ForestNode]
     status: Status
     steps: List[Step]
-    failure_witness: Optional[Tuple[EGD, Trigger]] = None
+    failure_witness: Optional[Trigger] = None
     forest_complete: bool = True
     tgds: Tuple[TGD, ...] = ()  # the rules it ran: the input's, heads normalized
 
@@ -218,7 +223,6 @@ def head_satisfied(plan: RulePlan, key: Key, instance: Instance) -> bool:
 # ---------------------------------------------------------------------------
 
 def apply_tgd(
-    rule: TGD,
     trigger: Trigger,
     instance: Instance,
     alloc: NullAllocator,
@@ -228,7 +232,7 @@ def apply_tgd(
     Fresh nulls are drawn for the existential variables, strictly newer
     than everything in the instance.  The trigger must still match.
     """
-    if not rule.single_head():
+    if not trigger.rule.single_head():
         raise UsageError("apply_tgd needs single-head rules; normalize first")
     plan, key = trigger.plan, trigger.key
     for atom in plan.body_images(key):
@@ -239,34 +243,28 @@ def apply_tgd(
     return instance, new_atom, added
 
 
-@dataclass
-class EgdOutcome:
-    failed: bool
-    kept: Optional[Term] = None
-    replaced: Optional[Term] = None
-    innocuous: bool = False
-
-
-def apply_egd(rule: EGD, trigger: Trigger, instance: Instance) -> EgdOutcome:
-    """Decide one EGD trigger: the merge it makes, or failure.
+def apply_egd(trigger: Trigger, instance: Instance) -> Optional[EgdStep]:
+    """Decide one EGD trigger: the step of the merge it makes, or None
+    when it fails.
 
     Two distinct constants fail (unique name assumption); otherwise the
     term-order-greater value is to be replaced by the smaller one
     everywhere, which the caller does with
-    `instance.rewrite(outcome.replaced, outcome.kept)` once it goes on:
-    the instance is not changed here, so a run that stops at this merge
-    keeps the instance it had.  The merge is innocuous when every atom
-    it rewrites becomes one already there, so that the instance shrinks.
+    `instance.rewrite(step.replaced, step.kept)` once it goes on, and
+    then logs the step: the instance is not changed here, so a run that
+    stops at this merge keeps the instance it had.  The merge is
+    innocuous when every atom it rewrites becomes one already there, so
+    that the instance shrinks.
     """
     a, b = trigger.plan.equated(trigger.key)
     if a == b:
         raise UsageError("EGD trigger with equal values is not applicable")
     if isinstance(a, Constant) and isinstance(b, Constant):
-        return EgdOutcome(failed=True)
+        return None
     kept, replaced = (a, b) if compare_terms(a, b) < 0 else (b, a)
     sub = {replaced: kept}
     innocuous = all(atom.substitute(sub) in instance for atom in instance.holders(replaced))
-    return EgdOutcome(False, kept, replaced, innocuous)
+    return EgdStep(kept, replaced, trigger, innocuous)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +361,7 @@ class _Engine:
         self.nodes_by_term: Optional[Dict[Term, List[int]]] = None
         self.applied_by_term: Optional[Dict[Term, List[Tuple[int, Key]]]] = None
         for atom in database:
-            self._add_node(atom, parent=None, rule=None, trigger=None, depth=0)
+            self._add_node(atom, parent=None, trigger=None, depth=0)
 
     def _record(self, step: Step) -> None:
         """Log a step; every 128th polls the memory cap."""
@@ -373,12 +371,11 @@ class _Engine:
 
     # -- forest -------------------------------------------------------------
 
-    def _add_node(self, atom, parent, rule, trigger, depth) -> ForestNode:
+    def _add_node(self, atom, parent, trigger, depth) -> ForestNode:
         node = ForestNode(
             id=len(self.forest),
             atom=atom,
             parent=parent,
-            rule=rule,
             trigger=trigger,
             depth=depth,
         )
@@ -433,9 +430,7 @@ class _Engine:
 
     # -- EGD drain ----------------------------------------------------------
 
-    def _first_egd_trigger(
-        self, pins: Optional[List[Atom]] = None
-    ) -> Optional[Tuple[EGD, Trigger]]:
+    def _first_egd_trigger(self, pins: Optional[List[Atom]] = None) -> Optional[Trigger]:
         """The EGD trigger a full scan of the instance finds first.  With
         `pins`, every EGD trigger uses one of those atoms: only the
         homomorphisms pinned to them are enumerated, and the least in
@@ -449,11 +444,12 @@ class _Engine:
         if found is None:
             return None
         idx, key = found
-        return self.egds[idx], Trigger.of(self.egds[idx], key, plans[idx])
+        return Trigger.of(plans[idx], key)
 
-    def _ends_run(self, outcome: EgdOutcome) -> bool:
-        """Does this merge outcome stop the run as FAILED?"""
-        return outcome.failed
+    def _ends_run(self, step: Optional[EgdStep]) -> bool:
+        """Does this merge (None: a failing EGD trigger) stop the run as
+        FAILED?"""
+        return step is None
 
     def _rewrite_bookkeeping(self, replaced: Term, kept: Term) -> None:
         """Relabel the forest nodes and applied keys that hold `replaced`,
@@ -496,21 +492,20 @@ class _Engine:
         pins = None if new_atom is None else [new_atom]
         merged: Dict[Term, Term] = {}   # replaced -> kept, composed
         while self.egds:
-            found = self._first_egd_trigger(pins)
-            if found is None:
+            trigger = self._first_egd_trigger(pins)
+            if trigger is None:
                 break
-            rule, trigger = found
-            outcome = apply_egd(rule, trigger, self.instance)
-            if self._ends_run(outcome):
-                self.failure_witness = (rule, trigger)
+            step = apply_egd(trigger, self.instance)
+            if self._ends_run(step):
+                self.failure_witness = trigger
                 return Status.FAILED
             if len(self.steps) >= self.opts.max_steps:
                 return Status.BUDGET_EXHAUSTED
-            kept, replaced = outcome.kept, outcome.replaced
+            kept, replaced = step.kept, step.replaced
             while self.pending:  # a merge moves positions
                 self._expand()
             added = self.instance.rewrite(replaced, kept)
-            self._record(EgdStep(kept, replaced, rule, trigger.hom, outcome.innocuous))
+            self._record(step)
             self._rewrite_bookkeeping(replaced, kept)
             for term, now in merged.items():
                 if now == replaced:
@@ -562,13 +557,12 @@ class _Engine:
             self.queued.discard(entry)
             idx, key = entry
             plan = self.plans[idx]
-            rule = plan.rule
             if restricted and head_satisfied(plan, key, self.instance):
                 self._mark_applied(entry)
                 continue
             # at the budget, a step that would add an atom ends the run
             if len(self.steps) >= self.opts.max_steps and (
-                    rule.existentials or plan.head_image(key, None) not in self.instance):
+                    plan.rule.existentials or plan.head_image(key, None) not in self.instance):
                 return Status.BUDGET_EXHAUSTED
             parent = self._guard_parent(idx, key)
             depth = 0 if parent is None else self.forest[parent].depth + 1
@@ -576,12 +570,12 @@ class _Engine:
                 skipped = True
                 continue
             self._mark_applied(entry)
-            trigger = Trigger.of(rule, key, plan)
+            trigger = Trigger.of(plan, key)
             # apply_tgd checks that the trigger still matches
-            _, new_atom, added = apply_tgd(rule, trigger, self.instance, self.alloc)
-            self._add_node(new_atom, parent, rule, trigger, depth)
+            _, new_atom, added = apply_tgd(trigger, self.instance, self.alloc)
+            self._add_node(new_atom, parent, trigger, depth)
             if added:
-                self._record(TgdStep(new_atom, rule, trigger.hom))
+                self._record(TgdStep(new_atom, trigger))
                 if not self.egds:  # no EGD to drain
                     self._discover(new_atom)
                     continue

@@ -187,11 +187,12 @@ def cmd_forest(args) -> int:
     nodes = restricted_gcf(result.forest) if args.restricted else result.forest
     show = _renderer()
     atoms = [show(n.atom) for n in nodes]
+    rules = [n.trigger and n.trigger.rule.label for n in nodes]  # None: a database atom
     if args.dot:
         lines = ["digraph gcf {"]
-        for n, label in zip(nodes, atoms):
-            if n.rule is not None:
-                label += "\\n" + n.rule.label
+        for n, label, rule in zip(nodes, atoms, rules):
+            if rule is not None:
+                label += "\\n" + rule
             lines.append('  n%d [label="%s"];' % (n.id, label))
         ids = {n.id for n in nodes}
         for n in nodes:
@@ -207,18 +208,18 @@ def cmd_forest(args) -> int:
                 "id": n.id,
                 "atom": atom,
                 "parent": n.parent,
-                "rule": n.rule.label if n.rule else None,
+                "rule": rule,
                 "depth": n.depth,
             }
-            for n, atom in zip(nodes, atoms)
+            for n, atom, rule in zip(nodes, atoms, rules)
         ],
         "forest_complete": result.forest_complete,
     }
     lines = [
         "#%d depth=%d parent=%s %s [%s]"
         % (n.id, n.depth, n.parent if n.parent is not None else "-",
-           atom, n.rule.label if n.rule else "db")
-        for n, atom in zip(nodes, atoms)
+           atom, "db" if rule is None else rule)
+        for n, atom, rule in zip(nodes, atoms, rules)
     ]
     _emit(args, payload, lines + ["status: %s" % result.status.value])
     return EXIT_OK

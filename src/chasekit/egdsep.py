@@ -22,7 +22,6 @@ from .chase import (
     DEFAULT_MAX_STEPS,
     ChaseOptions,
     ChaseResult,
-    EgdOutcome,
     EgdStep,
     Mode,
     Status,
@@ -40,7 +39,7 @@ from .query import AnswerReport, AnswerStatus, certain_answers
 @dataclass
 class SeparationVerdict:
     failed: bool
-    witness: Optional[Tuple[EGD, Trigger]]
+    witness: Optional[Trigger]
     all_applications_innocuous: bool
     applications: int = 0
 
@@ -135,14 +134,14 @@ class BlockingChaseResult:
     blocked: Instance            # C
     survivors: Instance          # A - C at the fixpoint
     status: Status
-    aborted_on: Optional[Tuple[EGD, Trigger]] = None
+    aborted_on: Optional[Trigger] = None
 
 
 class _BlockingEngine(_Engine):
     """The chase engine that also stops at a merge that is not innocuous."""
 
-    def _ends_run(self, outcome: EgdOutcome) -> bool:
-        return super()._ends_run(outcome) or not outcome.innocuous
+    def _ends_run(self, step: Optional[EgdStep]) -> bool:
+        return super()._ends_run(step) or not step.innocuous
 
 
 def blocking_chase(

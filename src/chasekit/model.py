@@ -493,9 +493,6 @@ class EGD:
         return "%s -> %s = %s" % (b, self.lhs.name, self.rhs.name)
 
 
-Dependency = Union[TGD, EGD]
-
-
 @dataclass(frozen=True)
 class CQ:
     """Conjunctive query q(head_vars) :- body.  Arity 0 means Boolean."""

@@ -84,7 +84,7 @@ def test_criterion_1_running_example_regression():
         shapes = Counter(
             (n.atom.predicate.name,
              tuple("null" if isinstance(t, LabeledNull) else t for t in n.atom.args),
-             n.rule.label)
+             n.trigger.rule.label)
             for n in level1
         )
         assert shapes == Counter({
@@ -93,7 +93,7 @@ def test_criterion_1_running_example_regression():
             ("r1", (Constant("b"), "null"), "tgd3"): 1,
         })
         # provenance of the first three derivations matches the listing
-        got = [(s.atom.predicate.name, s.rule.label) for s in res.steps[:3]]
+        got = [(s.atom.predicate.name, s.trigger.rule.label) for s in res.steps[:3]]
         assert got == [("r3", "tgd2"), ("r2", "tgd4"), ("r1", "tgd3")]
         assert elapsed < 1.0
 

@@ -62,7 +62,7 @@ def triggers_of(rule, instance):
     keys = [key for _, key in rule_triggers([plan], instance)]
     if isinstance(rule, EGD):
         keys = [key for key in keys if len(set(plan.equated(key))) == 2]
-    return [Trigger.of(rule, key, plan) for key in keys]
+    return [Trigger.of(plan, key) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_apply_tgd_adds_head_image():
     inst = p.facts.copy()
     alloc = NullAllocator.after(inst)
     (trigger,) = triggers_of(sigma2, inst)
-    _, atom, added = apply_tgd(sigma2, trigger, inst, alloc)
+    _, atom, added = apply_tgd(trigger, inst, alloc)
     assert added and atom == parse_atom("r3(b,_:n1)")
 
 
@@ -119,7 +119,7 @@ def test_apply_tgd_preserves_head_constants():
     inst = parse_instance("t(a, c).")
     alloc = NullAllocator.after(inst)
     (trigger,) = triggers_of(rules[0], inst)
-    _, atom, _ = apply_tgd(rules[0], trigger, inst, alloc)
+    _, atom, _ = apply_tgd(trigger, inst, alloc)
     assert atom == parse_atom("u(a, c)")
 
 
@@ -129,7 +129,7 @@ def test_apply_tgd_rejects_stale_trigger():
     (trigger,) = triggers_of(rules[0], inst)
     other = parse_instance("t(b).")
     with pytest.raises(UsageError):
-        apply_tgd(rules[0], trigger, other, NullAllocator())
+        apply_tgd(trigger, other, NullAllocator())
 
 
 def test_a_built_tgd_whose_existential_misses_the_head_is_rejected():
@@ -146,7 +146,7 @@ def test_duplicate_rule_hom_pair_applied_once():
     seen = set()
     for node in res.forest:
         if node.trigger is not None:
-            key = (node.rule.label, node.trigger.hom)
+            key = (node.trigger.rule.label, node.trigger.hom)
             assert key not in seen
             seen.add(key)
 
@@ -162,21 +162,20 @@ def test_apply_egd_two_constants_fails():
         t for t in triggers_of(egd, inst)
         if dict(t.hom)[Variable("V")] == Constant("c1")
     )
-    outcome = apply_egd(egd, trigger, inst)
-    assert outcome.failed
+    assert apply_egd(trigger, inst) is None
 
 
 def test_apply_egd_constant_beats_null():
     egd = egd_fixture()
     inst = parse_instance("data(o,a,c), data(o,a,_:n1), funct(a,o).")
     trigger = triggers_of(egd, inst)[0]
-    outcome = apply_egd(egd, trigger, inst)
-    assert not outcome.failed
-    assert outcome.kept == Constant("c") and outcome.replaced == LabeledNull(1)
-    assert outcome.innocuous  # the two data atoms will collapse into one
+    step = apply_egd(trigger, inst)
+    assert step is not None and step.trigger is trigger
+    assert step.kept == Constant("c") and step.replaced == LabeledNull(1)
+    assert step.innocuous  # the two data atoms will collapse into one
     # deciding leaves the instance as it was; the merge is in place
     assert LabeledNull(1) in inst.domain() and len(inst) == 3
-    assert inst.rewrite(outcome.replaced, outcome.kept) == []
+    assert inst.rewrite(step.replaced, step.kept) == []
     assert LabeledNull(1) not in inst.domain() and len(inst) == 2
 
 
@@ -184,18 +183,18 @@ def test_apply_egd_lower_null_survives():
     egd = egd_fixture()
     inst = parse_instance("data(o,a,_:n1), data(o,a,_:n2), funct(a,o).")
     trigger = triggers_of(egd, inst)[0]
-    outcome = apply_egd(egd, trigger, inst)
-    assert outcome.kept == LabeledNull(1) and outcome.replaced == LabeledNull(2)
-    assert outcome.innocuous
+    step = apply_egd(trigger, inst)
+    assert step.kept == LabeledNull(1) and step.replaced == LabeledNull(2)
+    assert step.innocuous
 
 
 def test_apply_egd_non_innocuous_merge():
     egd = parse_program("egd r(X,Y), r(Y,X) -> X = Y.").egds[0]
     inst = parse_instance("r(_:n1,_:n2), r(_:n2,_:n1), s(_:n2,c).")
     trigger = triggers_of(egd, inst)[0]
-    outcome = apply_egd(egd, trigger, inst)
+    step = apply_egd(trigger, inst)
     # r-atoms collapse but s(_:n1,c) is new: same size, not a shrink
-    assert not outcome.failed and not outcome.innocuous
+    assert step is not None and not step.innocuous
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,7 @@ def test_running_example_step_log_prefix():
     res = run_chase(p.facts, p.tgds, [], ChaseOptions(
         mode=Mode.OBLIVIOUS, max_steps=20, max_depth=64))
     assert res.status is Status.BUDGET_EXHAUSTED
-    got = [(s.atom.predicate.name, s.rule.label) for s in res.steps[:5]]
+    got = [(s.atom.predicate.name, s.trigger.rule.label) for s in res.steps[:5]]
     assert got == [
         ("r3", "tgd2"), ("r2", "tgd4"), ("r1", "tgd3"), ("r3", "tgd2"),
         ("r2", "tgd4"),
@@ -335,11 +334,11 @@ def test_forest_edges_come_from_guard_images():
         mode=Mode.OBLIVIOUS, max_steps=12, max_depth=64))
     by_id = {n.id: n for n in res.forest}
     for node in res.forest:
-        if node.rule is None:
+        if node.trigger is None:
             continue
         gi = 0  # all example rules guard on their first body atom
         hom = dict(node.trigger.hom)
-        want = node.rule.body[gi].substitute(hom)
+        want = node.trigger.rule.body[gi].substitute(hom)
         assert by_id[node.parent].atom == want
 
 
@@ -418,7 +417,7 @@ def test_each_null_introduced_by_exactly_one_step():
         seen = set(t for a in db for t in a.args if isinstance(t, LabeledNull))
         for step in ob.steps:
             assert isinstance(step, TgdStep)
-            hom_values = {v for _, v in step.hom if isinstance(v, LabeledNull)}
+            hom_values = {v for _, v in step.trigger.hom if isinstance(v, LabeledNull)}
             assert hom_values <= seen  # triggers only bind existing terms
             for t in step.atom.args:
                 if isinstance(t, LabeledNull) and t not in hom_values:
@@ -505,8 +504,7 @@ def test_chase_failure_on_constant_clash():
     res = run_chase(p.facts, [], p.egds, ChaseOptions())
     assert res.status is Status.FAILED
     assert res.failure_witness is not None
-    egd, trigger = res.failure_witness
-    assert egd is p.egds[0]
+    assert res.failure_witness.rule is p.egds[0]
 
 
 def test_unguarded_rules_make_forest_incomplete():
@@ -548,10 +546,11 @@ def test_forest_parents_and_depths_follow_the_classified_guards():
         for node in res.forest:
             first.setdefault(node.atom, node.id)
         for node in res.forest:
-            if node.rule is None:
+            if node.trigger is None:
                 assert (node.parent, node.depth) == (None, 0)
                 continue
-            guard = node.rule.body[guards[res.tgds.index(node.rule)]]
+            rule = node.trigger.rule
+            guard = rule.body[guards[res.tgds.index(rule)]]
             parent = first.get(guard.substitute(dict(node.trigger.hom)))
             assert node.parent == parent
             assert node.depth == (0 if parent is None else res.forest[parent].depth + 1)

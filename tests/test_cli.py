@@ -18,7 +18,8 @@ from chasekit.model import CQ, Atom, Program, Variable
 from chasekit.parser import parse_program, render_atom, render_program
 from chasekit.query import certain_answers
 
-from helpers import random_containment_pair, random_join_query, terminating_cases, wg_cases
+from helpers import (fll_cases, random_containment_pair, random_join_query, terminating_cases,
+                     wg_cases)
 
 EXAMPLE = """
 fact r1(a,b).
@@ -848,6 +849,42 @@ def test_multi_atom_head_output_matches_the_golden_digests(tmp_path, capsys):
         code, out, _ = run_cli(capsys, command, str(path), *flags)
         digests[argv] = hashlib.sha256(("%d\n%s" % (code, out)).encode()).hexdigest()
     assert digests == MULTI_HEAD_GOLDEN
+
+
+# sha256 over "<exit code>\n<stdout>" of each command on the 40 programs of
+# fll_cases(seed=5), ten of them failing, recorded before steps, forest
+# nodes and failure witnesses came to hold their trigger; FOREST_GOLDEN's
+# programs have no EGD, so only these pin the output of runs that merge
+EGD_GOLDEN = {
+    "chase --mode oblivious --egd interleave --format json":
+        "149d65e920f3d84835230c641939194c043b65475fe6beba98faf575f3f00e8f",
+    "chase --mode restricted --egd interleave --format json":
+        "5288ec91589fca0c81850fa530603847f3b686d534599c01e45e68cc9a665f5b",
+    "chase --mode oblivious --egd separate --format json":
+        "b907906daee51c06d5043a36014b74564bd57038286f0f91ace5d1e769072933",
+    "chase --mode restricted --egd separate --format json":
+        "b9f92a74eb1a0a117cc8308b9521c926f867976ea124106d90e0936119201127",
+    "chase --mode oblivious": "c328410c149eec833b8ea3d7a6c94a047bb3af1a2d3e904bd657ff1a3ed219e2",
+    "chase --mode restricted": "bb9eeb81b785b23a2e0e294d4d101bb89c2b3725fae1f44db6bdb4664d2c9226",
+    "forest --format json": "816f948a7b1eba5b63fe143293abfc278a4006f9367123912ff11eb084ba6505",
+    "forest --dot": "dc3eb68ecb23b1337a9409cb04b39455875556e4c79da691b7889d78a90c6978",
+}
+
+
+def test_egd_chase_and_forest_output_matches_the_golden_digests(tmp_path, capsys):
+    digests = {k: hashlib.sha256() for k in EGD_GOLDEN}
+    failed = innocuous = 0
+    for n, program in enumerate(fll_cases(seed=5, count=40)):
+        path = tmp_path / ("fll%d.dlp" % n)
+        path.write_text(render_program(program))
+        for argv, digest in digests.items():
+            command, *flags = argv.split()
+            code, out, _ = run_cli(capsys, command, str(path), *flags)
+            digest.update(("%d\n%s" % (code, out)).encode())
+            failed += argv == "chase --mode restricted" and code == 1
+            innocuous += out.count("[innocuous]")
+    assert failed == 10 and innocuous > 0
+    assert {k: h.hexdigest() for k, h in digests.items()} == EGD_GOLDEN
 
 
 def test_contain_reads_the_egds(tmp_path, capsys):

@@ -36,9 +36,8 @@ from helpers import copy_rewrite, failure_by_inequality_oracle, fll_cases
 def render_witness(witness):
     if witness is None:
         return "-"
-    rule, trigger = witness
-    return "%s {%s}" % (rule.label, ",".join(
-        "%s->%r" % (v.name, t) for v, t in trigger.hom))
+    return "%s {%s}" % (witness.rule.label, ",".join(
+        "%s->%r" % (v.name, t) for v, t in witness.hom))
 
 
 def digest_of(results):
@@ -206,20 +205,19 @@ class CopyRewriteEngine(_Engine):
         merged_any = False
         pins = None if new_atom is None else [new_atom]
         while self.egds:
-            found = self._first_egd_trigger(pins)
+            trigger = self._first_egd_trigger(pins)
             pins = None
-            if found is None:
+            if trigger is None:
                 break
-            rule, trigger = found
-            outcome = chase.apply_egd(rule, trigger, self.instance)
-            if self._ends_run(outcome):
-                self.failure_witness = (rule, trigger)
+            step = chase.apply_egd(trigger, self.instance)
+            if self._ends_run(step):
+                self.failure_witness = trigger
                 return Status.FAILED
             if len(self.steps) >= self.opts.max_steps:
                 return Status.BUDGET_EXHAUSTED
-            kept, replaced = outcome.kept, outcome.replaced
+            kept, replaced = step.kept, step.replaced
             self.instance = copy_rewrite(self.instance, replaced, kept)
-            self._record(EgdStep(kept, replaced, rule, trigger.hom, outcome.innocuous))
+            self._record(step)
             sub = {replaced: kept}
             for node in self.forest:
                 if replaced in node.atom.args:

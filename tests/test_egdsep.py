@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -331,3 +332,52 @@ def test_blocking_chase_agrees_with_interleaved_on_innocuous_runs():
             out, _ = assert_blocking_agrees_with_interleaved(p, (seed, i))
             failing += out.status is Status.FAILED
     assert failing == 30  # every fourth case is built to fail
+
+
+# ---------------------------------------------------------------------------
+# separability, which --egd separate assumes (ROADMAP item 14)
+# ---------------------------------------------------------------------------
+
+# The EGD equates the value the TGD invents for t(a,_) with c: the
+# interleaved chase derives t(a,c), the TGD-only chase does not.
+ITEM_14 = """
+fact r(a,b). fact s(a,c).
+tgd r(X,Y) -> exists Z: t(X,Z).
+egd t(X,Y), s(X,Z) -> Y = Z.
+query q(X) :- t(X,c).
+"""
+# The same invented value is equated with c and with d: the interleaved
+# chase fails, the TGD-only chase holds no clash of two constants.
+ITEM_14_FAILING = ITEM_14 + """
+fact s2(a,d).
+egd t(X,Y), s2(X,Z) -> Y = Z.
+"""
+item_14 = pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+
+
+def run_json(capsys, *argv):
+    code = main(list(argv) + ["--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@item_14
+def test_an_exact_separated_answer_equals_the_interleaved_one(tmp_path, capsys):
+    path = tmp_path / "item14.dlp"
+    path.write_text(ITEM_14)
+    _, interleaved = run_json(capsys, "answer", str(path), "--query", "q",
+                              "--strategy", "terminate")
+    assert interleaved["status"] == "sat" and interleaved["answers"] == [["a"]]
+    _, separated = run_json(capsys, "answer", str(path), "--query", "q", "--egd", "separate")
+    # a separated answer is a lower bound unless the EGDs are separable
+    assert separated["budget_exhausted"] or separated == interleaved
+
+
+@item_14
+def test_a_decided_failure_check_agrees_with_the_chase(tmp_path, capsys):
+    path = tmp_path / "item14.dlp"
+    path.write_text(ITEM_14_FAILING)
+    assert run_json(capsys, "chase", str(path))[1]["status"] == "failed"
+    assert run_json(capsys, "answer", str(path), "--query", "q",
+                    "--strategy", "terminate")[1]["status"] == "failed"
+    _, check = run_json(capsys, "egd-check", str(path))
+    assert check["result"] in ("failed", "unknown")

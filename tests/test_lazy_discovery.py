@@ -47,7 +47,8 @@ class WatchedEagerEngine(EagerEngine):
 
 
 def report(result):
-    forest = [(n.id, n.atom, n.parent, n.depth, n.rule, n.trigger) for n in result.forest]
+    forest = [(n.id, n.atom, n.parent, n.depth, n.trigger and n.trigger.rule, n.trigger)
+              for n in result.forest]
     return (result.step_log(), result.instance.atoms(), forest, result.forest_complete,
             result.status, render_witness(result.failure_witness))
 

@@ -186,8 +186,8 @@ def test_plan_keys_are_the_nested_loop_homomorphisms(data):
                 for h in nested_loop(body, instance, {}, (i, fact))]
         assert keys(fact) == want
     for key in keys(None):
-        trigger = Trigger.of(plan.rule, tuple(t for _, t in key), plan)
-        assert trigger == Trigger.of(plan.rule, trigger.key, RulePlan(plan.rule)) and \
+        trigger = Trigger.of(plan, tuple(t for _, t in key))
+        assert trigger == Trigger.of(RulePlan(plan.rule), trigger.key) and \
             trigger.hom == key
         assert plan.body_images(trigger.key) == [a.substitute(dict(key)) for a in body]
 

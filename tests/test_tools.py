@@ -1,0 +1,58 @@
+"""The line counts of `tools/src_lines.py`."""
+
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+spec = importlib.util.spec_from_file_location("src_lines", TOOLS / "src_lines.py")
+src_lines = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(src_lines)
+
+# the lines doc_lines counts are marked "doc"; a trailing comment, a
+# string that is not a docstring and a "#" inside a string are code
+FIXTURE = '''\
+"""Module docstring (doc),
+on two lines (doc)."""
+
+# a comment line (doc)
+import os  # a trailing comment on code
+
+TEXT = """not a docstring
+# and not a comment either
+"""
+
+
+class Record:
+    """Class docstring (doc)."""
+
+    size = 1
+    # an indented comment line (doc)
+
+
+def run(path):
+    """Function docstring (doc),
+    on two lines (doc)."""
+    text = "# a hash in a string"
+    return os.path.join(path, text)
+
+
+async def wait():
+    """Coroutine docstring (doc)."""
+'''
+
+
+def test_doc_lines_counts_docstrings_and_comment_lines():
+    marked = sum("(doc)" in line for line in FIXTURE.splitlines())
+    assert marked == 8 and src_lines.doc_lines(FIXTURE) == marked
+
+
+def test_doc_lines_of_a_module_without_docs_is_zero():
+    assert src_lines.doc_lines("x = 1\ny = '# no'\n") == 0
+
+
+def test_the_total_row_sums_the_modules_now(capsys):
+    assert src_lines.main(["HEAD"]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    now = src_lines.counts_now()
+    assert total[0] == "total"
+    assert (int(total[2]), int(total[5])) == tuple(map(sum, zip(*now.values())))
