@@ -1,7 +1,8 @@
 """TGD and EGD chase: triggers, fair runs with budgets, guarded chase forests.
 
 The engine runs a fair FIFO strategy: triggers are queued in discovery
-order and each (rule, homomorphism) pair is applied at most once.
+order and each (rule, homomorphism) pair is applied at most once,
+with no set of queued triggers: each is found once (`rule_triggers`).
 Discovery is lazy: an atom a step adds is queued itself, pending behind
 the triggers queued before it, and its triggers are found only when
 the queue reaches it, over the atoms at or before its position, the
@@ -184,10 +185,13 @@ def rule_triggers(
 
     With `new_atom`, only the triggers whose body image uses it: each
     body atom of its predicate is pinned to it in turn, so a trigger
-    that uses it twice comes up twice and callers deduplicate.  A rule
-    whose body lacks that predicate is skipped before its plans are
-    asked for.  With a `cutoff` position, the other body atoms map to
-    atoms at or before it (`Plan.matches`).
+    that uses it twice comes up twice and callers keep the first.  A
+    rule whose body lacks that predicate is skipped before its plans
+    are asked for.  With a `cutoff` position, the other body atoms map
+    to atoms at or before it (`Plan.matches`).  Asked for each atom as
+    it is added, or with its position as the cutoff, it finds each
+    trigger once, through the latest atom of its body image: a merge
+    replaces a null, and nulls never come back, nor the atoms they held.
     """
     which = None if new_atom is None else new_atom.predicate
     for idx, rule_plan in enumerate(plans):
@@ -354,7 +358,6 @@ class _Engine:
         # queued triggers were found, whose own are still to be found
         self.queue: deque = deque()
         self.pending: deque = deque()
-        self.queued: Set[Tuple[int, Key]] = set()
         self.applied: Set[Tuple[int, Key]] = set()
         # term -> forest node ids and applied keys holding it, built at
         # the first merge
@@ -400,7 +403,7 @@ class _Engine:
         """Queue every trigger of the instance, or queue a new atom as
         pending: its triggers are found when the queue reaches it."""
         if new_atom is None:
-            self._enqueue(rule_triggers(self.plans, self.instance))
+            self.queue.extend(rule_triggers(self.plans, self.instance))
         else:
             self.pending.append(new_atom)
 
@@ -409,14 +412,8 @@ class _Engine:
         instance as it stood when the atom was added: the atoms at or
         before its position, which no merge has moved since."""
         atom = self.pending.popleft()
-        self._enqueue(rule_triggers(self.plans, self.instance, atom,
-                                    self.instance.position(atom)))
-
-    def _enqueue(self, entries: Iterator[Tuple[int, Key]]) -> None:
-        for entry in entries:
-            if entry not in self.queued and entry not in self.applied:
-                self.queued.add(entry)
-                self.queue.append(entry)
+        self.queue.extend(dict.fromkeys(rule_triggers(
+            self.plans, self.instance, atom, self.instance.position(atom))))
 
     def _mark_applied(self, entry: Tuple[int, Key]) -> None:
         self.applied.add(entry)
@@ -523,7 +520,6 @@ class _Engine:
             entries.update(rule_triggers(self.plans, self.instance, atom))
         entries -= self.applied
         self.queue = deque(sorted(entries, key=self._scan_order(self.plans)))
-        self.queued = entries
         return None
 
     # -- main loop ----------------------------------------------------------
@@ -554,7 +550,6 @@ class _Engine:
                 self._expand()
                 continue
             entry = self.queue.popleft()
-            self.queued.discard(entry)
             idx, key = entry
             plan = self.plans[idx]
             if restricted and head_satisfied(plan, key, self.instance):

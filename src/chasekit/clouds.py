@@ -207,7 +207,8 @@ def _expand_round(
 ) -> bool:
     """One blocked forest expansion under each rule's forest guard in
     `guards`; False when a budget was hit.  The memory cap is polled
-    every 128 steps."""
+    every 128 steps.  Each trigger is found once (`rule_triggers`), so a
+    discovery drops only its own repeats."""
     check_memory = memory_guard()
     instance = Instance(ground)
     dom = database.domain()
@@ -231,18 +232,9 @@ def _expand_round(
         else:
             store.put(key)
 
-    queue: deque = deque()
-    seen: Set[Tuple[int, Tuple]] = set()
-
-    def discover(new_atom: Optional[Atom]) -> None:
-        for entry in rule_triggers(plans, instance, new_atom):
-            if entry not in seen:
-                seen.add(entry)
-                queue.append(entry)
-
     for atom in instance:
         register(atom)
-    discover(None)
+    queue = deque(rule_triggers(plans, instance))
 
     steps = 0
     while queue:
@@ -265,5 +257,5 @@ def _expand_round(
         for t in terms - dom:
             by_term.setdefault(t, []).append(new_atom)
         register(new_atom)
-        discover(new_atom)
+        queue.extend(dict.fromkeys(rule_triggers(plans, instance, new_atom)))
     return True

@@ -1,6 +1,6 @@
 """Textual program format: parsing, rendering, and the JSON answer schema.
 
-The grammar, one statement per `.`:
+The grammar, one statement per `.` and one name per query:
 
     fact r1(a,b).
     tgd r1(X,Y) -> exists Z: r3(Y,Z).
@@ -158,6 +158,14 @@ class _Parser:
                 self.found(i + 1, "')'")
             i += 2
 
+    def cut_short(self, i: int) -> None:
+        """Fail at a `.` at token i after an atom with no arguments that no
+        statement follows: it cut the atom's name short."""
+        toks = self.toks
+        if toks[i] == "." and toks[i - 1] in self.names and toks[i + 1] not in (
+                "fact", "tgd", "egd", "query", ""):
+            self.fail(i, "'.' ends the statement after %s: names hold no '.'" % toks[i - 1])
+
     def built(self, i: int, make: Callable[..., R], *args) -> R:
         """`make(*args)`, which builds a rule or query and so checks its
         variables, or runs a check; a ParseError at token i if it fails."""
@@ -263,6 +271,8 @@ class _Parser:
             elif kw == "query":
                 if toks[at] not in self.names:
                     self.found(at, "a query name")
+                if any(q.name == toks[at] for q in p.queries):
+                    self.fail(at, "query %s is declared twice" % toks[at])
                 i = at + 1
                 head_vars: List[Variable] = []
                 if toks[i] == "(":
@@ -272,9 +282,11 @@ class _Parser:
                 body = []
                 if toks[i] != ".":
                     body, i = self.atoms(i)
+                    self.cut_short(i)
                 p.queries.append(self.built(at, CQ, toks[at], tuple(head_vars), tuple(body)))
             else:
                 self.fail(i, "expected fact, tgd, egd or query")
+            self.cut_short(i)
             i = self.expect(i, ".")
         return p
 

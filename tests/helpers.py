@@ -893,6 +893,16 @@ class _Parser:
                 out.append(item())
         return out
 
+    def cut_short(self) -> None:
+        """Fail at a next `.` that ends a statement after an atom with no
+        arguments but is followed by no statement: it cut a name short."""
+        if self.peek()[1] != ".":
+            return
+        before, after = self.toks[self.pos - 1], self.toks[self.pos + 1]
+        if before[0] == "ident" and after[0] != "end" \
+                and after[1] not in ("fact", "tgd", "egd", "query"):
+            self.fail("'.' ends the statement after %s: names hold no '.'" % before[1])
+
     def built(self, at: int, make: Callable[..., R], *args) -> R:
         """`make(*args)`, a rule or query, which checks its variables when
         it is built; a ParseError at offset `at` if they break the rules."""
@@ -978,7 +988,9 @@ class _Parser:
             program.egds.append(self.built(at, EGD, tuple(body), lhs, rhs,
                                            "egd%d" % (len(program.egds) + 1)))
         else:
-            name = self.expect("ident", "a query name")[1]
+            _, name, name_at = self.expect("ident", "a query name")
+            if any(q.name == name for q in program.queries):
+                self.fail("query %s is declared twice" % name, name_at)
             head_vars: List[Variable] = []
             if self.peek()[1] == "(":
                 self.pos += 1
@@ -986,7 +998,9 @@ class _Parser:
                 self.expect(")")
             self.expect(":-")
             body = self.comma_list(self.atom, ".")
+            self.cut_short()
             program.queries.append(self.built(at, CQ, name, tuple(head_vars), tuple(body)))
+        self.cut_short()
         self.expect(".")
 
     def program(self) -> Program:

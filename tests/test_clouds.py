@@ -26,6 +26,7 @@ from chasekit.chase import (
     ChaseOptions,
     Mode,
     Status,
+    _Engine,
     body_homomorphisms,
     run_chase,
     split_ground,
@@ -40,6 +41,7 @@ from chasekit.clouds import (
     cloud_of,
     cloud_size_bound,
 )
+from chasekit.egdsep import blocking_chase
 from chasekit.model import (
     TGD,
     Atom,
@@ -457,6 +459,32 @@ def test_expand_round_applies_each_trigger_once_per_round(monkeypatch):
     result = blocked_saturate(p.facts, p.tgds)
     assert result.status is SaturateStatus.STABILIZED
     assert expanded and max(expanded.values()) <= result.rounds
+
+
+@pytest.mark.parametrize("run", ["restricted", "oblivious", "blocking"])
+def test_the_chase_applies_a_self_join_trigger_once(monkeypatch, run):
+    # as above: discovery through r(a,a) finds the second rule's trigger
+    # twice, and the chase keeps no run-long set that would drop the copy
+    p = parse_program(
+        "fact p(a). tgd p(X) -> r(X,X). tgd r(X,X), r(X,Y) -> exists Z: s(X,Z)."
+    )
+    handled = Counter()
+    real = _Engine._mark_applied
+
+    def spy(engine, entry):
+        handled[entry] += 1
+        real(engine, entry)
+
+    monkeypatch.setattr(_Engine, "_mark_applied", spy)
+    if run == "blocking":
+        result = blocking_chase(p.facts, p.tgds, p.egds)
+        atoms = result.unblocked
+    else:
+        result = run_chase(p.facts, p.tgds, p.egds, ChaseOptions(Mode(run)))
+        atoms = result.instance
+    assert result.status is Status.SATURATED
+    assert sorted(handled.values()) == [1, 1]
+    assert [a.predicate.name for a in atoms].count("s") == 1
 
 
 # ROADMAP item 9: blocked saturation loses ground atoms, so these

@@ -198,8 +198,8 @@ def test_delta_drain_agrees_with_a_full_rescan(program, mode):
 class CopyRewriteEngine(_Engine):
     """The merge path that in-place merging replaced: each merge copies
     the instance and walks every forest node and applied key, every EGD
-    search after a merge scans the whole instance, and a drain that
-    merged rediscovers every trigger."""
+    search after a merge scans the whole instance, and a drain after a
+    TGD step that merged rediscovers every trigger not yet applied."""
 
     def _drain_egds(self, new_atom=None):
         merged_any = False
@@ -231,8 +231,9 @@ class CopyRewriteEngine(_Engine):
         if merged_any:
             self.queue.clear()
             self.pending.clear()
-            self.queued.clear()
-            self._discover()
+            if new_atom is not None:  # the drain that starts a run leaves it to run()
+                self.queue.extend(entry for entry in chase.rule_triggers(self.plans, self.instance)
+                                  if entry not in self.applied)
         elif new_atom is not None:
             self._discover(new_atom)
         return None

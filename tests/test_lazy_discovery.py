@@ -22,7 +22,12 @@ BUDGETS = (1, 2, 3, 5, 8, 13, 21, 34, 60)
 
 
 class EagerEngine(_Engine):
-    """The engine that queues every trigger through a new atom at once."""
+    """The engine that queues every trigger through a new atom at once,
+    and drops each trigger queued or applied before in the run."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.queued = set()
 
     def _discover(self, new_atom=None):
         for entry in chase.rule_triggers(self.plans, self.instance, new_atom):

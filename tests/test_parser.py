@@ -165,13 +165,19 @@ PARSE_ERRORS = [
     (parse_program, "fact r(a).\n  query q(Y) :- r(X).",
      "query q: head variable Y not in body", 2, 9),
     # the names chasekit invents, helper predicates v.<i> and frozen
-    # constants c.<i>, hold `.`, which only ends a statement
-    (parse_program, "fact v.1(a).", "expected fact, tgd, egd or query", 1, 8),
+    # constants c.<i>, hold `.`, which only ends a statement; where it
+    # ends one after a name, the error is at the `.`
+    (parse_program, "fact v.1(a).", "'.' ends the statement after v: names hold no '.'", 1, 7),
     (parse_program, "fact p(c.1).", "expected ')', found '.'", 1, 9),
     (parse_program, "tgd v.1(X) -> p(X).", "expected '->', found '.'", 1, 6),
+    (parse_program, "tgd p(X) -> v.1(X).", "'.' ends the statement after v: names hold no '.'",
+     1, 14),
     (parse_program, "egd p(X,Y), p(X,c.1) -> X = Y.", "expected ')', found '.'", 1, 18),
-    (parse_program, "query q(X) :- v.1(X).", "query q: head variable X not in body", 1, 7),
+    (parse_program, "query q(X) :- v.1(X).",
+     "'.' ends the statement after v: names hold no '.'", 1, 16),
     (parse_program, "query q(X) :- p(X,c.1).", "expected ')', found '.'", 1, 20),
+    (parse_program, "fact r(a,b). query q(X) :- r(X,Y). query q(X) :- r(Y,X).",
+     "query q is declared twice", 1, 42),
 ]
 
 
