@@ -2,7 +2,8 @@
 
 The engine runs a fair FIFO strategy: triggers are queued in discovery
 order and each (rule, homomorphism) pair is applied at most once,
-with no set of queued triggers: each is found once (`rule_triggers`).
+with no set of queued or applied triggers: each is found once
+(`rule_triggers`).
 Discovery is lazy: an atom a step adds is queued itself, pending behind
 the triggers queued before it, and its triggers are found only when
 the queue reaches it, over the atoms at or before its position, the
@@ -12,14 +13,26 @@ that a budget stops never pays for the triggers of the atoms it did not
 reach.  When EGDs are interleaved they are drained to fixpoint after
 every instance-changing TGD step; a run without EGDs queues the new atom
 straight away.  A merge moves positions, so the drain first expands
-every pending atom.  A merge rewrites, in place, only the atoms, forest
-labels and applied keys that hold the replaced value.
-After a TGD step, the EGD searches and the rebuild of the queue after
-merges look only through the new atom and the atoms the merges added
-(`_drain_egds`), and each keeps the order of a full scan: a scan
-reaches triggers by rule index and then by the insertion positions of
-their body images, in body order (a nested loop over position-ordered
-lists), so the least of any triggers under that key comes first.
+every pending atom.  A merge rewrites, in place, only the atoms and
+forest labels that hold the replaced value.  After a TGD step, the EGD
+searches look only through the new atom and the atoms the merges added
+(`_drain_egds`), and keep the order of a full scan: a scan reaches
+triggers by rule index and then by the insertion positions of their
+body images, in body order (a nested loop over position-ordered lists),
+so the least of any triggers under that key comes first.
+
+Queued keys are not rewritten.  The loop drops a key that holds a value
+some merge replaced, and a drain that merged appends the TGD triggers
+through its surviving pins: the new atom and the atoms its merges
+added.  Nothing is lost or applied twice.  A key holds every value of
+its body image, so a key that holds no replaced value still matches.
+The rewritten trigger of a dropped key either maps its body into atoms
+that were there before the merge, and was then found already under its
+own key, since every pending atom was expanded first; or it uses an
+atom the merge added, which was never there before, since nulls never
+come back, and the drain finds it now through that atom.  A trigger is
+its key: the rewritten image of an applied trigger is another trigger,
+which the oblivious chase applies too once it is found.
 
 A rule application is one `Trigger`: log steps, forest nodes and a
 failed run's witness hold it and read its rule and bindings there.
@@ -358,11 +371,10 @@ class _Engine:
         # queued triggers were found, whose own are still to be found
         self.queue: deque = deque()
         self.pending: deque = deque()
-        self.applied: Set[Tuple[int, Key]] = set()
-        # term -> forest node ids and applied keys holding it, built at
-        # the first merge
+        # the values merges replaced: a queued key holding one is stale
+        self.replaced: Set[Term] = set()
+        # term -> forest node ids holding it, built at the first merge
         self.nodes_by_term: Optional[Dict[Term, List[int]]] = None
-        self.applied_by_term: Optional[Dict[Term, List[Tuple[int, Key]]]] = None
         for atom in database:
             self._add_node(atom, parent=None, trigger=None, depth=0)
 
@@ -415,16 +427,6 @@ class _Engine:
         self.queue.extend(dict.fromkeys(rule_triggers(
             self.plans, self.instance, atom, self.instance.position(atom))))
 
-    def _mark_applied(self, entry: Tuple[int, Key]) -> None:
-        self.applied.add(entry)
-        if self.applied_by_term is not None:
-            _index(self.applied_by_term, entry[1], entry)
-
-    def _scan_order(self, plans: Sequence[RulePlan]) -> Callable:
-        """Scan order (module docstring) as a key on (rule index, key)."""
-        position = self.instance.position
-        return lambda e: (e[0], tuple(map(position, plans[e[0]].body_images(e[1]))))
-
     # -- EGD drain ----------------------------------------------------------
 
     def _first_egd_trigger(self, pins: Optional[List[Atom]] = None) -> Optional[Trigger]:
@@ -432,12 +434,13 @@ class _Engine:
         `pins`, every EGD trigger uses one of those atoms: only the
         homomorphisms pinned to them are enumerated, and the least in
         scan order is the first."""
-        plans = self.egd_plans
+        plans, position = self.egd_plans, self.instance.position
         if pins is None:
             found = next(egd_violations(plans, self.instance), None)
         else:
             found = min((t for atom in pins for t in egd_violations(plans, self.instance, atom)),
-                        default=None, key=self._scan_order(plans))
+                        default=None,
+                        key=lambda e: (e[0], tuple(map(position, plans[e[0]].body_images(e[1])))))
         if found is None:
             return None
         idx, key = found
@@ -449,14 +452,13 @@ class _Engine:
         return step is None
 
     def _rewrite_bookkeeping(self, replaced: Term, kept: Term) -> None:
-        """Relabel the forest nodes and applied keys that hold `replaced`,
-        found through term indexes that the first merge builds."""
+        """Note `replaced` as a stale value, and relabel the forest nodes
+        that hold it, found through a term index the first merge builds."""
+        self.replaced.add(replaced)
         if self.nodes_by_term is None:
-            self.nodes_by_term, self.applied_by_term = {}, {}
+            self.nodes_by_term = {}
             for node in self.forest:
                 _index(self.nodes_by_term, node.atom.args, node.id)
-            for entry in self.applied:
-                _index(self.applied_by_term, entry[1], entry)
         sub, first = {replaced: kept}, self.first_node_for
         nodes = sorted(set(self.nodes_by_term.pop(replaced, ())))
         for nid in nodes:
@@ -467,11 +469,6 @@ class _Engine:
             if first.get(node.atom, nid) >= nid:
                 first[node.atom] = nid
         self.nodes_by_term.setdefault(kept, []).extend(nodes)
-        # a rewritten key stays listed under its other terms: skip those
-        for entry in self.applied_by_term.pop(replaced, ()):
-            if entry in self.applied:
-                self.applied.remove(entry)
-                self._mark_applied((entry[0], tuple(sub.get(t, t) for t in entry[1])))
 
     def _drain_egds(self, new_atom: Optional[Atom] = None) -> Optional[Status]:
         """Apply EGDs to fixpoint, then queue the new TGD triggers; the
@@ -480,14 +477,16 @@ class _Engine:
         `new_atom` is the atom a TGD step just added.  The drain before
         left no EGD trigger, and every TGD trigger queued or applied,
         except through it; a merge makes new ones only through the atoms
-        it adds.  So the searches pin through these atoms, and after
-        merges the queue is rebuilt from its keys, rewritten, and the
-        TGD triggers through them.  The drain that starts a run (no
-        `new_atom`) scans the whole instance and leaves discovery to
-        the caller.
+        it adds.  So the searches pin through these atoms.  Without a
+        merge the new atom is queued as pending; after merges the TGD
+        triggers through the surviving pins are appended, each once and
+        with no cutoff, since every pending atom has been expanded, and
+        the queued keys stay as they are (module docstring).  The drain
+        that starts a run (no `new_atom`) scans the whole instance and
+        leaves discovery to the caller.
         """
         pins = None if new_atom is None else [new_atom]
-        merged: Dict[Term, Term] = {}   # replaced -> kept, composed
+        merged = False
         while self.egds:
             trigger = self._first_egd_trigger(pins)
             if trigger is None:
@@ -498,28 +497,21 @@ class _Engine:
                 return Status.FAILED
             if len(self.steps) >= self.opts.max_steps:
                 return Status.BUDGET_EXHAUSTED
-            kept, replaced = step.kept, step.replaced
             while self.pending:  # a merge moves positions
                 self._expand()
-            added = self.instance.rewrite(replaced, kept)
+            added = self.instance.rewrite(step.replaced, step.kept)
             self._record(step)
-            self._rewrite_bookkeeping(replaced, kept)
-            for term, now in merged.items():
-                if now == replaced:
-                    merged[term] = kept
-            merged[replaced] = kept
+            self._rewrite_bookkeeping(step.replaced, step.kept)
+            merged = True
             if pins is not None:
                 pins = [atom for atom in pins if atom in self.instance] + added
         if pins is None:
             return None
         if not merged:
             self._discover(new_atom)
-            return None
-        entries = {(idx, tuple(merged.get(t, t) for t in key)) for idx, key in self.queue}
-        for atom in pins:
-            entries.update(rule_triggers(self.plans, self.instance, atom))
-        entries -= self.applied
-        self.queue = deque(sorted(entries, key=self._scan_order(self.plans)))
+        else:
+            self.queue.extend(dict.fromkeys(
+                entry for atom in pins for entry in rule_triggers(self.plans, self.instance, atom)))
         return None
 
     # -- main loop ----------------------------------------------------------
@@ -544,16 +536,17 @@ class _Engine:
         """Drain the queue.  A trigger deeper than max_depth is skipped,
         not applied, and makes the run budget-exhausted at the end."""
         restricted = self.opts.mode is Mode.RESTRICTED
+        replaced = self.replaced
         skipped = False
         while self.queue or self.pending:
             if not self.queue:
                 self._expand()
                 continue
-            entry = self.queue.popleft()
-            idx, key = entry
+            idx, key = self.queue.popleft()
+            if replaced and not replaced.isdisjoint(key):
+                continue  # stale: a merge replaced one of its values
             plan = self.plans[idx]
             if restricted and head_satisfied(plan, key, self.instance):
-                self._mark_applied(entry)
                 continue
             # at the budget, a step that would add an atom ends the run
             if len(self.steps) >= self.opts.max_steps and (
@@ -564,7 +557,6 @@ class _Engine:
             if depth > self.opts.max_depth:
                 skipped = True
                 continue
-            self._mark_applied(entry)
             trigger = Trigger.of(plan, key)
             # apply_tgd checks that the trigger still matches
             _, new_atom, added = apply_tgd(trigger, self.instance, self.alloc)

@@ -854,17 +854,20 @@ def test_multi_atom_head_output_matches_the_golden_digests(tmp_path, capsys):
 # sha256 over "<exit code>\n<stdout>" of each command on the 40 programs of
 # fll_cases(seed=5), ten of them failing, recorded before steps, forest
 # nodes and failure witnesses came to hold their trigger; FOREST_GOLDEN's
-# programs have no EGD, so only these pin the output of runs that merge
+# programs have no EGD, so only these pin the output of runs that merge.
+# The two oblivious interleaved `chase` digests were re-recorded when a
+# drain that merged stopped re-sorting the queue, which moves the steps
+# after a merge; the restricted chase of these programs merges nothing.
 EGD_GOLDEN = {
     "chase --mode oblivious --egd interleave --format json":
-        "149d65e920f3d84835230c641939194c043b65475fe6beba98faf575f3f00e8f",
+        "289d24b498f263f24f998d97c7694ea28740b47290df47a9a9b6ab2cb843ccaa",
     "chase --mode restricted --egd interleave --format json":
         "5288ec91589fca0c81850fa530603847f3b686d534599c01e45e68cc9a665f5b",
     "chase --mode oblivious --egd separate --format json":
         "b907906daee51c06d5043a36014b74564bd57038286f0f91ace5d1e769072933",
     "chase --mode restricted --egd separate --format json":
         "b9f92a74eb1a0a117cc8308b9521c926f867976ea124106d90e0936119201127",
-    "chase --mode oblivious": "c328410c149eec833b8ea3d7a6c94a047bb3af1a2d3e904bd657ff1a3ed219e2",
+    "chase --mode oblivious": "69c46ddae0257262d765bd7de76e675d160e6ba7b9cd572c6277d8f0fe5f4194",
     "chase --mode restricted": "bb9eeb81b785b23a2e0e294d4d101bb89c2b3725fae1f44db6bdb4664d2c9226",
     "forest --format json": "816f948a7b1eba5b63fe143293abfc278a4006f9367123912ff11eb084ba6505",
     "forest --dot": "dc3eb68ecb23b1337a9409cb04b39455875556e4c79da691b7889d78a90c6978",
@@ -900,16 +903,16 @@ def key_egd_programs():
 
 
 # sha256 over "<exit code>\n<stdout>" of each command on key_egd_programs(),
-# recorded before the chase stopped keeping a run-long set of queued
-# triggers; the fll_cases programs of EGD_GOLDEN never merge under the
-# restricted chase, and these do
+# re-recorded when a drain that merged stopped re-sorting the queue, which
+# moves the steps after a merge; the fll_cases programs of EGD_GOLDEN never
+# merge under the restricted chase, and these do
 KEY_EGD_GOLDEN = {
     "chase --mode restricted --format json --max-steps 300":
-        "ade320571851f474ba765c68a38f3b58343d73bd3007fea0731a8900c60c623a",
+        "543079311655e3db3e72f7e3f741603f288332db17e4bc3ceff06a42c56b5287",
     "chase --mode oblivious --format json --max-steps 300":
-        "df3f3a3794b56f7e7b1c7dcbf5190f6e3ff34c0597dc58781a6660d306a58946",
+        "0cf6da02505c2a4f82a895b6f1558f5803be91e824c41971ef29ca07f56206f4",
     "forest --format json --max-steps 300":
-        "dd697fec06bb0bbfd4a0535f7fc67457984ba2f4035b553132aceda2e140079f",
+        "1b1f9d49d43deeeee9e7dc89cd92b9ac4dffa8dd9c94252731eb8f11a3b9367d",
 }
 
 
@@ -934,7 +937,7 @@ def test_key_egd_chase_and_forest_output_matches_the_golden_digests(tmp_path, ca
                     failed += code == 1
     # the pin covers merges under both modes, some of them not innocuous
     assert programs == 155 and failed == 47
-    assert merged == {"restricted": 12, "oblivious": 89} and not_innocuous == 4
+    assert merged == {"restricted": 12, "oblivious": 89} and not_innocuous == 3
     assert {k: h.hexdigest() for k, h in digests.items()} == KEY_EGD_GOLDEN
 
 

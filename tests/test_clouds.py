@@ -20,13 +20,13 @@ from helpers import (
     wg_cases,
 )
 
-from chasekit import clouds
+from chasekit import chase, clouds
 from chasekit.analysis import classify, normalize_heads
 from chasekit.chase import (
     ChaseOptions,
     Mode,
     Status,
-    _Engine,
+    Trigger,
     body_homomorphisms,
     run_chase,
     split_ground,
@@ -468,14 +468,18 @@ def test_the_chase_applies_a_self_join_trigger_once(monkeypatch, run):
     p = parse_program(
         "fact p(a). tgd p(X) -> r(X,X). tgd r(X,X), r(X,Y) -> exists Z: s(X,Z)."
     )
+    # a trigger the loop handles reaches the restricted chase's head check,
+    # and the oblivious chase's application
     handled = Counter()
-    real = _Engine._mark_applied
+    hook = "head_satisfied" if run == "restricted" else "apply_tgd"
+    real = getattr(chase, hook)
 
-    def spy(engine, entry):
-        handled[entry] += 1
-        real(engine, entry)
+    def spy(*args):
+        trigger = args[0] if hook == "apply_tgd" else Trigger.of(*args[:2])
+        handled[trigger] += 1
+        return real(*args)
 
-    monkeypatch.setattr(_Engine, "_mark_applied", spy)
+    monkeypatch.setattr(chase, hook, spy)
     if run == "blocking":
         result = blocking_chase(p.facts, p.tgds, p.egds)
         atoms = result.unblocked

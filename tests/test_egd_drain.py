@@ -3,11 +3,13 @@
 After a TGD step the drain looks for EGD triggers through the new atom
 and the atoms its merges add only, and takes the one a full
 declaration-order scan of the instance would find first.  A merge
-rewrites the instance in place, and a drain that merged rebuilds the
-trigger queue through the same atoms.  These tests pin the step logs,
-statuses and failure witnesses that the full rescan gave, compare the
-engine with a copy that always rescans and with one that keeps the
-whole-instance merge path, and cover separated answering, which chases
+rewrites the instance in place; the loop drops the queued keys that
+hold a replaced value, and a drain that merged appends the triggers
+through the same atoms.  These tests pin the step logs, statuses and
+failure witnesses, and what no step order decides; check that runs
+apply each trigger once and saturate to a model; compare the engine
+with a copy that always rescans and with one that keeps the
+whole-instance merge path; and cover separated answering, which chases
 once under the TGDs alone.
 """
 
@@ -15,6 +17,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter, deque
 from pathlib import Path
 from unittest import mock
 
@@ -30,7 +33,8 @@ from chasekit.model import CQ, EGD, TGD, Atom, Constant, Instance, LabeledNull, 
 from chasekit.parser import parse_atom, parse_program, render_program
 
 from chasekit.egdsep import FailureCheck
-from helpers import copy_rewrite, failure_by_inequality_oracle, fll_cases
+from helpers import copy_rewrite, failure_by_inequality_oracle, find_homomorphism, fll_cases
+from test_cli import key_egd_programs
 
 
 def render_witness(witness):
@@ -50,9 +54,11 @@ def digest_of(results):
 
 # sha256 over step log, status and failure witness of the 40 programs of
 # fll_cases(seed=5), ten of them failing; recorded with the full rescan
-# after every TGD step.
+# after every TGD step, and the oblivious one re-recorded when a drain that
+# merged stopped re-sorting the queue (the restricted chase of these
+# programs merges nothing).
 GOLDEN = {
-    Mode.OBLIVIOUS: "f077235afd822f2286fba856ead80de7227a6fa51d7e7a8372ccb0404947b5fa",
+    Mode.OBLIVIOUS: "79d9985b7214f7424927ea30be0ba40ac24b36fdd39b4b2184fbce1ce3db87d3",
     Mode.RESTRICTED: "5fd8b0eebcd9ec20671e432bfbfdfcd982dc0eb763c810a21cd5463d2e39448e",
 }
 
@@ -63,6 +69,34 @@ def test_egd_step_logs_match_the_golden_digests(mode):
                for p in fll_cases(seed=5, count=40)]
     assert sum(r.status is chase.Status.FAILED for r in results) == 10
     assert digest_of(results) == GOLDEN[mode]
+
+
+def order_free_digest():
+    """sha256 over what a run reports that no step order decides: the
+    status of every run, and for a saturated run its sorted null-free
+    atoms and its atom count."""
+    corpus = [(p.facts, p.tgds, p.egds) for p in fll_cases(seed=5, count=40)]
+    corpus += [(p.facts, p.tgds, p.egds) for p in map(parse_program, key_egd_programs())]
+    h = hashlib.sha256()
+    for facts, rules, constraints in corpus:
+        for mode in Mode:
+            res = run_chase(facts, rules, constraints, ChaseOptions(mode=mode, max_steps=300))
+            h.update(("%s\n" % res.status.value).encode())
+            if res.status is Status.SATURATED:
+                ground = sorted(repr(a) for a in res.instance
+                                if not any(isinstance(t, LabeledNull) for t in a.args))
+                h.update(("%s\n%d\n" % ("\n".join(ground), len(res.instance))).encode())
+    return h.hexdigest()
+
+
+# order_free_digest() over the 40 fll_cases(seed=5) programs and the 155
+# key-EGD programs, recorded while a drain that merged re-sorted the queue
+# in scan order; the step order of runs that merge may change, these may not
+ORDER_FREE_GOLDEN = "9217a7689d04f39ce4ec89d2d3da6b1261342d3ec05f2e273f2aee2457e57f00"
+
+
+def test_merging_runs_keep_their_order_free_outputs():
+    assert order_free_digest() == ORDER_FREE_GOLDEN
 
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
@@ -113,6 +147,38 @@ def test_egd_drain_stops_at_the_step_budget():
     assert res.status is chase.Status.BUDGET_EXHAUSTED
     assert [type(step) for step in res.steps] == [chase.TgdStep]
     assert parse_atom("r(a,_:n1)") in res.instance
+
+
+REWRITTEN_TRIGGER = """
+fact e(a). fact f(a,b).
+tgd e(X) -> exists Y: p(X,Y).
+tgd f(X,Y) -> g(X,Y).
+tgd p(X,Y) -> exists Z: q(Y,Z).
+tgd g(X,Y) -> p(X,Y).
+egd p(X,Y), p(X,Z) -> Y = Z.
+"""
+
+
+def test_the_oblivious_chase_applies_the_merge_image_of_an_applied_trigger():
+    # tgd3 is applied under {X->a,Y->_:n1}; tgd4 then adds p(a,b), and the
+    # merge of _:n1 onto b makes tgd3's trigger {X->a,Y->b} through it the
+    # image of the applied one.  No record of applied triggers is rewritten,
+    # so the oblivious chase applies {X->a,Y->b} too; the restricted chase
+    # finds its head there.
+    p = parse_program(REWRITTEN_TRIGGER)
+    common = [
+        "+ p(a,_:n1) BY tgd1 WITH {X->a}",
+        "+ g(a,b) BY tgd2 WITH {X->a,Y->b}",
+        "+ q(_:n1,_:n2) BY tgd3 WITH {X->a,Y->_:n1}",
+        "+ p(a,b) BY tgd4 WITH {X->a,Y->b}",
+        "= b<-_:n1 BY egd1",
+    ]
+    oblivious = run_chase(p.facts, p.tgds, p.egds, ChaseOptions(Mode.OBLIVIOUS))
+    assert oblivious.step_log().splitlines() == common + [
+        "+ q(b,_:n3) BY tgd3 WITH {X->a,Y->b}"]
+    restricted = run_chase(p.facts, p.tgds, p.egds, ChaseOptions(Mode.RESTRICTED))
+    assert restricted.step_log().splitlines() == common
+    assert oblivious.status is restricted.status is Status.SATURATED
 
 
 class FullScanEngine(_Engine):
@@ -191,22 +257,99 @@ def test_delta_drain_agrees_with_a_full_rescan(program, mode):
     assert delta.instance.atoms() == full.instance.atoms()
 
 
+def frozen(term, names):
+    """A null replaced by a constant of its own, so that a homomorphism
+    must fix it; any other term as it is."""
+    if isinstance(term, LabeledNull):
+        return names.setdefault(term, Constant("null%d" % term.index))
+    return term
+
+
+def assert_model(instance, rules, constraints):
+    """Every TGD and every EGD holds in the instance: each body match
+    extends to the head (found by `find_homomorphism` with the instance's
+    nulls frozen and the existentials free), and equates what it must."""
+    names = {}
+    target = Instance(Atom(a.predicate, tuple(frozen(t, names) for t in a.args))
+                      for a in instance)
+    for rule in rules:
+        fresh = {v: LabeledNull(i)
+                 for i, v in enumerate(sorted(rule.existentials, key=lambda v: v.name), 1)}
+        for hom in chase.body_homomorphisms(rule.body, instance):
+            values = {v: frozen(t, names) for v, t in hom.items()}
+            head = [atom.substitute({**values, **fresh}) for atom in rule.head]
+            assert find_homomorphism(head, target) is not None, (rule, hom)
+    for egd in constraints:
+        for hom in chase.body_homomorphisms(egd.body, instance):
+            assert hom[egd.lhs] == hom[egd.rhs], (egd, hom)
+
+
+def assert_once_and_a_model(facts, rules, constraints, opts):
+    """Run the chase: no (rule, key) reaches the head check or
+    `apply_tgd` twice, and a saturated run ends in a model.  No run-long
+    set of applied triggers backs the drain up: a merge drops the queued
+    keys that hold a replaced value and appends the triggers through the
+    atoms it added.  Returns the result."""
+    checked, applied = Counter(), Counter()
+    real_check, real_apply = chase.head_satisfied, chase.apply_tgd
+
+    def check(plan, key, instance):
+        checked[plan.rule, key] += 1
+        return real_check(plan, key, instance)
+
+    def apply(trigger, instance, alloc):
+        applied[trigger.rule, trigger.key] += 1
+        return real_apply(trigger, instance, alloc)
+
+    with mock.patch.object(chase, "head_satisfied", check), \
+            mock.patch.object(chase, "apply_tgd", apply):
+        res = run_chase(facts, rules, constraints, opts)
+    assert max(checked.values(), default=1) == 1
+    assert max(applied.values(), default=1) == 1
+    if res.status is Status.SATURATED:
+        assert_model(res.instance, res.tgds, constraints)
+    return res
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(programs(), st.sampled_from(list(Mode)))
+def test_runs_apply_each_trigger_once_and_saturate_to_a_model(program, mode):
+    assert_once_and_a_model(*program, ChaseOptions(mode=mode, max_steps=40, max_depth=8))
+
+
+def test_merging_corpora_apply_each_trigger_once_and_saturate_to_a_model():
+    merged_and_saturated = 0
+    for p in list(fll_cases(seed=5, count=40)) + list(map(parse_program, key_egd_programs())):
+        for mode in Mode:
+            res = assert_once_and_a_model(p.facts, p.tgds, p.egds,
+                                          ChaseOptions(mode=mode, max_steps=300))
+            kinds = [type(step) for step in res.steps]
+            merged_and_saturated += res.status is Status.SATURATED and (
+                chase.TgdStep in kinds and EgdStep in kinds[kinds.index(chase.TgdStep):])
+    # runs that merged after a TGD step and saturated, so that the model
+    # check covers merges (77 of the 390 runs)
+    assert merged_and_saturated >= 70
+
+
 # ---------------------------------------------------------------------------
 # in-place merges against the whole-instance merge path
 # ---------------------------------------------------------------------------
 
 class CopyRewriteEngine(_Engine):
-    """The merge path that in-place merging replaced: each merge copies
-    the instance and walks every forest node and applied key, every EGD
-    search after a merge scans the whole instance, and a drain after a
-    TGD step that merged rediscovers every trigger not yet applied."""
+    """The merge path that in-place merging replaced, under the engine's
+    queue policy done by brute force: each merge expands the pending
+    atoms, copies the instance, walks every forest node and drops every
+    queued key that holds the replaced value; every EGD search after a
+    merge scans the whole instance; and a drain after a TGD step that
+    merged appends the triggers through its surviving pins (the new atom
+    and the atoms its merges added, found by comparing whole instances),
+    picked from a whole-instance scan."""
 
     def _drain_egds(self, new_atom=None):
         merged_any = False
         pins = None if new_atom is None else [new_atom]
         while self.egds:
-            trigger = self._first_egd_trigger(pins)
-            pins = None
+            trigger = self._first_egd_trigger(None if merged_any else pins)
             if trigger is None:
                 break
             step = chase.apply_egd(trigger, self.instance)
@@ -216,7 +359,10 @@ class CopyRewriteEngine(_Engine):
             if len(self.steps) >= self.opts.max_steps:
                 return Status.BUDGET_EXHAUSTED
             kept, replaced = step.kept, step.replaced
-            self.instance = copy_rewrite(self.instance, replaced, kept)
+            while self.pending:
+                self._expand()
+            before = self.instance
+            self.instance = copy_rewrite(before, replaced, kept)
             self._record(step)
             sub = {replaced: kept}
             for node in self.forest:
@@ -225,18 +371,35 @@ class CopyRewriteEngine(_Engine):
             self.first_node_for = {}
             for node in self.forest:
                 self.first_node_for.setdefault(node.atom, node.id)
-            self.applied = {(rid, tuple(sub.get(t, t) for t in key))
-                            for rid, key in self.applied}
+            self.queue = deque(entry for entry in self.queue if replaced not in entry[1])
+            if pins is not None:
+                pins = [atom for atom in pins if atom in self.instance] + [
+                    atom for atom in self.instance if atom not in before]
             merged_any = True
+        if pins is None:
+            return None
         if merged_any:
-            self.queue.clear()
-            self.pending.clear()
-            if new_atom is not None:  # the drain that starts a run leaves it to run()
-                self.queue.extend(entry for entry in chase.rule_triggers(self.plans, self.instance)
-                                  if entry not in self.applied)
-        elif new_atom is not None:
+            self.queue.extend(self._triggers_through(pins))
+        else:
             self._discover(new_atom)
         return None
+
+    def _triggers_through(self, pins):
+        """The TGD triggers whose body image holds a pin, in the order
+        that `rule_triggers` finds them pin by pin: by the first pin they
+        hold, then rule, then that pin's body position, then the
+        positions of the other body atoms in body order."""
+        pin_at = {atom: i for i, atom in enumerate(pins)}
+        position = self.instance.position
+        order = {}
+        for idx, key in chase.rule_triggers(self.plans, self.instance):
+            images = self.plans[idx].body_images(key)
+            found = [(pin_at[atom], idx, j,
+                      [position(other) for other in images[:j] + images[j + 1:]])
+                     for j, atom in enumerate(images) if atom in pin_at]
+            if found:
+                order[idx, key] = min(found)
+        return sorted(order, key=order.get)
 
 
 class CopyRewriteBlockingEngine(CopyRewriteEngine, egdsep._BlockingEngine):

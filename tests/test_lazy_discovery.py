@@ -23,7 +23,7 @@ BUDGETS = (1, 2, 3, 5, 8, 13, 21, 34, 60)
 
 class EagerEngine(_Engine):
     """The engine that queues every trigger through a new atom at once,
-    and drops each trigger queued or applied before in the run."""
+    and drops each trigger queued before in the run."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -31,7 +31,7 @@ class EagerEngine(_Engine):
 
     def _discover(self, new_atom=None):
         for entry in chase.rule_triggers(self.plans, self.instance, new_atom):
-            if entry not in self.queued and entry not in self.applied:
+            if entry not in self.queued:
                 self.queued.add(entry)
                 self.queue.append(entry)
 

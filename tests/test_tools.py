@@ -1,12 +1,21 @@
-"""The line counts of `tools/src_lines.py`."""
+"""The line counts of `tools/src_lines.py` and the table of `tools/fll_scaling.py`."""
 
 import importlib.util
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-spec = importlib.util.spec_from_file_location("src_lines", TOOLS / "src_lines.py")
-src_lines = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(src_lines)
+
+
+def load(name):
+    """The module tools/<name>.py."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+src_lines = load("src_lines")
+fll_scaling = load("fll_scaling")
 
 # the lines doc_lines counts are marked "doc"; a trailing comment, a
 # string that is not a docstring and a "#" inside a string are code
@@ -56,3 +65,13 @@ def test_the_total_row_sums_the_modules_now(capsys):
     now = src_lines.counts_now()
     assert total[0] == "total"
     assert (int(total[2]), int(total[5])) == tuple(map(sum, zip(*now.values())))
+
+
+def test_the_scaling_table_has_a_row_per_strategy_and_a_column_per_size(capsys):
+    assert fll_scaling.main(["--sizes", "2", "4"]) == 0
+    head, *rows = capsys.readouterr().out.splitlines()
+    assert head.split()[-4:] == ["2", "(18)", "4", "(23)"]
+    assert [row.rsplit(None, 2)[0] for row in rows] == [
+        "answer (default)", "--strategy terminate", "--egd separate", "blocked-atomic",
+        "egd-check", "blocking_chase"]
+    assert all(float(cell) >= 0 for row in rows for cell in row.split()[-2:])
