@@ -1,9 +1,7 @@
 """TGD and EGD chase: triggers, fair runs with budgets, guarded chase forests.
 
 The engine runs a fair FIFO strategy: triggers are queued in discovery
-order and each (rule, homomorphism) pair is applied at most once,
-with no set of queued or applied triggers: each is found once
-(`rule_triggers`).
+order, each found once (`rule_triggers`) and, up to merges, applied once.
 Discovery is lazy: an atom a step adds is queued itself, pending behind
 the triggers queued before it, and its triggers are found only when
 the queue reaches it, over the atoms at or before its position, the
@@ -13,26 +11,25 @@ that a budget stops never pays for the triggers of the atoms it did not
 reach.  When EGDs are interleaved they are drained to fixpoint after
 every instance-changing TGD step; a run without EGDs queues the new atom
 straight away.  A merge moves positions, so the drain first expands
-every pending atom.  A merge rewrites, in place, only the atoms and
-forest labels that hold the replaced value.  After a TGD step, the EGD
-searches look only through the new atom and the atoms the merges added
-(`_drain_egds`), and keep the order of a full scan: a scan reaches
-triggers by rule index and then by the insertion positions of their
-body images, in body order (a nested loop over position-ordered lists),
-so the least of any triggers under that key comes first.
+every pending atom; it rewrites in place only the atoms and forest
+labels that hold the replaced value.  After a TGD step the EGD searches
+pin the new atom and the atoms the merges added (`_drain_egds`), and
+keep the order of a full scan: by rule index, then by the insertion
+positions of the body images, in body order.
 
-Queued keys are not rewritten.  The loop drops a key that holds a value
-some merge replaced, and a drain that merged appends the TGD triggers
-through its surviving pins: the new atom and the atoms its merges
-added.  Nothing is lost or applied twice.  A key holds every value of
-its body image, so a key that holds no replaced value still matches.
-The rewritten trigger of a dropped key either maps its body into atoms
-that were there before the merge, and was then found already under its
-own key, since every pending atom was expanded first; or it uses an
-atom the merge added, which was never there before, since nulls never
-come back, and the drain finds it now through that atom.  A trigger is
-its key: the rewritten image of an applied trigger is another trigger,
-which the oblivious chase applies too once it is found.
+Queued keys are not rewritten.  The loop drops a key that holds a
+replaced value, and a drain that merged appends the TGD triggers
+through its surviving pins.  Nothing is lost or applied twice.  A key
+holds every value of its body image, so one without a replaced value
+still matches.  The rewritten trigger of a dropped key maps its body
+either into atoms that were there before the merge, and was found
+already under its own key, since every pending atom was expanded
+first; or onto an atom the merge added, never there before, since
+nulls never come back, and the drain finds it through that pin.  It
+may be the image of an applied trigger: each merge notes the image of
+every applied trigger whose key holds the replaced value (each has a
+forest node, indexed by term from the first merge on), and the loop
+drops a key that is one.
 
 A rule application is one `Trigger`: log steps, forest nodes and a
 failed run's witness hold it and read its rule and bindings there.
@@ -339,11 +336,6 @@ class ChaseOptions:
     max_depth: int = DEFAULT_MAX_DEPTH
 
 
-def _index(by_term: Dict[Term, list], terms: Sequence[Term], item) -> None:
-    for t in terms:
-        by_term.setdefault(t, []).append(item)
-
-
 class _Engine:
     """The fair FIFO chase.  Subclasses change which EGD merges end the
     run (`_ends_run`); everything else is shared."""
@@ -371,10 +363,12 @@ class _Engine:
         # queued triggers were found, whose own are still to be found
         self.queue: deque = deque()
         self.pending: deque = deque()
-        # the values merges replaced: a queued key holding one is stale
-        self.replaced: Set[Term] = set()
-        # term -> forest node ids holding it, built at the first merge
+        # replaced value -> kept value, per merge: a key holding one is stale
+        self.replaced: Dict[Term, Term] = {}
+        # term -> ids of the forest nodes whose label or trigger key
+        # holds it, built at the first merge; applied keys merges rewrote
         self.nodes_by_term: Optional[Dict[Term, List[int]]] = None
+        self.applied_images: Set[Tuple[RulePlan, Key]] = set()
         for atom in database:
             self._add_node(atom, parent=None, trigger=None, depth=0)
 
@@ -397,8 +391,12 @@ class _Engine:
         self.forest.append(node)
         self.first_node_for.setdefault(atom, node.id)
         if self.nodes_by_term is not None:
-            _index(self.nodes_by_term, atom.args, node.id)
+            self._index_node(node)
         return node
+
+    def _index_node(self, node: ForestNode) -> None:
+        for t in node.atom.args + (node.trigger.key if node.trigger else ()):
+            self.nodes_by_term.setdefault(t, []).append(node.id)
 
     def _guard_parent(self, idx: int, key: Key) -> Optional[int]:
         if self.guards is None:
@@ -452,17 +450,24 @@ class _Engine:
         return step is None
 
     def _rewrite_bookkeeping(self, replaced: Term, kept: Term) -> None:
-        """Note `replaced` as a stale value, and relabel the forest nodes
-        that hold it, found through a term index the first merge builds."""
-        self.replaced.add(replaced)
+        """Note a merge: relabel the forest nodes that hold `replaced`, and
+        note the images of the applied triggers that do (module docstring)."""
+        self.replaced[replaced] = kept
         if self.nodes_by_term is None:
             self.nodes_by_term = {}
             for node in self.forest:
-                _index(self.nodes_by_term, node.atom.args, node.id)
+                self._index_node(node)
         sub, first = {replaced: kept}, self.first_node_for
         nodes = sorted(set(self.nodes_by_term.pop(replaced, ())))
         for nid in nodes:
             node = self.forest[nid]
+            if node.trigger is not None:  # its key under every merge so far
+                key = node.trigger.key
+                while not self.replaced.keys().isdisjoint(key):
+                    key = tuple(self.replaced.get(t, t) for t in key)
+                self.applied_images.add((node.trigger.plan, key))
+            if replaced not in node.atom.args:
+                continue
             if first.get(node.atom) == nid:
                 del first[node.atom]
             node.atom = node.atom.substitute(sub)
@@ -477,13 +482,11 @@ class _Engine:
         `new_atom` is the atom a TGD step just added.  The drain before
         left no EGD trigger, and every TGD trigger queued or applied,
         except through it; a merge makes new ones only through the atoms
-        it adds.  So the searches pin through these atoms.  Without a
-        merge the new atom is queued as pending; after merges the TGD
-        triggers through the surviving pins are appended, each once and
-        with no cutoff, since every pending atom has been expanded, and
-        the queued keys stay as they are (module docstring).  The drain
-        that starts a run (no `new_atom`) scans the whole instance and
-        leaves discovery to the caller.
+        it adds.  So the searches pin these atoms, and after merges the
+        TGD triggers through the surviving pins are appended, each once
+        and with no cutoff, as no atom is pending (module docstring).
+        The drain that starts a run (no `new_atom`) scans the whole
+        instance and leaves discovery to the caller.
         """
         pins = None if new_atom is None else [new_atom]
         merged = False
@@ -536,16 +539,16 @@ class _Engine:
         """Drain the queue.  A trigger deeper than max_depth is skipped,
         not applied, and makes the run budget-exhausted at the end."""
         restricted = self.opts.mode is Mode.RESTRICTED
-        replaced = self.replaced
+        replaced, images = self.replaced, self.applied_images
         skipped = False
         while self.queue or self.pending:
             if not self.queue:
                 self._expand()
                 continue
             idx, key = self.queue.popleft()
-            if replaced and not replaced.isdisjoint(key):
-                continue  # stale: a merge replaced one of its values
             plan = self.plans[idx]
+            if replaced and (not replaced.keys().isdisjoint(key) or (plan, key) in images):
+                continue  # stale, or an applied trigger under the merges since
             if restricted and head_satisfied(plan, key, self.instance):
                 continue
             # at the budget, a step that would add an atom ends the run

@@ -910,7 +910,7 @@ KEY_EGD_GOLDEN = {
     "chase --mode restricted --format json --max-steps 300":
         "543079311655e3db3e72f7e3f741603f288332db17e4bc3ceff06a42c56b5287",
     "chase --mode oblivious --format json --max-steps 300":
-        "0cf6da02505c2a4f82a895b6f1558f5803be91e824c41971ef29ca07f56206f4",
+        "f0870dfa06ed0fd33b9834fc194d4db7fb3a17e6998819f98a65e6f6be4ecb10",
     "forest --format json --max-steps 300":
         "1b1f9d49d43deeeee9e7dc89cd92b9ac4dffa8dd9c94252731eb8f11a3b9367d",
 }
