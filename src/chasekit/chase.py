@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import os
 import resource
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -110,7 +111,7 @@ class Trigger:
         return tuple(zip(self.plan.vars, self.key))
 
 
-@dataclass
+@dataclass(slots=True)
 class ForestNode:
     id: int
     atom: Atom
@@ -119,18 +120,19 @@ class ForestNode:
     depth: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TgdStep:
     atom: Atom
     trigger: Trigger
 
     def render(self, show: Callable[[object], str] = repr) -> str:
-        """The log line, with `show` rendering the atom and the terms."""
-        binding = ",".join("%s->%s" % (v.name, show(t)) for v, t in self.trigger.hom)
-        return "+ %s BY %s WITH {%s}" % (show(self.atom), self.trigger.rule.label, binding)
+        """The log line, with `show` rendering the atom and the terms,
+        filled into the rule's line format (`RulePlan.step_format`)."""
+        trigger = self.trigger
+        return trigger.plan.step_format % (show(self.atom), *map(show, trigger.key))
 
 
-@dataclass
+@dataclass(slots=True)
 class EgdStep:
     kept: Term
     replaced: Term
@@ -290,14 +292,16 @@ class MemoryBudgetExceeded(Exception):
 
 
 def _rss_kb() -> int:
-    """The resident set size now; the peak one where /proc is missing.
-    The peak cannot measure a run: it keeps whatever the process, or
-    the process that started it, once used."""
+    """The resident set size now, in KB; the peak one where /proc is
+    missing, which macOS reports in bytes and other systems in KB.  The
+    peak cannot measure a run: it keeps whatever the process, or the
+    process that started it, once used."""
     try:
         with open("/proc/self/statm") as f:
             return int(f.read().split()[1]) * resource.getpagesize() // 1024
     except OSError:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak // 1024 if sys.platform == "darwin" else peak
 
 
 def memory_guard() -> Optional[Callable[[], None]]:
@@ -381,13 +385,7 @@ class _Engine:
     # -- forest -------------------------------------------------------------
 
     def _add_node(self, atom, parent, trigger, depth) -> ForestNode:
-        node = ForestNode(
-            id=len(self.forest),
-            atom=atom,
-            parent=parent,
-            trigger=trigger,
-            depth=depth,
-        )
+        node = ForestNode(len(self.forest), atom, parent, trigger, depth)
         self.forest.append(node)
         self.first_node_for.setdefault(atom, node.id)
         if self.nodes_by_term is not None:
@@ -539,6 +537,8 @@ class _Engine:
         """Drain the queue.  A trigger deeper than max_depth is skipped,
         not applied, and makes the run budget-exhausted at the end."""
         restricted = self.opts.mode is Mode.RESTRICTED
+        max_steps, max_depth = self.opts.max_steps, self.opts.max_depth
+        plans, forest, steps = self.plans, self.forest, self.steps
         replaced, images = self.replaced, self.applied_images
         skipped = False
         while self.queue or self.pending:
@@ -546,18 +546,18 @@ class _Engine:
                 self._expand()
                 continue
             idx, key = self.queue.popleft()
-            plan = self.plans[idx]
+            plan = plans[idx]
             if replaced and (not replaced.keys().isdisjoint(key) or (plan, key) in images):
                 continue  # stale, or an applied trigger under the merges since
             if restricted and head_satisfied(plan, key, self.instance):
                 continue
             # at the budget, a step that would add an atom ends the run
-            if len(self.steps) >= self.opts.max_steps and (
+            if len(steps) >= max_steps and (
                     plan.rule.existentials or plan.head_image(key, None) not in self.instance):
                 return Status.BUDGET_EXHAUSTED
             parent = self._guard_parent(idx, key)
-            depth = 0 if parent is None else self.forest[parent].depth + 1
-            if depth > self.opts.max_depth:
+            depth = 0 if parent is None else forest[parent].depth + 1
+            if depth > max_depth:
                 skipped = True
                 continue
             trigger = Trigger.of(plan, key)

@@ -14,7 +14,9 @@ With a cutoff position, every step but a pinned one probes only the
 prefix of its list up to that position, so the matches are those over
 the instance as it stood when the atom at that position was added, in
 the same order: the chase finds a queued atom's triggers that way when
-its FIFO queue reaches the atom.
+its FIFO queue reaches the atom.  A pinned fact is checked and bound
+by `Plan.matches` itself, and only the other atoms go through the
+recursive step generator, so a one-atom body needs none.
 The matcher recurses once per atom, so a plan takes at most half of
 `sys.getrecursionlimit()` atoms and rejects a longer conjunction with a
 `UsageError`; raising the recursion limit raises the plan limit with it.
@@ -27,14 +29,18 @@ to a new fact (`chase.rule_triggers` runs them), are compiled on first
 use.  Templates build the body images, the head image (existentials
 drawn in name order) and the equated values of an EGD from a key; an
 image template has one position per argument of its atom, so it builds
-the `Atom` tuple directly, without `Atom`'s arity check.  `rule_triggers`
-runs a rule for a new fact only when the fact's predicate is among the
-rule's `body_predicates`.
+the `Atom` tuple directly, without `Atom`'s arity check.  A full rule's
+head image reads the key alone; a rule with existentials appends its
+fresh nulls to it.  `rule_triggers` runs a rule for a new fact only when
+the fact's predicate is among the rule's `body_predicates`.  A TGD
+step's log line fills a `%` format the plan builds once (`step_format`),
+with the rendered head image and the rendered values of the key.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -111,24 +117,31 @@ class Plan:
                 fact: Optional[Atom] = None,
                 cutoff: Optional[int] = None) -> Iterator[tuple]:
         """Every match into the instance, as a slot tuple, extending the
-        seed values (in the order of the plan's `seed`).  With a `cutoff`
-        position, every atom but the pinned fact sits at or before it."""
+        seed values (in the order of the plan's `seed`).  A `fact` is
+        checked and bound here, as the first atom's only candidate, and
+        the rest of the atoms are matched into the instance.  With a
+        `cutoff` position, every atom but the pinned fact sits at or
+        before it."""
         start = self.consts + tuple(seed)
         if not self.steps:
             return iter((start,))
-        return self._step(instance, 0, start, fact, cutoff)
+        if fact is None:
+            return self._step(instance, 0, start, cutoff)
+        predicate, _, wanted, checked, same, bind = self.steps[0]
+        args = fact.args
+        if fact.predicate != predicate or checked(args) != wanted(start) or (
+                same is not None and same[0](args) != same[1](args)):
+            return iter(())
+        hom = start + bind(args)
+        return iter((hom,)) if len(self.steps) == 1 else self._step(instance, 1, hom, cutoff)
 
     def _step(self, instance: Instance, k: int, hom: tuple,
-              fact: Optional[Atom], cutoff: Optional[int]) -> Iterator[tuple]:
+              cutoff: Optional[int]) -> Iterator[tuple]:
         predicate, columns, wanted, checked, same, bind = self.steps[k]
         want = wanted(hom)
-        if fact is None:
-            candidates = instance.probe(predicate, columns, want, cutoff)
-        else:
-            candidates = (fact,) if fact.predicate == predicate else ()
         k += 1
         last = k == len(self.steps)
-        for f in candidates:
+        for f in instance.probe(predicate, columns, want, cutoff):
             args = f.args
             if checked(args) != want:
                 continue
@@ -137,7 +150,7 @@ class Plan:
             if last:
                 yield hom + bind(args)
             else:
-                yield from self._step(instance, k, hom + bind(args), None, cutoff)
+                yield from self._step(instance, k, hom + bind(args), cutoff)
 
 
 def _template(atom: Atom, layout: Dict[str, int]) -> Callable[[tuple], Atom]:
@@ -162,7 +175,7 @@ class RulePlan:
     """One TGD or EGD compiled for trigger discovery and application.
 
     Nothing is compiled before it is used: the body plans, the head
-    check and the templates each on first use.
+    check, the templates and a TGD's step-line format each on first use.
     """
 
     def __init__(self, rule):
@@ -233,7 +246,16 @@ class RulePlan:
             self._head = (len(layout) - len(self.vars),
                           _template(self.rule.head[0], layout))
         fresh, image = self._head
+        if not fresh:
+            return image(key)
         return image(key + tuple(alloc.fresh() for _ in range(fresh)))
+
+    @cached_property
+    def step_format(self) -> str:
+        """The `%` format of a TGD step's log line: the added atom, then
+        the key's values, each rendered (`chase.TgdStep.render`)."""
+        binding = ",".join(v.name.replace("%", "%%") + "->%s" for v in self.vars)
+        return "+ %s BY " + self.rule.label.replace("%", "%%") + " WITH {" + binding + "}"
 
     def head_holds(self, key: Key, instance: Instance) -> bool:
         """Does some extension of the key on the frontier map the head

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import find_homomorphism, terminating_cases, wg_cases
+from helpers import fll_cases, find_homomorphism, terminating_cases, wg_cases
 
 from chasekit import chase, rulesets
 from chasekit.analysis import affected_positions, classify, Position
@@ -304,6 +304,51 @@ def test_step_log_text_format():
     p = parse_program("fact t(a). tgd t(X) -> exists Z: u(X,Z).")
     res = run_chase(p.facts, p.tgds, [], ChaseOptions())
     assert res.step_log() == "+ u(a,_:n1) BY tgd1 WITH {X->a}"
+
+
+def pairwise_line(step, show):
+    """A TGD step's log line built pair by pair from `Trigger.hom`."""
+    binding = ",".join("%s->%s" % (v.name, show(t)) for v, t in step.trigger.hom)
+    return "+ %s BY %s WITH {%s}" % (show(step.atom), step.trigger.rule.label, binding)
+
+
+def assert_lines_match_pairwise(steps):
+    tgd_steps = [s for s in steps if isinstance(s, TgdStep)]
+    for show in (repr, lambda x: "<%r>" % (x,)):
+        for step in tgd_steps:
+            assert step.render(show) == pairwise_line(step, show)
+    return len(tgd_steps)
+
+
+def test_step_lines_match_pairwise_rendering_on_generated_programs():
+    lines = 0
+    for _, _, ob, re in terminating_cases(seed=32, count=25):
+        lines += assert_lines_match_pairwise(ob.steps) + assert_lines_match_pairwise(re.steps)
+    for db, rules in wg_cases(seed=32, count=25):
+        res = run_chase(db, rules, (), ChaseOptions(Mode.OBLIVIOUS, 300, 8))
+        lines += assert_lines_match_pairwise(res.steps)
+    for program in fll_cases(seed=32, count=8):
+        res = run_chase(program.facts, program.tgds, program.egds,
+                        ChaseOptions(Mode.OBLIVIOUS, 300, 8))
+        lines += assert_lines_match_pairwise(res.steps)
+    assert lines > 1000
+
+
+def test_step_lines_escape_percent_signs_and_bind_no_variable():
+    x, y = Variable("X"), Variable("Y%s")
+    p, q, r = Predicate("p", 1), Predicate("q", 1), Predicate("r", 2)
+    rules = [TGD((Atom(p, (x,)),), (Atom(r, (x, Variable("Z%d"))),),
+                 frozenset({Variable("Z%d")}), label="100% of %s"),
+             TGD((Atom(r, (x, y)),), (Atom(q, (y,)),), label="%%"),
+             TGD((Atom(p, (Constant("a"),)),), (Atom(q, (Constant("a"),)),))]
+    res = run_chase(Instance([Atom(p, (Constant("a"),))]), rules, (),
+                    ChaseOptions(Mode.OBLIVIOUS))
+    assert assert_lines_match_pairwise(res.steps) == 3
+    assert res.step_log().splitlines() == [
+        "+ r(a,_:n1) BY 100% of %s WITH {X->a}",
+        "+ q(a) BY  WITH {}",
+        "+ q(_:n1) BY %% WITH {X->a,Y%s->_:n1}",
+    ]
 
 
 def test_egd_step_log_format():

@@ -7,10 +7,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import chasekit
+from chasekit import chase
 from chasekit.chase import ChaseOptions, Mode, run_chase
 from chasekit.cli import main
 from chasekit.egdsep import separated_answer
@@ -493,6 +495,25 @@ def test_memory_cap_counts_only_the_runs_own_growth(tmp_path, capsys, monkeypatc
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert (payload["status"], len(payload["steps"])) == ("saturated", 300)
+
+
+@pytest.mark.parametrize("platform,unit", [("darwin", 1024), ("linux", 1)])
+def test_memory_cap_reads_the_peak_in_kb_without_proc(monkeypatch, platform, unit):
+    # without /proc the cap reads the peak RSS, in bytes on macOS
+    peaks = iter([100 << 10, 101 << 10, 103 << 10])  # KB
+
+    def no_proc(*args, **kwargs):
+        raise OSError("no /proc")
+
+    monkeypatch.setattr(chase, "open", no_proc, raising=False)
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(chase.resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_maxrss=next(peaks) * unit))
+    monkeypatch.setenv("CHASEKIT_MAX_MEMORY_MB", "2")
+    check = chase.memory_guard()
+    check()  # 1 MB of growth
+    with pytest.raises(chase.MemoryBudgetExceeded):
+        check()  # 3 MB
 
 
 def test_store_stats_rejects_grid_without_force(capsys):

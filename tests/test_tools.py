@@ -1,14 +1,20 @@
-"""The line counts of `tools/src_lines.py` and the table of `tools/fll_scaling.py`."""
+"""The line counts of `tools/src_lines.py`, the table of `tools/fll_scaling.py`
+and the job tally of `tools/profile_pass.py`."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
-def load(name):
-    """The module tools/<name>.py."""
-    spec = importlib.util.spec_from_file_location(name, TOOLS / (name + ".py"))
+def load(name, folder=TOOLS):
+    """The module <folder>/<name>.py."""
+    spec = importlib.util.spec_from_file_location(name, folder / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -16,6 +22,7 @@ def load(name):
 
 src_lines = load("src_lines")
 fll_scaling = load("fll_scaling")
+gen = load("gen", ROOT / "bench")
 
 # the lines doc_lines counts are marked "doc"; a trailing comment, a
 # string that is not a docstring and a "#" inside a string are code
@@ -75,3 +82,13 @@ def test_the_scaling_table_has_a_row_per_strategy_and_a_column_per_size(capsys):
         "answer (default)", "--strategy terminate", "--egd separate", "blocked-atomic",
         "egd-check", "blocking_chase"]
     assert all(float(cell) >= 0 for row in rows for cell in row.split()[-2:])
+
+
+@pytest.mark.parametrize("mode", [["--kinds"], ["--top", "1"]], ids=["kinds", "profile"])
+def test_the_measured_pass_tallies_each_job_once(mode):
+    # in a process of its own: the benchmark's set-up re-imports chasekit
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "profile_pass.py"), "--workload", "cq-3col", "--seed", "1",
+         *mode], capture_output=True, text=True, timeout=300, check=True)
+    jobs = len(gen.build("cq-3col", 1).jobs)
+    assert "0 of %d jobs failed their check" % jobs in proc.stdout

@@ -71,8 +71,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         chasekit, built = run.setup(args.workload, args.seed, Path(tmp))
         runner = run.Runner(chasekit, Path(tmp))
-        tally = run.Tally(run.verify.Expectations(built))
-        run.one_pass(runner, built.jobs, tally)
+        expect = run.verify.Expectations(built)
+        run.one_pass(runner, built.jobs, run.Tally(expect))  # warm-up, tallied apart
+        tally = run.Tally(expect)
         if args.kinds:
             print_kinds(runner, built.jobs, tally)
             return 0
