@@ -13,7 +13,6 @@ and the fixpoint is a worklist, linear in the size of the rules.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -52,18 +51,15 @@ _WEAKNESS = [
 ]
 
 
-@dataclass
-class Classification:
-    """Each per-rule fact is a list in rule order.  A rule has a full
-    guard exactly when it is linear or guarded, and its forest guard is
-    then that guard."""
+class Classification(namedtuple("Classification", "per_rule overall affected forest_guards")):
+    """Each per-rule fact is a list in rule order: `per_rule` the
+    `RuleClass`es and `forest_guards` the body index whose image parents
+    the derived atom in the chase forest, the guard or else the weak
+    guard.  A rule has a full guard exactly when it is linear or
+    guarded, and its forest guard is then that guard.  `affected` is the
+    set of affected `Position`s."""
 
-    per_rule: List[RuleClass]
-    overall: RuleClass
-    affected: Set[Position]
-    # the body index whose image parents the derived atom in the chase
-    # forest: the guard, or else the weak guard
-    forest_guards: List[Optional[int]]
+    __slots__ = ()
 
     def is_weakly_guarded_set(self) -> bool:
         return self.overall is not RuleClass.UNGUARDED

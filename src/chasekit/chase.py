@@ -50,8 +50,7 @@ from __future__ import annotations
 import os
 import resource
 import sys
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from enum import Enum
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -90,15 +89,18 @@ DEFAULT_MAX_DEPTH = 64
 BOUNDED_DEPTH = 16
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Trigger:
     """A rule with the values of its body variables, in name order (the
     key of its `RulePlan`): one rule application, the record that steps,
-    forest nodes and failure witnesses hold."""
+    forest nodes and failure witnesses hold.  Triggers equal and hash on
+    their rule and key; the plan only serves them."""
 
-    rule: Union[TGD, EGD]
-    key: Key
-    plan: RulePlan = field(compare=False, repr=False)
+    __slots__ = ("rule", "key", "plan")
+
+    def __init__(self, rule: Union[TGD, EGD], key: Key, plan: RulePlan):
+        self.rule = rule
+        self.key = key
+        self.plan = plan
 
     @classmethod
     def of(cls, plan: RulePlan, key: Key) -> "Trigger":
@@ -110,20 +112,41 @@ class Trigger:
         """The (variable, value) pairs, sorted by variable name."""
         return tuple(zip(self.plan.vars, self.key))
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.rule == other.rule and self.key == other.key
 
-@dataclass(slots=True)
+    def __hash__(self):
+        return hash((self.rule, self.key))
+
+    def __repr__(self):
+        return "Trigger(rule=%r, key=%r)" % (self.rule, self.key)
+
+
+# ForestNode, TgdStep and EgdStep are built once per step: plain slotted
+# classes, as cheap to build and read as a class gets, equal by identity.
+
 class ForestNode:
-    id: int
-    atom: Atom
-    parent: Optional[int]
-    trigger: Optional[Trigger]  # None for a database atom
-    depth: int
+    """A node of the chase forest; `trigger` is None for a database atom."""
+
+    __slots__ = ("id", "atom", "parent", "trigger", "depth")
+
+    def __init__(self, id: int, atom: Atom, parent: Optional[int],
+                 trigger: Optional[Trigger], depth: int):
+        self.id = id
+        self.atom = atom
+        self.parent = parent
+        self.trigger = trigger
+        self.depth = depth
 
 
-@dataclass(slots=True)
 class TgdStep:
-    atom: Atom
-    trigger: Trigger
+    __slots__ = ("atom", "trigger")
+
+    def __init__(self, atom: Atom, trigger: Trigger):
+        self.atom = atom
+        self.trigger = trigger
 
     def render(self, show: Callable[[object], str] = repr) -> str:
         """The log line, with `show` rendering the atom and the terms,
@@ -132,12 +155,14 @@ class TgdStep:
         return trigger.plan.step_format % (show(self.atom), *map(show, trigger.key))
 
 
-@dataclass(slots=True)
 class EgdStep:
-    kept: Term
-    replaced: Term
-    trigger: Trigger
-    innocuous: bool
+    __slots__ = ("kept", "replaced", "trigger", "innocuous")
+
+    def __init__(self, kept: Term, replaced: Term, trigger: Trigger, innocuous: bool):
+        self.kept = kept
+        self.replaced = replaced
+        self.trigger = trigger
+        self.innocuous = innocuous
 
     def render(self, show: Callable[[object], str] = repr) -> str:
         """The log line, with `show` rendering the terms."""
@@ -149,15 +174,14 @@ class EgdStep:
 Step = Union[TgdStep, EgdStep]
 
 
-@dataclass
-class ChaseResult:
-    instance: Instance
-    forest: List[ForestNode]
-    status: Status
-    steps: List[Step]
-    failure_witness: Optional[Trigger] = None
-    forest_complete: bool = True
-    tgds: Tuple[TGD, ...] = ()  # the rules it ran: the input's, heads normalized
+class ChaseResult(namedtuple("ChaseResult", "instance forest status steps failure_witness "
+                             "forest_complete tgds", defaults=(None, True, ()))):
+    """One run: its instance, forest (a list of `ForestNode`), status and
+    steps; the trigger that failed it, if one did; whether the forest
+    holds every step; and the rules it ran: the input's, heads
+    normalized."""
+
+    __slots__ = ()
 
     def step_log(self) -> str:
         return "\n".join(s.render() for s in self.steps)
@@ -333,11 +357,9 @@ def memory_guard() -> Optional[Callable[[], None]]:
     return check
 
 
-@dataclass(frozen=True)
-class ChaseOptions:
-    mode: Mode = Mode.RESTRICTED
-    max_steps: int = DEFAULT_MAX_STEPS
-    max_depth: int = DEFAULT_MAX_DEPTH
+# a chase's mode and budgets
+ChaseOptions = namedtuple("ChaseOptions", "mode max_steps max_depth",
+                          defaults=(Mode.RESTRICTED, DEFAULT_MAX_STEPS, DEFAULT_MAX_DEPTH))
 
 
 class _Engine:

@@ -13,7 +13,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from . import clouds, egdsep, rulesets
+from . import clouds, egdsep
 from .analysis import classify
 from .chase import (BOUNDED_DEPTH, DEFAULT_MAX_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions,
                     ChaseResult, MemoryBudgetExceeded, Mode, Status, memory_guard,
@@ -31,7 +31,8 @@ def _load_program(args) -> Program:
     if args.builtin and args.file:
         raise UsageError("give either a file or --builtin, not both")
     if args.builtin:
-        return rulesets.builtin_program(args.builtin)
+        from .rulesets import builtin_program  # only --builtin needs it
+        return builtin_program(args.builtin)
     if not args.file:
         raise UsageError("no input: give a file or --builtin")
     try:

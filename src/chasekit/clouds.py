@@ -25,8 +25,7 @@ instance.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from enum import Enum
 from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -100,11 +99,13 @@ def canonicalize(anchor: Atom, atoms: Set[Atom], database: Instance
 StoreKey = Tuple[Atom, int, FrozenSet[Atom]]
 
 
-@dataclass
 class CloudStore:
     """The keys of one expansion, in insertion order."""
 
-    keys: Dict[StoreKey, None] = field(default_factory=dict)
+    __slots__ = ("keys",)
+
+    def __init__(self):
+        self.keys: Dict[StoreKey, None] = {}
 
     def __len__(self):
         return len(self.keys)
@@ -132,18 +133,10 @@ class SaturateStatus(Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass
-class SaturateOptions:
-    max_rounds: int = DEFAULT_MAX_ROUNDS
-    force: bool = False
-
-
-@dataclass
-class SaturationResult:
-    store: CloudStore
-    ground_atoms: Instance
-    status: SaturateStatus
-    rounds: int
+SaturateOptions = namedtuple("SaturateOptions", "max_rounds force",
+                             defaults=(DEFAULT_MAX_ROUNDS, False))
+# the last round's store, the ground atoms of every round, and the count
+SaturationResult = namedtuple("SaturationResult", "store ground_atoms status rounds")
 
 
 def blocked_saturate(

@@ -13,7 +13,7 @@ one pass over the EGD bodies and builds nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
@@ -26,7 +26,6 @@ from .chase import (
     Mode,
     Status,
     TgdStep,
-    Trigger,
     _Engine,
     egd_violations,
     run_chase,
@@ -36,12 +35,10 @@ from .plan import RulePlan
 from .query import AnswerReport, AnswerStatus, certain_answers
 
 
-@dataclass
-class SeparationVerdict:
-    failed: bool
-    witness: Optional[Trigger]
-    all_applications_innocuous: bool
-    applications: int = 0
+# whether the run failed, its failure witness, and its EGD applications
+SeparationVerdict = namedtuple("SeparationVerdict",
+                               "failed witness all_applications_innocuous applications",
+                               defaults=(0,))
 
 
 def monitor_innocuousness(
@@ -128,13 +125,10 @@ def separated_answer(
 # Blocking chase
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BlockingChaseResult:
-    unblocked: Instance          # A
-    blocked: Instance            # C
-    survivors: Instance          # A - C at the fixpoint
-    status: Status
-    aborted_on: Optional[Trigger] = None
+# A (unblocked), C (blocked) and the survivors A - C at the fixpoint
+BlockingChaseResult = namedtuple("BlockingChaseResult",
+                                 "unblocked blocked survivors status aborted_on",
+                                 defaults=(None,))
 
 
 class _BlockingEngine(_Engine):

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field
 from itertools import count
 from operator import itemgetter
 from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
@@ -398,32 +397,50 @@ class NullAllocator:
 # Dependencies and queries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TGD:
+class _Value:
+    """An immutable record whose fields are its slots, in order, and the
+    arguments of its constructor: it equals and hashes as the tuple of
+    them, copies and pickles by calling the constructor again, and
+    refuses every attribute assignment after `__init__`, which sets each
+    field through `object.__setattr__`.  A plain class, where a frozen
+    dataclass would be generated at every start."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r of an immutable %s"
+                             % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
+
+
+class TGD(_Value):
     """body -> exists Z: head, with Z the existential head variables."""
 
-    body: Tuple[Atom, ...]
-    head: Tuple[Atom, ...]
-    existentials: frozenset = frozenset()
-    label: str = ""
+    __slots__ = ("body", "head", "existentials", "label")
 
-    def universal_variables(self) -> Set[Variable]:
-        return atoms_variables(self.body)
-
-    def head_variables(self) -> Set[Variable]:
-        return atoms_variables(self.head)
-
-    def frontier(self) -> Set[Variable]:
-        return self.head_variables() - set(self.existentials)
-
-    def is_full(self) -> bool:
-        return not self.existentials
-
-    def single_head(self) -> bool:
-        return len(self.head) == 1
-
-    def __post_init__(self):
-        """The variable rules, checked when the rule is built."""
+    def __init__(self, body: Tuple[Atom, ...], head: Tuple[Atom, ...],
+                 existentials: frozenset = frozenset(), label: str = ""):
+        """Builds the rule and checks its variable rules."""
+        init = object.__setattr__
+        init(self, "body", body)
+        init(self, "head", head)
+        init(self, "existentials", existentials)
+        init(self, "label", label)
         body_vars = self.universal_variables()
         in_head = set()
         # the first offender in head order, then by name: not in set order
@@ -447,6 +464,21 @@ class TGD:
                     % (self.label or repr(self), x.name)
                 )
 
+    def universal_variables(self) -> Set[Variable]:
+        return atoms_variables(self.body)
+
+    def head_variables(self) -> Set[Variable]:
+        return atoms_variables(self.head)
+
+    def frontier(self) -> Set[Variable]:
+        return self.head_variables() - set(self.existentials)
+
+    def is_full(self) -> bool:
+        return not self.existentials
+
+    def single_head(self) -> bool:
+        return len(self.head) == 1
+
     def check_head_constants(self) -> None:
         """Every head constant is a body constant: the parser's rule."""
         body_consts = {t for a in self.body for t in a.args if isinstance(t, Constant)}
@@ -469,16 +501,17 @@ class TGD:
         return "%s -> %s" % (b, h)
 
 
-@dataclass(frozen=True)
-class EGD:
+class EGD(_Value):
     """body -> lhs = rhs."""
 
-    body: Tuple[Atom, ...]
-    lhs: Variable
-    rhs: Variable
-    label: str = ""
+    __slots__ = ("body", "lhs", "rhs", "label")
 
-    def __post_init__(self):
+    def __init__(self, body: Tuple[Atom, ...], lhs: Variable, rhs: Variable, label: str = ""):
+        init = object.__setattr__
+        init(self, "body", body)
+        init(self, "lhs", lhs)
+        init(self, "rhs", rhs)
+        init(self, "label", label)
         body_vars = atoms_variables(self.body)
         for v in (self.lhs, self.rhs):
             if v not in body_vars:
@@ -493,13 +526,22 @@ class EGD:
         return "%s -> %s = %s" % (b, self.lhs.name, self.rhs.name)
 
 
-@dataclass(frozen=True)
-class CQ:
+class CQ(_Value):
     """Conjunctive query q(head_vars) :- body.  Arity 0 means Boolean."""
 
-    name: str
-    head_vars: Tuple[Variable, ...]
-    body: Tuple[Atom, ...]
+    __slots__ = ("name", "head_vars", "body")
+
+    def __init__(self, name: str, head_vars: Tuple[Variable, ...], body: Tuple[Atom, ...]):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "head_vars", head_vars)
+        init(self, "body", body)
+        body_vars = self.variables() if head_vars else ()  # Boolean: nothing to check
+        for v in head_vars:
+            if v not in body_vars:
+                raise UsageError(
+                    "query %s: head variable %s not in body" % (name, v.name)
+                )
 
     @property
     def arity(self) -> int:
@@ -511,28 +553,24 @@ class CQ:
     def variables(self) -> Set[Variable]:
         return atoms_variables(self.body)
 
-    def __post_init__(self):
-        body_vars = self.variables() if self.head_vars else ()  # Boolean: nothing to check
-        for v in self.head_vars:
-            if v not in body_vars:
-                raise UsageError(
-                    "query %s: head variable %s not in body" % (self.name, v.name)
-                )
-
     def __repr__(self):
         """The query in program syntax, without `query` and the period."""
         h = "%s(%s)" % (self.name, ",".join(v.name for v in self.head_vars))
         return "%s :- %s" % (h, ", ".join(map(repr, self.body)))
 
 
-@dataclass
 class Program:
-    """One parsed problem instance: facts, dependencies and named queries."""
+    """One parsed problem instance: facts, dependencies and named queries.
+    Each program gets its own instance and lists when they are left out."""
 
-    facts: Instance = field(default_factory=Instance)
-    tgds: List[TGD] = field(default_factory=list)
-    egds: List[EGD] = field(default_factory=list)
-    queries: List[CQ] = field(default_factory=list)
+    __slots__ = ("facts", "tgds", "egds", "queries")
+
+    def __init__(self, facts: Optional[Instance] = None, tgds: Optional[List[TGD]] = None,
+                 egds: Optional[List[EGD]] = None, queries: Optional[List[CQ]] = None):
+        self.facts = Instance() if facts is None else facts
+        self.tgds = [] if tgds is None else tgds
+        self.egds = [] if egds is None else egds
+        self.queries = [] if queries is None else queries
 
     def query(self, name: str) -> CQ:
         for q in self.queries:

@@ -17,13 +17,13 @@ them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from . import clouds
-from .chase import (BOUNDED_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions,
-                    ChaseResult, Mode, Status, body_homomorphisms, egd_violations, run_chase)
+from .chase import (BOUNDED_DEPTH, DEFAULT_MAX_STEPS, ChaseOptions, Mode, Status,
+                    body_homomorphisms, egd_violations, run_chase)
 from .model import (
     CQ,
     EGD,
@@ -129,12 +129,12 @@ class AnswerStatus(Enum):
     FAILED = "failed"
 
 
-@dataclass
-class AnswerReport:
-    answers: List[Tuple[Term, ...]]
-    status: AnswerStatus
-    note: str = ""
-    chase: Optional[ChaseResult] = None
+class AnswerReport(namedtuple("AnswerReport", "answers status note chase",
+                              defaults=("", None))):
+    """The answer rows, their status, a note, and the `ChaseResult` they
+    were read from, if a chase ran."""
+
+    __slots__ = ()
 
     @property
     def budget_exhausted(self) -> bool:
@@ -155,9 +155,10 @@ class AnswerReport:
         return {"failed": True, "sat": True, "unsat": False}.get(self.verdict)
 
 
-@dataclass(frozen=True)
 class BlockedAtomic:
     """Answer atomic queries from the cloud-store saturation."""
+
+    __slots__ = ()
 
 
 # a chase to run and answer over, or the cloud-store saturation
@@ -216,9 +217,7 @@ def certain_answers(
 # Containment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Containment:
-    verdict: str  # yes, no, unknown
+Containment = namedtuple("Containment", "verdict")  # yes, no or unknown
 
 
 def check_containment(

@@ -139,4 +139,5 @@ def builtin_program(name: str) -> Program:
         return three_col_program(complete_graph(4))
     if name == "3col-c5":
         return three_col_program(cycle_graph(5))
-    raise UsageError("unknown builtin %r (try fll, grid, 3col-k3, 3col-k4, 3col-c5)" % name)
+    raise UsageError("unknown builtin %r (try fll, grid, 3col, 3col-k3, 3col-k4, 3col-c5)"
+                     % name)

@@ -59,6 +59,15 @@ def test_classify_builtin_fll(capsys):
     ]
 
 
+def test_an_unknown_builtin_lists_every_builtin_name(capsys):
+    code, _, err = run_cli(capsys, "classify", "--builtin", "nope")
+    assert code == 2
+    listed = err.split("(try ")[1].split(")")[0].split(", ")
+    assert listed == ["fll", "grid", "3col", "3col-k3", "3col-k4", "3col-c5"]
+    for name in listed:
+        assert run_cli(capsys, "classify", "--builtin", name)[0] == 0, name
+
+
 def test_classify_file(example_file, capsys):
     code, out, _ = run_cli(capsys, "classify", example_file)
     assert code == 0

@@ -3,7 +3,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,7 @@ from helpers import (
 )
 
 import chasekit
-from chasekit.model import Constant, Instance, Program, Variable
+from chasekit.model import EGD, TGD, Constant, Instance, Program, Variable
 from chasekit.parser import (
     ParseError,
     answer_json,
@@ -240,10 +239,10 @@ def assert_reprs_parse_back(tgds, egds, queries):
     to the same object, apart from the rule's label."""
     for rule in tgds:
         (again,) = parse_program("tgd %r." % rule).tgds
-        assert replace(again, label=rule.label) == rule, rule
+        assert TGD(again.body, again.head, again.existentials, rule.label) == rule, rule
     for rule in egds:
         (again,) = parse_program("egd %r." % rule).egds
-        assert replace(again, label=rule.label) == rule, rule
+        assert EGD(again.body, again.lhs, again.rhs, rule.label) == rule, rule
     for q in queries:
         assert parse_program("query %r." % q).queries == [q], q
 

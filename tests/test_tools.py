@@ -1,5 +1,6 @@
-"""The line counts of `tools/src_lines.py`, the table of `tools/fll_scaling.py`
-and the job tally of `tools/profile_pass.py`."""
+"""The line counts of `tools/src_lines.py`, the table of `tools/fll_scaling.py`,
+the job tally of `tools/profile_pass.py` and the import table of
+`tools/startup_time.py`."""
 
 import importlib.util
 import subprocess
@@ -22,6 +23,7 @@ def load(name, folder=TOOLS):
 
 src_lines = load("src_lines")
 fll_scaling = load("fll_scaling")
+startup_time = load("startup_time")
 gen = load("gen", ROOT / "bench")
 
 # the lines doc_lines counts are marked "doc"; a trailing comment, a
@@ -92,3 +94,39 @@ def test_the_measured_pass_tallies_each_job_once(mode):
          *mode], capture_output=True, text=True, timeout=300, check=True)
     jobs = len(gen.build("cq-3col", 1).jobs)
     assert "0 of %d jobs failed their check" % jobs in proc.stdout
+
+
+# `-X importtime` prints each import after the imports it made, indented
+# two spaces a level; the block that ends at the top-level chasekit.cli
+# line is what importing it cost
+IMPORTTIME = """\
+import time: self [us] | cumulative | imported package
+import time:       100 |        100 |   _io
+import time:       300 |        400 | site
+import time:        50 |         50 |       json.scanner
+import time:        70 |        120 |     json
+import time:        10 |         10 |     chasekit.model
+import time:        20 |        150 |   chasekit
+import time:         5 |        160 | chasekit.cli
+import time:         9 |          9 | atexit
+"""
+
+
+def test_the_import_block_of_chasekit_cli_is_read_from_the_report():
+    assert startup_time.chasekit_imports(IMPORTTIME) == [
+        ("json.scanner", 50, 50), ("json", 70, 120), ("chasekit.model", 10, 10),
+        ("chasekit", 20, 150), ("chasekit.cli", 5, 160)]
+    with pytest.raises(ValueError):
+        startup_time.chasekit_imports(IMPORTTIME.replace("chasekit.cli", "other"))
+
+
+def test_the_startup_table_lists_chasekit_modules_first(capsys):
+    assert startup_time.main(["--runs", "2"]) == 0
+    head, *rows = capsys.readouterr().out.splitlines()
+    assert "median ms of 2 runs" in head
+    names = [row.split()[0] for row in rows]
+    assert names[0] == "chasekit.cli" and {"chasekit", "chasekit.model", "argparse"} <= set(names)
+    ours = [name.startswith("chasekit") for name in names]
+    assert ours == sorted(ours, reverse=True)
+    assert "chasekit.acyclic" not in names and "dataclasses" not in names
+    assert all(float(row.split()[1]) >= 0 and float(row.split()[2]) >= 0 for row in rows)
