@@ -128,7 +128,8 @@ class Trigger:
 # classes, as cheap to build and read as a class gets, equal by identity.
 
 class ForestNode:
-    """A node of the chase forest; `trigger` is None for a database atom."""
+    """A node of the chase forest; `trigger` is None for a database atom.
+    `id` is its index in the forest, `parent` an earlier node's id."""
 
     __slots__ = ("id", "atom", "parent", "trigger", "depth")
 
@@ -179,7 +180,9 @@ class ChaseResult(namedtuple("ChaseResult", "instance forest status steps failur
     """One run: its instance, forest (a list of `ForestNode`), status and
     steps; the trigger that failed it, if one did; whether the forest
     holds every step; and the rules it ran: the input's, heads
-    normalized."""
+    normalized.  The forest is in the order the run built it: node i
+    has id i and comes after its parent, so one forward pass sees every
+    parent before its children."""
 
     __slots__ = ()
 
@@ -616,43 +619,33 @@ def restricted_gcf(forest: Sequence[ForestNode]) -> List[ForestNode]:
 
     A node whose atom already labels an earlier node is removed
     together with all of its descendants; afterwards each atom labels at
-    most one node.
+    most one node, and every kept node's parent is kept.  One pass, in
+    the forest's parents-first order (`ChaseResult`).
     """
-    ordered = sorted(forest, key=lambda n: n.id)
     removed: Set[int] = set()
-    seen: Dict[Atom, int] = {}
-    for node in ordered:
-        if node.parent is not None and node.parent in removed:
-            removed.add(node.id)
-            continue
-        if node.atom in seen:
+    seen: Set[Atom] = set()
+    kept = []
+    for node in forest:
+        if node.parent in removed or node.atom in seen:
             removed.add(node.id)
         else:
-            seen[node.atom] = node.id
-    return [n for n in ordered if n.id not in removed]
-
-
-def forest_children(forest: Sequence[ForestNode]) -> Dict[int, List[int]]:
-    kids: Dict[int, List[int]] = {n.id: [] for n in forest}
-    for n in forest:
-        if n.parent is not None and n.parent in kids:
-            kids[n.parent].append(n.id)
-    return kids
+            seen.add(node.atom)
+            kept.append(node)
+    return kept
 
 
 def subtree_atoms(result: ChaseResult, atom: Atom) -> Set[Atom]:
-    """Atoms labeling the subtrees rooted at every node labeled `atom`."""
-    by_id = {n.id: n for n in result.forest}
-    kids = forest_children(result.forest)
-    roots = [n.id for n in result.forest if n.atom == atom]
-    if not roots:
-        raise UsageError("%r does not occur in the forest" % (atom,))
+    """Atoms labeling the subtrees rooted at every node labeled `atom`.
+    One pass, parents first: a node is inside when it is labeled `atom`
+    or its parent is inside."""
+    inside: Set[int] = set()
     out: Set[Atom] = set()
-    stack = list(roots)
-    while stack:
-        nid = stack.pop()
-        out.add(by_id[nid].atom)
-        stack.extend(kids.get(nid, ()))
+    for node in result.forest:
+        if node.atom == atom or node.parent in inside:
+            inside.add(node.id)
+            out.add(node.atom)
+    if not inside:
+        raise UsageError("%r does not occur in the forest" % (atom,))
     return out
 
 

@@ -195,9 +195,8 @@ def cmd_forest(args) -> int:
             if rule is not None:
                 label += "\\n" + rule
             lines.append('  n%d [label="%s"];' % (n.id, label))
-        ids = {n.id for n in nodes}
-        for n in nodes:
-            if n.parent is not None and n.parent in ids:
+        for n in nodes:  # restricted_gcf keeps the parent of every node it keeps
+            if n.parent is not None:
                 lines.append("  n%d -> n%d;" % (n.parent, n.id))
         lines.append("}")
         print("\n".join(lines))

@@ -3,8 +3,9 @@
 The cloud of an atom collects every chase atom whose values stay inside
 the atom's own values plus the database domain; it determines the whole
 chase subtree below the atom.  Canonical renaming maps an anchor's
-nulls outside dom(D), in first-occurrence order, onto reserved nulls
-xi_1, xi_2, ..., giving one representative per D-isomorphism class.
+nulls outside dom(D), in first-occurrence order, onto the canonical
+nulls xi_1, xi_2, ... (`_:n-1, _:n-2, ...`, which no database and no
+chase holds), giving one representative per D-isomorphism class.
 Blocked saturation expands the guarded chase forest but stops every
 branch whose (atom, cloud) pair canonicalizes to an already-stored key;
 because a cloud computed against a chase prefix can still grow, the
@@ -66,7 +67,8 @@ def cloud_size_bound(num_predicates: int, dom_size: int, max_arity: int) -> int:
 def canonicalize(anchor: Atom, atoms: Set[Atom], database: Instance
                  ) -> Tuple[Atom, FrozenSet[Atom]]:
     """Rename the anchor's nulls outside dom(D) to xi_1, xi_2, ... in
-    first-occurrence order.
+    first-occurrence order: `model.canonical_null(i)`, index -i, which
+    no parsed input and no chase null has.
 
     Constants and the database's values, nulls among them, map to
     themselves, as D-isomorphism fixes dom(D).  Every other null

@@ -25,11 +25,12 @@ it read, a plan template (`plan.py`) has one position per argument of
 its atom, and `Atom.substitute` and `Instance.rewrite` map an atom's
 arguments one for one.
 
-Names that hold `.` are chasekit's, as the canonical-null index range
-is: the grammar reads `.` only as a statement's end, so no program
-spells one.  Helper predicates (`v.1, v.2, ...`) and containment's
-frozen constants (`c.1, c.2, ...`) live there, apart from every program
-name by construction.  Library callers must not build such names.
+Names that hold `.` are chasekit's, as nulls with a negative index
+are: the grammar reads `.` only as a statement's end, and only digits
+after `_:n`, so no program spells either.  Helper predicates (`v.1,
+v.2, ...`) and containment's frozen constants (`c.1, c.2, ...`) live
+there, apart from every program name by construction.  Library callers
+must not build such names.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class Constant(namedtuple("Constant", "kind name")):
 
 
 class LabeledNull(namedtuple("LabeledNull", "kind index")):
-    """A null invented by the chase: the tuple (1, index)."""
+    """A labeled null: the tuple (1, index).  The chase numbers its nulls
+    from 1 (`NullAllocator`); canonical renaming uses negative indexes
+    (`canonical_null`)."""
 
     __slots__ = ()
 
@@ -98,14 +101,11 @@ class Variable(namedtuple("Variable", "kind name")):
 Term = Union[Constant, LabeledNull, Variable]
 _kind = itemgetter(0)
 
-# Canonical nulls (used for cloud canonicalization) live in a reserved
-# index range so they can never collide with chase-allocated nulls.
-CANONICAL_NULL_BASE = 1_000_000_000
-
 
 def canonical_null(i: int) -> LabeledNull:
-    """The i-th reserved canonical null (1-based)."""
-    return LabeledNull(CANONICAL_NULL_BASE + i)
+    """The i-th canonical null (1-based), `_:n-i`: no input spells a
+    negative index and no chase allocates one."""
+    return LabeledNull(-i)
 
 
 def term_sort_key(t: Term) -> Tuple[int, object]:
@@ -313,11 +313,7 @@ class Instance:
         return self._domain
 
     def max_null_index(self) -> int:
-        best = 0
-        for t in self._domain:
-            if isinstance(t, LabeledNull) and t.index < CANONICAL_NULL_BASE:
-                best = max(best, t.index)
-        return best
+        return max((t.index for t in self._domain if isinstance(t, LabeledNull)), default=0)
 
     def copy(self) -> "Instance":
         return Instance(self)
@@ -374,7 +370,9 @@ class Instance:
 # ---------------------------------------------------------------------------
 
 class NullAllocator:
-    """Monotone source of fresh labeled nulls, one per chase run."""
+    """Monotone source of fresh labeled nulls, one per chase run.  It
+    never starts below 1, which keeps chase nulls apart from the
+    canonical ones (`canonical_null`)."""
 
     def __init__(self, start: int = 1):
         self.next_index = max(1, start)

@@ -10,8 +10,8 @@ The grammar, one statement per `.` and one name per query:
 The tokens, as the pattern `_TOKEN` reads them.  Whitespace and `%` line
 comments separate tokens.  `_:n<k>`, with k one or more decimal digits, is
 a labeled null (only legal in instances loaded for inspection, never in
-chase-input facts; k must stay below CANONICAL_NULL_BASE, whose range
-belongs to the canonical cloud nulls).  A word is a run of letters,
+chase-input facts); k is never negative, so no text spells a canonical
+cloud null (`model.canonical_null`).  A word is a run of letters,
 digits and `_`: a variable if it starts with an uppercase letter (never
 legal in instances), else a constant or predicate.  The punctuation is
 `-> :- ( ) , . : =`, and any other character is an error.
@@ -33,7 +33,6 @@ from itertools import islice
 from typing import Callable, Dict, List, NoReturn, Optional, Set, Tuple, TypeVar
 
 from .model import (
-    CANONICAL_NULL_BASE,
     CQ,
     EGD,
     TGD,
@@ -95,7 +94,6 @@ class _Parser:
         toks = _TOKEN.findall(text)
         del toks[toks.index("") + 1:]
         self.toks = toks
-        self.allow_nulls = allow_nulls
         self.preds: Dict[str, Predicate] = {}
         # token -> the term it denotes; names are the words that are not variables
         self.terms: Dict[str, Term] = {}
@@ -105,7 +103,7 @@ class _Parser:
             if tok.startswith("_:n"):
                 if len(tok) == 3:
                     bad.add(tok)
-                elif allow_nulls and int(tok[3:]) < CANONICAL_NULL_BASE:
+                elif allow_nulls:
                     self.terms[tok] = LabeledNull(int(tok[3:]))
             elif tok in _PUNCT or not tok:
                 pass
@@ -149,11 +147,9 @@ class _Parser:
             if tok not in self.terms:
                 if tok[:1].isupper():
                     self.fail(i, "variables are not allowed here")
-                if not tok.startswith("_:n"):
-                    self.fail(i, "expected a term")
-                if not self.allow_nulls:
+                if tok.startswith("_:n"):
                     self.fail(i, "labeled nulls are not allowed here")
-                self.fail(i, "null index %d is reserved for canonical nulls" % int(tok[3:]))
+                self.fail(i, "expected a term")
             if toks[i + 1] != ",":
                 self.found(i + 1, "')'")
             i += 2

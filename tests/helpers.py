@@ -33,7 +33,6 @@ from chasekit.chase import (
 from chasekit.clouds import canonicalize
 from chasekit.egdsep import FailureCheck
 from chasekit.model import (
-    CANONICAL_NULL_BASE,
     CQ,
     EGD,
     TGD,
@@ -926,11 +925,8 @@ class _Parser:
         if kind == "null":
             if not self.allow_nulls:
                 self.fail("labeled nulls are not allowed here")
-            index = int(word[3:])
-            if index >= CANONICAL_NULL_BASE:
-                self.fail("null index %d is reserved for canonical nulls" % index)
             self.pos += 1
-            return LabeledNull(index)
+            return LabeledNull(int(word[3:]))
         self.fail("expected a term")
 
     def atom(self) -> Atom:

@@ -26,7 +26,7 @@ from chasekit.clouds import (
     cloud_of,
     cloud_size_bound,
 )
-from chasekit.model import Atom, Constant, LabeledNull, Predicate
+from chasekit.model import Atom, Constant, LabeledNull, Predicate, canonical_null
 from chasekit.parser import (
     parse_atom,
     parse_instance,
@@ -202,7 +202,7 @@ def test_criterion_8_canonicalization_and_cloud_bound():
         atoms = {parse_atom("p(_:n1)"), parse_atom("r(_:n2,_:n2)"),
                  parse_atom("s(_:n1,_:n2,b)")}
         can_anchor, can_atoms = canonicalize(anchor, atoms, db)
-        xi1, xi2 = LabeledNull(1_000_000_001), LabeledNull(1_000_000_002)
+        xi1, xi2 = canonical_null(1), canonical_null(2)
         assert can_anchor == Atom(Predicate("g", 4),
                                   (Constant("d"), xi1, xi2, xi1))
         assert can_atoms == {

@@ -1,3 +1,4 @@
+import random
 from unittest import mock
 
 import pytest
@@ -22,6 +23,7 @@ from chasekit.chase import (
     rule_triggers,
     run_chase,
     split_ground,
+    subtree_atoms,
 )
 from chasekit.model import (
     EGD,
@@ -415,6 +417,57 @@ def test_pruned_descendants_never_survive():
         for node in ob.forest:
             if node.id in kept and node.parent is not None:
                 assert node.parent in kept
+
+
+@pytest.fixture(scope="module")
+def forest_runs():
+    """The restricted and the oblivious run, at most 3,000 steps, of each
+    program of `wg_cases(20241, 100)` and `fll_cases(5, 40)`: 280 runs."""
+    programs = [(db, rules, ()) for db, rules in wg_cases(20241, 100)]
+    programs += [(p.facts, p.tgds, p.egds) for p in fll_cases(5, 40)]
+    return [run_chase(db, tgds, egds, ChaseOptions(mode, max_steps=3000))
+            for db, tgds, egds in programs for mode in (Mode.RESTRICTED, Mode.OBLIVIOUS)]
+
+
+def test_the_forest_lists_each_node_at_its_id_after_its_parent(forest_runs):
+    merged = 0
+    for res in forest_runs:
+        for i, node in enumerate(res.forest):
+            assert node.id == i
+            assert node.parent is None or node.parent < i
+        merged += any(isinstance(step, EgdStep) for step in res.steps)
+    assert len(forest_runs) == 280 and merged > 0  # merges relabel nodes, never move them
+
+
+def child_map_walk(forest, atom):
+    """The atoms of the subtrees below every node labeled `atom`, by a
+    depth-first walk over a child map: the one-pass `subtree_atoms`'
+    oracle, which assumes no node order."""
+    kids = {n.id: [] for n in forest}
+    for n in forest:
+        if n.parent is not None:
+            kids[n.parent].append(n.id)
+    label = {n.id: n.atom for n in forest}
+    stack = [n.id for n in forest if n.atom == atom]
+    out = set()
+    while stack:
+        nid = stack.pop()
+        out.add(label[nid])
+        stack.extend(kids[nid])
+    return out
+
+
+def test_subtree_atoms_is_the_child_map_walk(forest_runs):
+    rng = random.Random(5)
+    checked = 0
+    for res in forest_runs[::7]:
+        atoms = sorted({n.atom for n in res.forest}, key=repr)
+        for atom in rng.sample(atoms, min(5, len(atoms))):
+            assert subtree_atoms(res, atom) == child_map_walk(res.forest, atom), atom
+            checked += 1
+    assert checked > 100
+    with pytest.raises(UsageError, match="does not occur in the forest"):
+        subtree_atoms(forest_runs[0], parse_atom("absent(a)"))
 
 
 def test_nulls_only_at_affected_positions():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -263,6 +264,24 @@ def test_answer_separate_takes_no_strategy_but_terminate(tmp_path, capsys):
     path.write_text(SEPARABLE.replace("egd ", "% egd "))
     code, out, _ = run_cli(capsys, *argv, "--strategy", "blocked-atomic")
     assert (code, out) == (0, "query q: sat\n  (a)\n  (b)\n")
+
+
+FAILING = SEPARABLE.replace("fact r(a,b).", "fact r(a,b). fact r(a,c).")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_blocked_atomic_answers_fail_when_the_egds_fail(tmp_path, capsys):
+    # r(a,b), r(a,c) and funct(x,a) make the EGD equate the constants b and c
+    path = tmp_path / "failing.dlp"
+    path.write_text(FAILING)
+    code, out, _ = run_cli(capsys, "egd-check", str(path))
+    assert (code, out) == (1, "egd failure check: failed\n")
+    argv = ["answer", str(path), "--query", "q", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, json.loads(out)["status"]) == (1, "failed")
+    # blocked answering ignores the EGDs: exit 0, an exact sat with a, b and c
+    code, out, _ = run_cli(capsys, *argv, "--strategy", "blocked-atomic")
+    assert (code, json.loads(out)["status"]) == (1, "failed")
 
 
 def _chain(n):
@@ -626,6 +645,41 @@ def test_forest_output_matches_the_golden_digests(tmp_path, capsys, mode):
             code, out, _ = run_cli(capsys, *argv)
             digests[kind].update(("%d\n%s" % (code, out)).encode())
     assert {k: h.hexdigest() for k, h in digests.items()} == FOREST_GOLDEN[mode]
+
+
+DOT_EDGE = re.compile(r"  (n\d+) -> (n\d+);")
+DOT_NODE = re.compile(r'  (n\d+) \[label="')
+# t(a) comes after p(a,_:n1) has its child r(_:n1,_:n3); merging _:n1
+# onto b then relabels p(a,_:n1) to the database atom p(a,b), so the
+# restricted forest drops that node and the child below it
+MERGED_DUPLICATE = """
+fact p(a,b). fact s(a).
+tgd s(X) -> exists Z: p(X,Z).
+tgd p(X,Y) -> exists W: r(Y,W).
+tgd s(X) -> u(X). tgd u(X) -> v(X). tgd v(X) -> t(X).
+egd p(X,Y), p(X,Z), t(X) -> Y = Z.
+"""
+
+
+@pytest.mark.parametrize("mode", ["restricted", "oblivious"])
+def test_every_edge_of_the_restricted_dot_forest_joins_two_printed_nodes(tmp_path, capsys,
+                                                                         mode):
+    # the dot printer draws each edge without looking its parent up
+    texts = [_wg_program_text(db, rules)[0] for db, rules in wg_cases(seed=20241, count=30)]
+    texts += [render_program(p) for p in fll_cases(5, 12)] + [MERGED_DUPLICATE]
+    edges = 0
+    for n, text in enumerate(texts):
+        path = tmp_path / ("case%d.dlp" % n)
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "forest", str(path), "--mode", mode,
+                               "--max-steps", "3000", "--restricted", "--dot")
+        assert code == 0
+        lines = out.splitlines()
+        nodes = {m.group(1) for m in map(DOT_NODE.match, lines) if m}
+        for m in filter(None, map(DOT_EDGE.fullmatch, lines)):
+            assert {m.group(1), m.group(2)} <= nodes, m.group(0)
+            edges += 1
+    assert edges > 100
 
 
 # sha256 over "<exit code>\n<stdout>" of every run, recorded before query

@@ -52,6 +52,7 @@ from chasekit.model import (
     Predicate,
     UsageError,
     Variable,
+    canonical_null,
 )
 from chasekit.parser import parse_atom, parse_instance, parse_program
 from chasekit.plan import RulePlan
@@ -79,7 +80,7 @@ def test_canonicalize_worked_example():
         parse_atom("s(_:n1,_:n2,b)"),
     }
     can_anchor, can_atoms = canonicalize(anchor, atoms, db)
-    xi1, xi2 = LabeledNull(1_000_000_001), LabeledNull(1_000_000_002)
+    xi1, xi2 = canonical_null(1), canonical_null(2)
     g = Predicate("g", 4)
     assert can_anchor == Atom(g, (Constant("d"), xi1, xi2, xi1))
     assert can_atoms == {

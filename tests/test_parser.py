@@ -20,7 +20,7 @@ from helpers import (
 )
 
 import chasekit
-from chasekit.model import EGD, TGD, Constant, Instance, Program, Variable
+from chasekit.model import EGD, TGD, Constant, Instance, Program, Variable, canonical_null
 from chasekit.parser import (
     ParseError,
     answer_json,
@@ -108,11 +108,14 @@ def test_nulls_allowed_in_inspection_instances():
     assert inst.max_null_index() == 3
 
 
-def test_reserved_null_index_rejected_with_position():
-    with pytest.raises(ParseError) as err:
-        parse_instance("r(a,_:n7).\nr(b,_:n1000000001).")
-    assert (err.value.line, err.value.column) == (2, 5)
+def test_every_null_index_parses():
     assert parse_instance("r(a,_:n999999999).").max_null_index() == 999_999_999
+    inst = parse_instance("r(a,_:n7).\nr(b,_:n1000000001).")
+    assert inst.max_null_index() == 1_000_000_001
+    # a canonical null prints with a minus sign, which no null token holds
+    assert repr(canonical_null(1)) == "_:n-1"
+    with pytest.raises(ParseError, match="malformed null"):
+        parse_instance("r(a,_:n-1).")
 
 
 def test_comments_and_whitespace():
@@ -134,8 +137,6 @@ PARSE_ERRORS = [
     (parse_instance, "r(_:n\u00b2).", "malformed null, expected digits after _:n", 1, 3),
     (parse_program, "fact r(a).\nfact s(_:n1).", "labeled nulls are not allowed here", 2, 8),
     (parse_instance, "r(a).\nr(X).", "variables are not allowed here", 2, 3),
-    (parse_instance, "r(a,_:n7).\nr(b,_:n1000000001).",
-     "null index 1000000001 is reserved for canonical nulls", 2, 5),
     (parse_program, "fact r(,a).", "expected a term", 1, 8),
     (parse_program, "fact r(a,", "expected a term", 1, 10),
     (parse_program, "tgd r(X) -> S(X).", "expected a predicate name, found 'S'", 1, 13),

@@ -1,6 +1,6 @@
 """The line counts of `tools/src_lines.py`, the table of `tools/fll_scaling.py`,
-the job tally of `tools/profile_pass.py` and the import table of
-`tools/startup_time.py`."""
+the job tally of `tools/profile_pass.py`, the import table of
+`tools/startup_time.py` and the mismatch report of `tools/output_digest.py`."""
 
 import importlib.util
 import subprocess
@@ -130,3 +130,22 @@ def test_the_startup_table_lists_chasekit_modules_first(capsys):
     assert ours == sorted(ours, reverse=True)
     assert "chasekit.acyclic" not in names and "dataclasses" not in names
     assert all(float(row.split()[1]) >= 0 and float(row.split()[2]) >= 0 for row in rows)
+
+
+@pytest.mark.parametrize("recorded", ["wrong", "missing"])
+def test_the_digest_gate_fails_on_a_wrong_or_missing_line(tmp_path, recorded):
+    golden = (ROOT / "tests" / "golden_outputs.txt").read_text().splitlines()
+    line = next(line for line in golden if line.split()[1:3] == ["1", "cq-3col"])
+    others = [other for other in golden if other != line]
+    wrong = line[:-8] + "00000000"
+    if recorded == "wrong":
+        others.append(wrong)
+    expect = tmp_path / "expect.txt"
+    expect.write_text("\n".join(others) + "\n")
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "output_digest.py"), "--expect", str(expect),
+         "--workload", "cq-3col", "1"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stdout == line + "\n"
+    want = wrong.split()[3] if recorded == "wrong" else "no line"
+    assert proc.stderr == "MISMATCH: workload cq-3col, seed 1: expected %s\n" % want
